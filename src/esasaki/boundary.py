@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from esasaki.evolution import CaseIIIState, case_iii_rhs, rk4_step
+from esasaki.evolution import CaseIIIState, case_iii_exit, case_iii_rhs, rk4_path, rk4_step
 
 __all__ = [
     "TaylorData",
@@ -233,10 +233,6 @@ class ExtensionReport:
 # ---------------------------------------------------------------------------
 # profile helpers
 
-def _profile_series(profile, radii):
-    return [profile(r) for r in radii]
-
-
 def _v_of(state) -> float:
     h, k, b, c = state
     return 0.5 * math.hypot(h - k, b + c)
@@ -288,7 +284,7 @@ def check_round_branch(
     if len(radii) < 4:
         raise ValueError("need at least four radii for extrapolation")
     radii = sorted(radii, reverse=True)
-    states = _profile_series(profile, radii)
+    states = [profile(r) for r in radii]
 
     delta_limit, _ = richardson_limit(radii, [_delta_of(s) for s in states])
     conditions = [_cond("delta_vanishes_at_origin", delta_limit, 0.0, tol_limit)]
@@ -344,16 +340,19 @@ def check_circle_branch(
     functional p + qC must be positive, else the sign normalization was
     violated and a ValueError is raised.  Uses the turning identity
     Delta'' = 1 - 6 Delta to express the curvature condition, and checks
-    it against a finite-difference second derivative.
+    it against a finite-difference second derivative.  The default radii
+    are ``geometric_radii(min(0.256, 4 Delta))`` with Delta read at
+    r = 1e-3, so the window shrinks with a small end value.
     """
     p = q * m + sigma
     pqc = p + q * C
     if pqc <= 0:
         raise ValueError(f"sign normalization violated: p + qC = {pqc} <= 0")
-    radii = list(radii) if radii is not None else geometric_radii()
+    if radii is None:
+        radii = geometric_radii(min(0.256, 4.0 * _delta_of(profile(1e-3))))
     radii = sorted(radii, reverse=True)
     rmax = radii[0] / 4.0
-    states = _profile_series(profile, radii)
+    states = [profile(r) for r in radii]
     deltas = [_delta_of(s) for s in states]
 
     delta0, _ = richardson_limit(radii, deltas)
@@ -384,23 +383,14 @@ def check_circle_branch(
 # rejection of the non-conformal family
 
 
-def _integrate_case_iii(y0: np.ndarray, span: float, step: float) -> np.ndarray:
-    """Fixed-step integration over a signed span, assumed interior."""
-    n = max(1, int(round(abs(span) / step)))
-    h = span / n
-    y = np.array(y0, dtype=float)
-    t = 0.0
-    for _ in range(n):
-        y = rk4_step(case_iii_rhs, t, y, h)
-        t += h
-    return y
-
-
 def _locate_boundary(y0: np.ndarray, direction: float, step: float, max_span: float):
     """March toward the boundary with step halving as `a` collapses.
 
-    Returns (signed boundary offset from the start, reason) with reason
-    None when no boundary was found within max_span.
+    The fixed-step bisection of ``rk4_path`` is no substitute here: one
+    RK4 step across the 1/a singularity loses the accuracy that the end
+    analysis needs at t*.  Returns (signed boundary offset from the
+    start, reason) with reason None when no boundary was found within
+    max_span.
     """
     y = np.array(y0, dtype=float)
     t = 0.0
@@ -418,12 +408,9 @@ def _locate_boundary(y0: np.ndarray, direction: float, step: float, max_span: fl
             h *= 0.5
             continue
         y, t = y_try, t + h
-        if y[4] < 1e-10:
-            return t, "turning_point"
-        if y[0] * y[1] - y[2] * y[3] <= 0:
-            return t, "delta_nonpositive"
-        if np.linalg.norm(y) > 1e8:
-            return t, "divergence"
+        reason = case_iii_exit(y, 1e-10, 0.0, 1e8)
+        if reason is not None:
+            return t, reason
         if abs(h) < step:
             h = direction * min(step, 2.0 * abs(h))
     return t, None
@@ -474,8 +461,8 @@ def reject_case_iii(
 
         @lru_cache(maxsize=None)
         def profile(r, _dir=direction, _t=t_star):
-            y = _integrate_case_iii(y0, _t - _dir * r, step)
-            return (y[0], y[1], y[2], y[3])
+            _, ys, _ = rk4_path(case_iii_rhs, y0, 0.0, _t - _dir * r, step)
+            return tuple(ys[-1][:4])
 
         delta_end = _delta_of(profile(radii[-1]))
         if abs(delta_end) < round_delta_tol:

@@ -5,8 +5,10 @@ Global flags: --arith {float,rational}, --out DIR, --seed N, --tol X,
 --step X, --config FILE (JSON defaults, overridden by explicit flags).
 
 Exit codes: 0 success; 1 a verification/classification check failed
-(worst offender reported); 2 invalid input or an aborted constraint
-(non-solution initial data, domain errors).
+(worst offender reported; for extend-check also a failing end report
+or a group diagram that cannot be built); 2 invalid input or an aborted
+constraint (non-finite numbers, non-solution initial data, domain
+errors), mapped from ValueError and OSError in one place, :func:`main`.
 
 Rational values are accepted as "p/q" strings to avoid float parsing
 loss; every output embeds the run parameters (and seed), never a
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +44,8 @@ class RunConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.tol <= 0 or self.step <= 0:
-            raise ValueError("tolerances and step must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.step < math.inf):
+            raise ValueError("tolerances and step must be positive and finite")
         if self.arith not in ("float", "rational"):
             raise ValueError(f"unknown arithmetic mode {self.arith!r}")
 
@@ -56,12 +59,19 @@ class RunConfig:
         return data
 
 
+def finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_number(text, arith: str = "float"):
-    if isinstance(text, (int, float, Fraction)):
+    if isinstance(text, (int, Fraction)):
         return text
-    if "/" in text or arith == "rational":
+    if isinstance(text, str) and ("/" in text or arith == "rational"):
         return Fraction(text)
-    return float(text)
+    return finite_float(text)
 
 
 def _global_flags(parser, suppress: bool) -> None:
@@ -72,8 +82,8 @@ def _global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--arith", choices=("float", "rational"), default=d("float"))
     parser.add_argument("--out", default=d("."), help="output directory")
     parser.add_argument("--seed", type=int, default=d(0))
-    parser.add_argument("--tol", type=float, default=d(1e-4))
-    parser.add_argument("--step", type=float, default=d(1e-3))
+    parser.add_argument("--tol", type=finite_float, default=d(1e-4))
+    parser.add_argument("--step", type=finite_float, default=d(1e-3))
     parser.add_argument("--config", default=d(None), help="JSON file with flag defaults")
 
 
@@ -107,8 +117,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_evolve.add_argument("--C", default="0")
     p_evolve.add_argument("--b0", default="0")
     p_evolve.add_argument("--c0", default="0")
-    p_evolve.add_argument("--t0", type=float, default=0.0)
-    p_evolve.add_argument("--t1", type=float, default=1.0)
+    p_evolve.add_argument("--t0", type=finite_float, default=0.0)
+    p_evolve.add_argument("--t1", type=finite_float, default=1.0)
     p_evolve.add_argument("--input", default=None, help="coframe JSON for --case general")
     p_evolve.add_argument("--record-every", type=int, default=10)
 
@@ -120,7 +130,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_verify.add_argument("--A", required=True)
     p_verify.add_argument("--C", default="0")
     p_verify.add_argument("--points", type=int, default=10)
-    p_verify.add_argument("--fd-step", type=float, default=1e-3)
+    p_verify.add_argument("--fd-step", type=finite_float, default=1e-3)
 
     p_ext = sub.add_parser("extend-check", help="full compact-extension verdict", parents=[common])
     p_ext.add_argument("--A", default=None)
@@ -208,13 +218,9 @@ def cmd_evolve(args) -> int:
     except (evolution.ConstraintError, structures.NotASolutionError, structures.DegenerateCoframeError) as exc:
         print(f"constraint abort: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-    m_embed = m if (m or args.case != "iii") else 1
-    flow.to_csv(out / "flow.csv", m=m_embed)
-    flow.to_json(out / "flow.json", m=m_embed)
+    flow.to_csv(out / "flow.csv")
+    flow.to_json(out / "flow.json")
     print(f"wrote {out / 'flow.csv'} ({len(flow.times)} samples)")
     return 0
 
@@ -300,6 +306,7 @@ def cmd_extend_check(args) -> int:
     C = _parse_number(args.C, args.arith)
     verdict = moduli.classify_A(A, C, args.m)
     payload = {"verdict": verdict.to_json_dict(), "meta": _meta(args)}
+    failures = [verdict.reason] if verdict.branch == moduli.NO_COMPACT_EXTENSION else []
 
     if verdict.family is not None:
         try:
@@ -308,6 +315,7 @@ def cmd_extend_check(args) -> int:
             _write_json(out / "diagram.json", diagram.to_json_dict())
         except ValueError as exc:
             payload["diagram_error"] = str(exc)
+            failures.append(f"diagram: {exc}")
 
         a_float = float(A)
         ends = {}
@@ -317,38 +325,31 @@ def cmd_extend_check(args) -> int:
                 ("upper", verdict.family.plus, "upper"),
             ):
                 profile = evolution.case_ii_endpoint_profile(a_float, which)
-                rep = boundary.check_circle_branch(
+                ends[tag] = boundary.check_circle_branch(
                     profile, end.q, end.sigma_signed, float(C), args.m
                 )
-                ends[tag] = rep.to_json_dict()
-        else:
-            profile = evolution.case_ii_endpoint_profile(a_float, "round") if a_float == 0 else None
-            if profile is not None:
-                ends["lower"] = boundary.check_round_branch(profile).to_json_dict()
-                prof_up = evolution.case_ii_endpoint_profile(a_float, "upper")
-                rep = boundary.check_circle_branch(
-                    prof_up, verdict.family.plus.q, verdict.family.plus.sigma_signed, float(C), args.m
-                )
-                ends["upper"] = rep.to_json_dict()
-        payload["end_reports"] = ends
+        elif a_float == 0:
+            ends["lower"] = boundary.check_round_branch(evolution.case_ii_endpoint_profile(a_float, "round"))
+            prof_up = evolution.case_ii_endpoint_profile(a_float, "upper")
+            ends["upper"] = boundary.check_circle_branch(
+                prof_up, verdict.family.plus.q, verdict.family.plus.sigma_signed, float(C), args.m
+            )
+        payload["end_reports"] = {tag: rep.to_json_dict() for tag, rep in ends.items()}
+        failures += [f"{tag}:{name}" for tag, rep in ends.items() for name in rep.failing()]
 
     _write_json(out / "verdict.json", payload)
     print(f"{verdict.branch}: {verdict.reason}")
-    if verdict.branch == moduli.NO_COMPACT_EXTENSION:
-        print(f"FAIL: {verdict.reason}", file=sys.stderr)
+    if failures:
+        print(f"FAIL: {'; '.join(failures)}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_normal_form(args) -> int:
     out = _outdir(args)
-    try:
-        with open(args.input) as fh:
-            eta = structures.IdStructure.from_json_dict(json.load(fh))
-        tag, transform = structures.normal_form(eta)
-    except (structures.NotASolutionError, structures.DegenerateCoframeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.input) as fh:
+        eta = structures.IdStructure.from_json_dict(json.load(fh))
+    tag, transform = structures.normal_form(eta)
     payload = {
         "tag": tag.to_json_dict(),
         "transform": {
@@ -379,13 +380,17 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    config = None
-    if known.config:
-        with open(known.config) as fh:
-            config = json.load(fh)
-    parser = build_parser(config)
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        config = None
+        if known.config:
+            with open(known.config) as fh:
+                config = json.load(fh)
+        args = build_parser(config).parse_args(argv)
+        RunConfig.from_args(args)
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ reduced variables: the rotating closed-form family (case i), the
 conformal family with conserved quantity A = 4h^6 - h^4 + (ah)^2
 (case ii), and the five-parameter family (case iii) whose ratios
 w/u and z/v are conserved.
+
+Every flow is stepped by one fixed-step RK4 driver, :func:`rk4_path`,
+which keeps every ``record_every``-th state and ends a flow at the
+bisected crossing of its domain's boundary.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -205,7 +210,15 @@ def fit_case_i(structure: IdStructure) -> tuple:
 
 @dataclass
 class FlowResult:
-    """Sampled flow data: states, constraint residuals, conserved drift."""
+    """Sampled flow data: states, constraint residuals, conserved drift.
+
+    A flow that reaches the edge of its domain ends at the located
+    crossing: ``boundary_time`` is its time and ``stopped_reason`` names
+    it (``"coframe degenerate"``, ``"h_zero"``, ``"turning_point"``,
+    ``"u_or_v_vanishes"``, ``"delta_nonpositive"`` or ``"divergence"``);
+    both are None when the flow reached the end of its span.  Case-iii
+    states embed into coframes with the weight ``meta["m"]``.
+    """
 
     times: np.ndarray
     states: list
@@ -216,22 +229,22 @@ class FlowResult:
     stopped_reason: Optional[str] = None
     meta: dict = field(default_factory=dict)
 
-    def id_structures(self, m: int = 1) -> list:
+    def id_structures(self) -> list:
         out = []
         for state in self.states:
             if isinstance(state, IdStructure):
                 out.append(state)
             elif isinstance(state, CaseIIIState):
-                out.append(state.to_id_structure(m))
+                out.append(state.to_id_structure(self.meta["m"]))
             else:
                 out.append(state.to_id_structure())
         return out
 
-    def coefficient_rows(self, m: int = 1) -> np.ndarray:
-        return np.array([s.matrix.reshape(-1) for s in self.id_structures(m)])
+    def coefficient_rows(self) -> np.ndarray:
+        return np.array([s.matrix.reshape(-1) for s in self.id_structures()])
 
-    def to_csv(self, path, m: int = 1) -> None:
-        coeff = self.coefficient_rows(m)
+    def to_csv(self, path) -> None:
+        coeff = self.coefficient_rows()
         drift_names = sorted(self.drift)
         header = ["t"]
         header += [f"eta{i}_{j+1}" for i in range(4) for j in range(4)]
@@ -251,10 +264,10 @@ class FlowResult:
                 row += [repr(float(self.drift[name][i])) for name in drift_names]
                 writer.writerow(row)
 
-    def to_json_dict(self, m: int = 1) -> dict:
+    def to_json_dict(self) -> dict:
         data = {
             "times": [float(t) for t in self.times],
-            "coefficients": self.coefficient_rows(m).tolist(),
+            "coefficients": self.coefficient_rows().tolist(),
             "residuals": self.residuals.tolist(),
             "drift": {k: np.asarray(v).tolist() for k, v in self.drift.items()},
             "boundary_time": self.boundary_time,
@@ -265,9 +278,9 @@ class FlowResult:
             data["consistency"] = self.consistency.tolist()
         return data
 
-    def to_json(self, path, m: int = 1) -> None:
+    def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(m), fh, indent=1)
+            json.dump(self.to_json_dict(), fh, indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +295,62 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_path(f: Callable, y0: np.ndarray, t0: float, t1: float, step: float):
-    """Fixed-step classical integration from t0 to t1 (either direction)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def rk4_path(
+    f: Callable,
+    y0: np.ndarray,
+    t0: float,
+    t1: float,
+    step: float,
+    *,
+    every: int = 1,
+    exits: Optional[Callable] = None,
+):
+    """Fixed-step classical integration from t0 to t1 (either direction).
+
+    The n = max(1, round(|t1 - t0| / step)) steps have size
+    h = (t1 - t0) / n and land on t0 + i h.  Kept are the start, every
+    ``every``-th state and the last one.  ``exits(y)`` names the boundary
+    of the flow's domain that y lies beyond (None inside; a non-finite y
+    must get a name).  The first step whose end exits is bisected 64
+    times for the crossing, whose state ends the path.
+
+    Returns (times, ys, reason) with reason the name of the crossed
+    boundary, or None when the path reached t1.
+    """
+    if step <= 0 or every < 1:
+        raise ValueError("step and every must be positive")
     n = max(1, int(round(abs(t1 - t0) / step)))
     h = (t1 - t0) / n
-    times = [t0]
-    ys = [np.array(y0, dtype=float)]
+    y = np.array(y0, dtype=float)
+    times, ys = [t0], [y]
     for i in range(n):
-        ys.append(rk4_step(f, times[-1], ys[-1], h))
-        times.append(t0 + (i + 1) * h)
-    return np.array(times), np.array(ys)
+        t = t0 + i * h
+        y_next = rk4_step(f, t, y, h)
+        reason = None if exits is None else exits(y_next)
+        if reason is not None:
+            lo, hi = 0.0, h
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                crossed = exits(rk4_step(f, t, y, mid))
+                if crossed is None:
+                    lo = mid
+                else:
+                    hi, reason = mid, crossed
+            mid = 0.5 * (lo + hi)
+            times.append(t + mid)
+            ys.append(rk4_step(f, t, y, mid))
+            return np.array(times), np.array(ys), reason
+        y = y_next
+        if (i + 1) % every == 0 or i + 1 == n:
+            times.append(t0 + (i + 1) * h)
+            ys.append(y)
+    return np.array(times), np.array(ys), None
 
 
 # ---------------------------------------------------------------------------
 # general flow (numpy fast path for the wedge tables)
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-# d on one-forms over e1..e4, in 2-form coordinates ordered as _PAIRS
+# d on one-forms over e1..e4, in 2-form coordinates ordered 12, 13, 14, 23, 24, 34
 _D1 = np.zeros((6, 4))
 _D1[3, 0] = -1.0  # d e1 = -e23
 _D1[1, 1] = 1.0   # d e2 = -e31 = +e13
@@ -376,51 +425,35 @@ def evolve_general(
         )
     eta0.require_coframe(det_threshold)
 
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    direction = 1.0 if t1 >= t0 else -1.0
-    n = max(1, int(round(abs(t1 - t0) / step)))
-    h = direction * abs(t1 - t0) / n
     m = eta0.m
+    y0 = eta0.matrix.reshape(-1)
+    det_sign = math.copysign(1.0, float(np.linalg.det(eta0.matrix)))
 
-    y = eta0.matrix.reshape(-1).copy()
-    t = t0
-    times, states, residuals, consistency = [], [], [], []
-    boundary_time = None
-    stopped = None
+    def exits(y):
+        # a NaN determinant fails the comparison as well
+        if not float(np.linalg.det(y.reshape(4, 4))) * det_sign >= det_threshold:
+            return "coframe degenerate"
+        return None
 
-    def record(t, y):
-        s = IdStructure(tuple(map(tuple, y.reshape(4, 4))), m)
-        times.append(t)
-        states.append(s)
-        residuals.append(residual_hypo(s))
+    times, ys, stopped = rk4_path(
+        lambda t, y: general_rhs(y, m)[0], y0, float(t_span[0]), float(t_span[1]), step,
+        every=record_every, exits=exits,
+    )
+    states, consistency = [], []
+    for t, y in zip(times, ys):
         _, res = general_rhs(y, m)
-        consistency.append(res)
         if res > abort_tol:
             raise ConstraintError(f"constraints incompatible: least-squares residual {res:.3e} at t={t}")
-
-    det_sign = math.copysign(1.0, float(np.linalg.det(y.reshape(4, 4))))
-    record(t, y)
-    for i in range(n):
-        y_next = rk4_step(lambda tt, yy: general_rhs(yy, m)[0], t, y, h)
-        t_next = t0 + (i + 1) * h
-        det = float(np.linalg.det(y_next.reshape(4, 4)))
-        if abs(det) < det_threshold or math.copysign(1.0, det) != det_sign:
-            boundary_time = t_next
-            stopped = "coframe degenerate"
-            if abs(det) > 0:
-                record(t_next, y_next)
-            break
-        y, t = y_next, t_next
-        if (i + 1) % record_every == 0 or i + 1 == n:
-            record(t, y)
+        states.append(IdStructure(tuple(map(tuple, y.reshape(4, 4))), m))
+        consistency.append(res)
 
     return FlowResult(
-        times=np.array(times),
+        times=times,
         states=states,
-        residuals=np.array(residuals),
+        residuals=np.array([residual_hypo(s) for s in states]),
         drift={},
         consistency=np.array(consistency),
-        boundary_time=boundary_time,
+        boundary_time=float(times[-1]) if stopped else None,
         stopped_reason=stopped,
         meta={"step": step, "family": "general", "m": m},
     )
@@ -457,67 +490,32 @@ def evolve_case_ii(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
-    n = max(1, int(round((t1 - t0) / step)))
-    h_step = (t1 - t0) / n
     A0 = state0.A
     drift_scale = max(abs(A0), 1e-30)
 
-    q = np.array([state0.h**2, state0.a * state0.h])
-    t = t0
-    times, states, residuals, drift = [], [], [], []
-    boundary_time = None
-    stopped = None
+    def exits(q):
+        if not q[0] > h_floor**2:
+            return "h_zero"
+        if q[1] < 0.0:
+            return "turning_point"
+        return None
 
-    def record(t, q):
-        hh = math.sqrt(q[0])
-        st = CaseIIState(hh, q[1] / hh, state0.C, state0.m)
-        times.append(t)
-        states.append(st)
-        residuals.append(residual_hypo(st.to_id_structure()))
-        drift.append(abs(st.A - A0) / drift_scale)
-
-    record(t, q)
-    for i in range(n):
-        q_next = rk4_step(_case_ii_rhs, t, q, h_step)
-        t_next = t0 + (i + 1) * h_step
-        if q_next[0] <= h_floor**2:
-            boundary_time, stopped = t_next, "h_zero"
-            if q_next[0] > 0:
-                record(t_next, q_next)
-            break
-        if q_next[1] < 0.0:
-            # crossed a turning point: locate it by step halving
-            t_star, q_star = _refine_turning(t, q, h_step)
-            boundary_time, stopped = t_star, "turning_point"
-            record(t_star, q_star)
-            break
-        q, t = q_next, t_next
-        if (i + 1) % record_every == 0 or i + 1 == n:
-            record(t, q)
+    q0 = np.array([state0.h**2, state0.a * state0.h])
+    times, qs, stopped = rk4_path(_case_ii_rhs, q0, t0, t1, step, every=record_every, exits=exits)
+    states = []
+    for p, s in qs:
+        h = math.sqrt(p)
+        states.append(CaseIIState(h, s / h, state0.C, state0.m))
 
     return FlowResult(
-        times=np.array(times),
+        times=times,
         states=states,
-        residuals=np.array(residuals),
-        drift={"A": np.array(drift)},
-        boundary_time=boundary_time,
+        residuals=np.array([residual_hypo(st.to_id_structure()) for st in states]),
+        drift={"A": np.array([abs(st.A - A0) / drift_scale for st in states])},
+        boundary_time=float(times[-1]) if stopped else None,
         stopped_reason=stopped,
         meta={"step": step, "family": "case_ii", "C": state0.C, "m": state0.m, "A": A0},
     )
-
-
-def _refine_turning(t, q, h_step, iters: int = 64):
-    """Bisect within one step for the instant where a h crosses zero."""
-    lo, hi = 0.0, h_step
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        q_mid = rk4_step(_case_ii_rhs, t, q, mid)
-        if q_mid[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return t + mid, rk4_step(_case_ii_rhs, t, q, mid)
 
 
 def turning_points(A: float) -> list:
@@ -543,35 +541,33 @@ def case_ii_endpoint_profile(A: float, which: str, *, n_sub: int = 200) -> Calla
         if A != 0:
             raise ValueError("the h -> 0 end exists only for A = 0")
 
-        def profile(r: float):
-            def f(_, y):
-                return np.array([0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * y[0] ** 2))])
+        def f(_, y):
+            return np.array([0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * y[0] ** 2))])
 
-            _, ys = rk4_path(f, np.array([0.0]), 0.0, r, r / n_sub)
-            h = float(ys[-1][0])
-            return (h, h, 0.0, 0.0)
-
-        return profile
-
-    roots = [float(root) for root, _ in moduli.cubic_roots(A) if root > 0]
-    if len(roots) < 1:
-        raise ValueError(f"no turning points for A={A}")
-    if which == "lower":
-        delta_star = min(roots)
-    elif which == "upper":
-        delta_star = max(roots)
+        y0, height = np.array([0.0]), float
     else:
-        raise ValueError(f"unknown end {which!r}")
+        roots = [float(root) for root, _ in moduli.cubic_roots(A) if root > 0]
+        if len(roots) < 1:
+            raise ValueError(f"no turning points for A={A}")
+        if which == "lower":
+            delta_star = min(roots)
+        elif which == "upper":
+            delta_star = max(roots)
+        else:
+            raise ValueError(f"unknown end {which!r}")
+        # inward direction: a h becomes positive moving into the interval
+        sign = 1.0 if which == "lower" else -1.0
 
-    # inward direction: a h becomes positive moving into the interval
-    sign = 1.0 if which == "lower" else -1.0
-
-    def profile(r: float):
         def f(_, y):
             return sign * _case_ii_rhs(0.0, y)
 
-        _, ys = rk4_path(f, np.array([delta_star, 0.0]), 0.0, r, r / n_sub)
-        h = math.sqrt(float(ys[-1][0]))
+        y0, height = np.array([delta_star, 0.0]), lambda p: math.sqrt(float(p))
+
+    # the checks sample some radii more than once
+    @lru_cache(maxsize=None)
+    def profile(r: float):
+        _, ys, _ = rk4_path(f, y0, 0.0, r, r / n_sub)
+        h = height(ys[-1][0])
         return (h, h, 0.0, 0.0)
 
     return profile
@@ -593,6 +589,22 @@ def case_iii_rhs(t, y):
         (-6.0 * c * delta - b - a_dot * c) / a,
         a_dot,
     ])
+
+
+def case_iii_exit(y, a_floor: float, uv_floor: float, norm_cap: float) -> Optional[str]:
+    """Name of the boundary of the case-iii domain that y = (h, k, b, c, a)
+    lies beyond, or None when y is inside."""
+    h, k, b, c, a = y
+    if not np.all(np.isfinite(y)) or a <= a_floor:
+        return "turning_point"
+    if abs(h + k) < uv_floor or abs(h - k) < uv_floor:
+        # past this point the conserved ratios w/u, z/v are 0/0-noisy
+        return "u_or_v_vanishes"
+    if h * k - b * c <= 0:
+        return "delta_nonpositive"
+    if np.linalg.norm(y) > norm_cap:
+        return "divergence"
+    return None
 
 
 def evolve_case_iii(
@@ -628,70 +640,25 @@ def evolve_case_iii(
     coef_u = 0.25 * (1.0 + lam0 * lam0)
     coef_v = 0.25 * (1.0 + mu0 * mu0) if state0.v != 0 else float("nan")
 
-    times, states, residuals = [], [], []
-    drift_lam, drift_mu, drift_rel = [], [], []
-    boundary_time = None
-    stopped = None
-
-    def record(t, y):
-        st = CaseIIIState(*[float(x) for x in y])
-        times.append(t)
-        states.append(st)
-        residuals.append(residual_hypo(st.to_id_structure(m)))
-        drift_lam.append(abs(st.lam - lam0))
-        drift_mu.append(abs(st.mu - mu0) if st.v != 0 else float("nan"))
-        rel = st.delta - (coef_u * st.u**2 - coef_v * st.v**2)
-        drift_rel.append(abs(rel))
-
-    y = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
-    t = t0
-    record(t, y)
-    h_step = step
-    steps_taken = 0
-    max_steps = int(10 * (t1 - t0) / step) + 10**6
-
-    while t < t1 and steps_taken < max_steps:
-        h_try = min(h_step, t1 - t)
-        # halve the step while it would overshoot the a -> 0 boundary
-        while True:
-            y_next = rk4_step(case_iii_rhs, t, y, h_try)
-            if y_next[4] > 0 or h_try < 1e-3 * step:
-                break
-            h_try *= 0.5
-        t_next = t + h_try
-        steps_taken += 1
-        st_next = CaseIIIState(*[float(x) for x in y_next])
-        if not np.all(np.isfinite(y_next)) or y_next[4] <= a_floor:
-            boundary_time, stopped = t_next, "turning_point"
-            if np.all(np.isfinite(y_next)) and y_next[4] > 0:
-                record(t_next, y_next)
-            break
-        if abs(st_next.u) < uv_floor or abs(st_next.v) < uv_floor:
-            # past this point the conserved ratios w/u, z/v are 0/0-noisy
-            boundary_time, stopped = t_next, "u_or_v_vanishes"
-            record(t_next, y_next)
-            break
-        if st_next.delta <= 0:
-            boundary_time, stopped = t_next, "delta_nonpositive"
-            break
-        if np.linalg.norm(y_next) > norm_cap:
-            boundary_time, stopped = t_next, "divergence"
-            record(t_next, y_next)
-            break
-        y, t = y_next, t_next
-        if steps_taken % record_every == 0 or t >= t1:
-            record(t, y)
+    y0 = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
+    times, ys, stopped = rk4_path(
+        case_iii_rhs, y0, t0, t1, step, every=record_every,
+        exits=lambda y: case_iii_exit(y, a_floor, uv_floor, norm_cap),
+    )
+    states = [CaseIIIState(*[float(x) for x in y]) for y in ys]
 
     return FlowResult(
-        times=np.array(times),
+        times=times,
         states=states,
-        residuals=np.array(residuals),
+        residuals=np.array([residual_hypo(st.to_id_structure(m)) for st in states]),
         drift={
-            "lambda": np.array(drift_lam),
-            "mu": np.array(drift_mu),
-            "delta_relation": np.array(drift_rel),
+            "lambda": np.array([abs(st.lam - lam0) for st in states]),
+            "mu": np.array([abs(st.mu - mu0) if st.v != 0 else float("nan") for st in states]),
+            "delta_relation": np.array(
+                [abs(st.delta - (coef_u * st.u**2 - coef_v * st.v**2)) for st in states]
+            ),
         },
-        boundary_time=boundary_time,
+        boundary_time=float(times[-1]) if stopped else None,
         stopped_reason=stopped,
         meta={"step": step, "family": "case_iii", "m": m},
     )

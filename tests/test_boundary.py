@@ -233,6 +233,24 @@ def test_soundness_hook_enumerated_families_pass_both_ends():
             assert rep.passed, (fam.S, which, rep.failing())
 
 
+@pytest.mark.parametrize("S", ["25/91", "36/133", "49/183", "64/241", "81/307", "100/381"])
+def test_circle_window_scales_with_small_lower_end(S):
+    # the lower turning value of these families is below 0.064, where a
+    # parity-fit window of fixed width no longer resolves Delta''
+    from fractions import Fraction
+
+    from esasaki.moduli import enumerate_rational_families
+
+    fam = next(f for f in enumerate_rational_families(381) if f.S == Fraction(S))
+    assert fam.delta_minus < Fraction(64, 1000)
+    A = float(fam.A)
+    for which, end in (("lower", fam.minus), ("upper", fam.plus)):
+        rep = check_circle_branch(
+            case_ii_endpoint_profile(A, which), q=end.q, sigma=end.sigma_signed, C=float(fam.C), m=fam.m
+        )
+        assert rep.passed, (which, rep.failing())
+
+
 def test_soundness_hook_round_branch_level():
     # the A = 0 level passes the round check at the vanishing end and the
     # circle check at the upper end with its classification witnesses

@@ -165,6 +165,67 @@ def test_extend_check_case_iii_always_rejects(tmp_path):
     assert not data["report"]["pass"]
 
 
+def test_extend_check_exits_1_when_the_diagram_cannot_be_built(tmp_path, capsys):
+    code = run(["extend-check", "--A=-9/2197", "--C", "5", "--m", "1", "--arith", "rational", "--out", tmp_path])
+    assert code == 1
+    data = json.loads((tmp_path / "verdict.json").read_text())
+    assert "diagram_error" in data
+    assert "FAIL: diagram:" in capsys.readouterr().err
+
+
+def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeypatch):
+    from esasaki import boundary
+
+    real = boundary.check_circle_branch
+
+    def failing_lower(profile, q, sigma, C, m, *args, **kwargs):
+        rep = real(profile, q, sigma, C, m, *args, **kwargs)
+        if sigma == 14:  # the lower end of A = -9/2197 at C = 6
+            rep.conditions.append(boundary.ConditionCheck("forced", 1.0, 0.0, 0.0, False))
+        return rep
+
+    monkeypatch.setattr(boundary, "check_circle_branch", failing_lower)
+    code = run(["extend-check", "--A=-9/2197", "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path])
+    assert code == 1
+    data = json.loads((tmp_path / "verdict.json").read_text())
+    assert not data["end_reports"]["lower"]["pass"]
+    assert data["end_reports"]["upper"]["pass"]
+    assert capsys.readouterr().err.startswith("FAIL: lower:forced")
+
+
+# ---------------------------------------------------------------------------
+# input errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--bound", "1"],
+        ["--config", "{missing}", "enumerate", "--bound", "13"],
+        ["verify", "--A=abc"],
+        ["extend-check", "--case-iii", "--h0", "0.4", "--k0", "0.4", "--b0", "0.1", "--c0", "-0.1"],
+        ["evolve", "--case", "ii", "--h0", "0.3", "--a0", "0.1", "--step", "0"],
+        ["evolve", "--case", "i", "--k", "nan"],
+        ["evolve", "--case", "ii", "--h0", "inf", "--a0", "0.1"],
+        ["evolve", "--case", "iii", "--h0", "0.4", "--a0", "0.2", "--record-every", "0"],
+    ],
+    ids=["bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0"],
+)
+def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    assert run(argv + ["--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "flow.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--t1", "--step", "--tol"])
+def test_non_finite_float_flags_are_usage_errors(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", "--case", "ii", "--h0", "0.3", "--a0", "0.1", flag, "inf", "--out", tmp_path])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # normal-form
 

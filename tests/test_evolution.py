@@ -255,9 +255,42 @@ def test_time_symmetry_discrete():
     sign = np.ones(16)
     sign[4:] = -1.0
     f = lambda t, y: general_rhs(y, 0)[0]
-    _, fwd = rk4_path(f, y0 * sign, 0.0, 0.2, 1e-3)
-    _, bwd = rk4_path(f, y0, 0.0, -0.2, 1e-3)
+    _, fwd, _ = rk4_path(f, y0 * sign, 0.0, 0.2, 1e-3)
+    _, bwd, _ = rk4_path(f, y0, 0.0, -0.2, 1e-3)
     assert np.abs(fwd - bwd * sign).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the RK4 driver
+
+
+def test_rk4_path_locates_exit_by_bisection():
+    times, ys, reason = rk4_path(
+        lambda t, y: np.array([-1.0]), np.array([0.3]), 0.0, 1.0, 0.07,
+        exits=lambda y: "empty" if not y[0] > 0.0 else None,
+    )
+    assert reason == "empty"
+    assert times[-1] == pytest.approx(0.3, abs=1e-12)
+    assert ys[-1][0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t1", [1.0, -1.0])
+def test_rk4_path_keeps_every_kth_state_and_the_last(t1):
+    times, ys, reason = rk4_path(lambda t, y: -y, np.array([1.0]), 0.0, t1, 0.1, every=3)
+    assert reason is None
+    # ten steps: the start, steps 3, 6, 9 and the last
+    assert times == pytest.approx([0.0, 0.3 * t1, 0.6 * t1, 0.9 * t1, t1], abs=1e-15)
+    assert times[-1] == t1
+    _, every_step, _ = rk4_path(lambda t, y: -y, np.array([1.0]), 0.0, t1, 0.1)
+    assert len(every_step) == 11
+    assert np.array_equal(ys, every_step[[0, 3, 6, 9, 10]])
+
+
+def test_case_iii_samples_land_on_the_grid():
+    flow = evolve_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), (0, 0.2), 1e-3)
+    assert len(flow.times) == 21
+    assert flow.times[-1] == 0.2
+    assert flow.stopped_reason is None and flow.boundary_time is None
 
 
 def test_flow_result_serialization(tmp_path):
