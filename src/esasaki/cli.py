@@ -174,50 +174,46 @@ def cmd_evolve(args) -> int:
     out = _outdir(args)
     m = args.m
     t_span = (args.t0, args.t1)
-    try:
-        if args.case == "i":
-            k = float(_parse_number(args.k or "1", args.arith))
-            times = np.linspace(args.t0, args.t1, max(2, int(round((args.t1 - args.t0) / max(args.step, 1e-6))) + 1))
-            states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
-            residuals = np.array([structures.residual_hypo(s) for s in states])
-            flow = evolution.FlowResult(
-                times=times,
-                states=states,
-                residuals=residuals,
-                drift={},
-                meta=_meta(args, family="case_i", k=k, m=m),
-            )
-        elif args.case == "ii":
-            h0 = float(_parse_number(args.h0, args.arith))
-            C = float(_parse_number(args.C, args.arith))
-            if args.a0 is not None:
-                state0 = evolution.CaseIIState(h0, float(_parse_number(args.a0, args.arith)), C, m)
-            elif args.A is not None:
-                state0 = evolution.CaseIIState.from_A(h0, float(_parse_number(args.A, args.arith)), C, m)
-            else:
-                raise ValueError("case ii needs --a0 or --A")
-            flow = evolution.evolve_case_ii(state0, t_span, args.step, record_every=args.record_every)
-            flow.meta.update(_meta(args))
-        elif args.case == "iii":
-            state0 = evolution.CaseIIIState(
-                float(_parse_number(args.h0, args.arith)),
-                float(_parse_number(args.k or "0.3", args.arith)),
-                float(_parse_number(args.b0, args.arith)),
-                float(_parse_number(args.c0, args.arith)),
-                float(_parse_number(args.a0, args.arith)),
-            )
-            flow = evolution.evolve_case_iii(state0, t_span, args.step, record_every=args.record_every, m=m or 1)
-            flow.meta.update(_meta(args))
+    if args.case == "i":
+        k = float(_parse_number(args.k or "1", args.arith))
+        times = np.linspace(args.t0, args.t1, max(2, int(round((args.t1 - args.t0) / max(args.step, 1e-6))) + 1))
+        states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
+        residuals = np.array([structures.residual_hypo(s) for s in states])
+        flow = evolution.FlowResult(
+            times=times,
+            states=states,
+            residuals=residuals,
+            drift={},
+            meta=_meta(args, family="case_i", k=k, m=m),
+        )
+    elif args.case == "ii":
+        h0 = float(_parse_number(args.h0, args.arith))
+        C = float(_parse_number(args.C, args.arith))
+        if args.a0 is not None:
+            state0 = evolution.CaseIIState(h0, float(_parse_number(args.a0, args.arith)), C, m)
+        elif args.A is not None:
+            state0 = evolution.CaseIIState.from_A(h0, float(_parse_number(args.A, args.arith)), C, m)
         else:
-            if not args.input:
-                raise ValueError("--case general requires --input")
-            with open(args.input) as fh:
-                eta0 = structures.IdStructure.from_json_dict(json.load(fh))
-            flow = evolution.evolve_general(eta0, t_span, args.step, record_every=args.record_every)
-            flow.meta.update(_meta(args))
-    except (evolution.ConstraintError, structures.NotASolutionError, structures.DegenerateCoframeError) as exc:
-        print(f"constraint abort: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError("case ii needs --a0 or --A")
+        flow = evolution.evolve_case_ii(state0, t_span, args.step, record_every=args.record_every)
+        flow.meta.update(_meta(args))
+    elif args.case == "iii":
+        state0 = evolution.CaseIIIState(
+            float(_parse_number(args.h0, args.arith)),
+            float(_parse_number(args.k or "0.3", args.arith)),
+            float(_parse_number(args.b0, args.arith)),
+            float(_parse_number(args.c0, args.arith)),
+            float(_parse_number(args.a0, args.arith)),
+        )
+        flow = evolution.evolve_case_iii(state0, t_span, args.step, record_every=args.record_every, m=m or 1)
+        flow.meta.update(_meta(args))
+    else:
+        if not args.input:
+            raise ValueError("--case general requires --input")
+        with open(args.input) as fh:
+            eta0 = structures.IdStructure.from_json_dict(json.load(fh))
+        flow = evolution.evolve_general(eta0, t_span, args.step, record_every=args.record_every)
+        flow.meta.update(_meta(args))
 
     flow.to_csv(out / "flow.csv")
     flow.to_json(out / "flow.json")
@@ -227,8 +223,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.bound is None:
-        print("error: need --bound (flag or config file)", file=sys.stderr)
-        return 2
+        raise ValueError("need --bound (flag or config file)")
     out = _outdir(args)
     families = moduli.enumerate_rational_families(args.bound, m=args.m)
     with open(out / "families.csv", "w", newline="") as fh:
@@ -249,8 +244,7 @@ def cmd_verify(args) -> int:
     A = _parse_number(args.A, args.arith)
     a_float = float(A)
     if not (-1.0 / 108.0 < a_float <= 0.0):
-        print(f"error: A={a_float} outside (-1/108, 0]", file=sys.stderr)
-        return 2
+        raise ValueError(f"A={a_float} outside (-1/108, 0]")
     C = float(_parse_number(args.C, args.arith))
     chart = geometry.ypq_chart(a_float, C)
     points = geometry.sample_interior_points(chart, args.points, seed=args.seed)
@@ -266,9 +260,10 @@ def cmd_verify(args) -> int:
         {"meta": _meta(args, A=a_float, C=C, fd_step=args.fd_step), "reports": [r.to_json_dict() for r in reports]},
     )
 
-    worst = max(reports, key=lambda r: r.einstein_residual)
+    # a NaN residual is the worst of all and fails the check
+    worst = max(reports, key=lambda r: math.inf if math.isnan(r.einstein_residual) else r.einstein_residual)
     print(f"wrote {out / 'curvature.csv'}; worst residual {worst.einstein_residual:.3e} at {worst.point}")
-    if worst.einstein_residual > args.tol:
+    if not worst.einstein_residual <= args.tol:
         print(
             f"FAIL: Einstein residual {worst.einstein_residual:.3e} > {args.tol:.1e} at {worst.point}",
             file=sys.stderr,
@@ -300,8 +295,7 @@ def cmd_extend_check(args) -> int:
         return 1
 
     if args.A is None:
-        print("error: need --A (or --case-iii)", file=sys.stderr)
-        return 2
+        raise ValueError("need --A (or --case-iii)")
     A = _parse_number(args.A, args.arith)
     C = _parse_number(args.C, args.arith)
     verdict = moduli.classify_A(A, C, args.m)

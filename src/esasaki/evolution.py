@@ -31,11 +31,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from esasaki import moduli
+from esasaki.exterior import basis_one_form, d_invariant
 from esasaki.structures import IdStructure, residual_hypo
 
 __all__ = [
@@ -57,7 +59,7 @@ __all__ = [
 EPS_ROT = math.sqrt(6.0)
 
 
-class ConstraintError(RuntimeError):
+class ConstraintError(ValueError):
     """The overdetermined evolution system became inconsistent."""
 
 
@@ -350,41 +352,43 @@ def rk4_path(
 # ---------------------------------------------------------------------------
 # general flow (numpy fast path for the wedge tables)
 
-# d on one-forms over e1..e4, in 2-form coordinates ordered 12, 13, 14, 23, 24, 34
-_D1 = np.zeros((6, 4))
-_D1[3, 0] = -1.0  # d e1 = -e23
-_D1[1, 1] = 1.0   # d e2 = -e31 = +e13
-_D1[0, 2] = -1.0  # d e3 = -e12
+# 2-form monomials 12, 13, 14, 23, 24, 34 over e1..e4, as index pairs
+_PAIRS = list(combinations(range(1, 5), 2))
+_I, _J = np.array(_PAIRS).T - 1
+
+# column j: d of e^(j+1) in those monomials, read off the structure equations
+_D1 = np.array([
+    [float(d_invariant(basis_one_form(j)).coefficient(pair)) for j in range(1, 5)]
+    for pair in _PAIRS
+])
 
 _E4 = np.array([0.0, 0.0, 0.0, 1.0])
-_UNITS = np.eye(4)
 
 
-def _w11(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a = np.outer(x, y)
-    a = a - a.T
-    return np.array([a[0, 1], a[0, 2], a[0, 3], a[1, 2], a[1, 3], a[2, 3]])
+def _wedge11(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the 2-form x ^ y of one-forms held in the last axis."""
+    return x[..., _I] * y[..., _J] - x[..., _J] * y[..., _I]
 
 
 def _general_system(y: np.ndarray, m: int):
-    """Least-squares system for the unknown rates of eta1, eta2, eta3."""
+    """Least-squares system for the unknown rates of eta1, eta2, eta3.
+
+    The unknowns are the rates (x1, x2, x3) and the equations the
+    product rule d/dt of the three structure equations:
+
+        x2 ^ eta3 + eta2 ^ x3 = -d eta1
+        x3 ^ eta1 + eta3 ^ x1 = 3 eta0 ^ eta3 - d eta2 + m e4 ^ eta3
+        x1 ^ eta2 + eta1 ^ x2 = -3 eta0 ^ eta2 - m e4 ^ eta2 - d eta3
+    """
     r0, r1, r2, r3 = y.reshape(4, 4)
-    A = np.zeros((18, 12))
-    for i in range(4):
-        u = _UNITS[i]
-        # eq block 1: x2 ^ eta3 + eta2 ^ x3 = -d eta1
-        A[0:6, 4 + i] = _w11(u, r3)
-        A[0:6, 8 + i] = _w11(r2, u)
-        # eq block 2: x3 ^ eta1 + eta3 ^ x1 = 3 eta0^eta3 - d eta2 + m e4^eta3
-        A[6:12, 8 + i] = _w11(u, r1)
-        A[6:12, i] = _w11(r3, u)
-        # eq block 3: x1 ^ eta2 + eta1 ^ x2 = -3 eta0^eta2 - m e4^eta2 - d eta3
-        A[12:18, i] = _w11(u, r2)
-        A[12:18, 4 + i] = _w11(r1, u)
+    # L(r): the 6x4 matrix of x -> x ^ r
+    L1, L2, L3 = (_wedge11(np.eye(4), r).T for r in (r1, r2, r3))
+    Z = np.zeros((6, 4))
+    A = np.block([[Z, L3, -L2], [-L3, Z, L1], [L2, -L1, Z]])
     b = np.concatenate([
         -_D1 @ r1,
-        3.0 * _w11(r0, r3) - _D1 @ r2 + m * _w11(_E4, r3),
-        -3.0 * _w11(r0, r2) - m * _w11(_E4, r2) - _D1 @ r3,
+        3.0 * _wedge11(r0, r3) - _D1 @ r2 + m * _wedge11(_E4, r3),
+        -3.0 * _wedge11(r0, r2) - m * _wedge11(_E4, r2) - _D1 @ r3,
     ])
     return A, b
 

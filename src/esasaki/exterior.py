@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -48,6 +49,7 @@ _D_BASIS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _merge_indices(left: tuple, right: tuple):
     """Merge two increasing index tuples, returning (merged, sign).
 
@@ -131,9 +133,6 @@ class InvariantForm:
     def monomials(self):
         """Canonical (lexicographic) monomial order for this degree."""
         return list(combinations(_INDICES, self.degree))
-
-    def to_vector(self):
-        return [self.entries.get(key, 0) for key in self.monomials()]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -253,6 +252,28 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return InvariantForm(degree, entries)
 
 
+def _leibniz(key: tuple) -> tuple:
+    """d of the monomial e^key as (monomial, sign) pairs, one per factor
+    whose d is nonzero and misses the other factors, in factor order."""
+    terms = []
+    for pos, idx in enumerate(key):
+        for middle, coeff in _D_BASIS[idx].items():
+            merged, left = _merge_indices(key[:pos], middle)
+            if merged is None:
+                continue
+            merged, right = _merge_indices(merged, key[pos + 1:])
+            if merged is None:
+                continue
+            # d passes the pos one-forms before it: the sign (-1)^pos
+            terms.append((merged, (-1) ** pos * left * coeff * right))
+    return tuple(terms)
+
+
+_D_MONOMIAL = {
+    key: _leibniz(key) for degree in range(_MAX_DEGREE) for key in combinations(_INDICES, degree)
+}
+
+
 def d_invariant(a: InvariantForm) -> InvariantForm:
     """Exterior derivative for the fixed structure equations.
 
@@ -261,15 +282,14 @@ def d_invariant(a: InvariantForm) -> InvariantForm:
     """
     if a.degree >= _MAX_DEGREE:
         return InvariantForm.zero(min(a.degree + 1, _MAX_DEGREE))
-    result = InvariantForm.zero(a.degree + 1)
+    entries: dict = {}
     for key, coeff in a.entries.items():
-        for pos, idx in enumerate(key):
-            dpart = _D_BASIS[idx]
-            if not dpart:
-                continue
-            sign = -1 if pos % 2 else 1
-            prefix = InvariantForm(pos, {key[:pos]: sign * coeff})
-            suffix = InvariantForm(len(key) - pos - 1, {key[pos + 1:]: 1})
-            middle = InvariantForm(2, dpart)
-            result = result + wedge(wedge(prefix, middle), suffix)
-    return result
+        for merged, sign in _D_MONOMIAL[key]:
+            total = entries.get(merged, 0) + sign * coeff
+            # drop a cancelled monomial at once, as a sum of forms does, so
+            # that the entries keep the order of summing term by term
+            if total == 0:
+                del entries[merged]
+            else:
+                entries[merged] = total
+    return InvariantForm(a.degree + 1, entries)

@@ -77,34 +77,18 @@ def wq(A: float, y: float) -> float:
     return 2.0 * (108.0 * A + 1.0 - 3.0 * y * y + 2.0 * y**3) / (1.0 - y)
 
 
-def _y_interval(A: float) -> tuple:
-    """Open admissible interval of y = 1 - 6 Delta between turning values."""
-    roots = [float(r) for r, _ in moduli.cubic_roots(float(A)) if float(r) >= 0]
-    if A == 0:
-        lo_delta, hi_delta = 0.0, 0.25
-    else:
-        positive = [r for r in roots if r > 0]
-        if len(positive) != 2:
-            raise ChartDomainError(
-                f"A={A} is outside (-1/108, 0]: no band between turning values"
-            )
-        lo_delta, hi_delta = min(positive), max(positive)
-    return (1.0 - 6.0 * hi_delta, 1.0 - 6.0 * lo_delta)
-
-
 def ypq_chart_metric(A: float, C: float, point: Sequence[float]) -> np.ndarray:
     """Chart metric at (theta, phi, y, beta, psi); errors outside the box.
 
+    A one-off evaluation through :func:`ypq_chart`, which solves the
+    turning cubic: loops should build the chart once and call its metric.
     The components do not involve C (it is absorbed into the beta
     coordinate); C is kept in the signature as part of the chart data.
     """
-    theta, phi, y, beta, psi = (float(p) for p in point)
-    y_lo, y_hi = _y_interval(A)
-    if not (0.0 < theta < math.pi):
-        raise ChartDomainError(f"theta={theta} outside (0, pi)")
-    if not (y_lo < y < y_hi):
-        raise ChartDomainError(f"y={y} outside ({y_lo}, {y_hi})")
-    return _chart_components(float(A), theta, y, dtype=float)
+    chart = ypq_chart(A, C)
+    if not chart.contains(point):
+        raise ChartDomainError(f"point {tuple(point)} outside the chart box {chart.box}")
+    return chart.metric(point)
 
 
 def _chart_components(A, theta, y, dtype=float) -> np.ndarray:
@@ -149,8 +133,18 @@ class CoordinateChart:
 
 
 def ypq_chart(A: float, C: float = 0.0) -> CoordinateChart:
-    """Chart record for the explicit metric with parameters (A, C)."""
-    y_lo, y_hi = _y_interval(A)
+    """Chart record for the explicit metric with parameters (A, C).
+
+    y = 1 - 6 Delta ranges over the open interval between the turning
+    values; A outside (-1/108, 0] has no such band.
+    """
+    if A == 0:
+        lo_delta, hi_delta = 0.0, 0.25
+    else:
+        positive = [r for r, _ in moduli.cubic_roots(float(A)) if r > 0]
+        if len(positive) != 2:
+            raise ChartDomainError(f"A={A} is outside (-1/108, 0]: no band between turning values")
+        lo_delta, hi_delta = positive
 
     def metric(point, dtype=float):
         theta, phi, y, beta, psi = (dtype(p) for p in point)
@@ -160,7 +154,7 @@ def ypq_chart(A: float, C: float = 0.0) -> CoordinateChart:
         name="ypq",
         coords=("theta", "phi", "y", "beta", "psi"),
         metric=metric,
-        box=((0.0, math.pi), None, (y_lo, y_hi), None, None),
+        box=((0.0, math.pi), None, (1.0 - 6.0 * hi_delta, 1.0 - 6.0 * lo_delta), None, None),
         params={"A": float(A), "C": float(C)},
     )
 
@@ -258,6 +252,8 @@ def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e
     The point must sit further than 2 fd_step from the box boundary so
     that every stencil point is admissible.
     """
+    if not fd_step > 0:
+        raise ValueError(f"fd_step must be positive, got {fd_step}")
     if not chart.contains(point, margin=2.0 * fd_step):
         raise ChartDomainError(f"point {point} within 2 fd_step of the chart boundary")
     x = np.asarray(point, dtype=dtype)

@@ -15,14 +15,17 @@ slope functional p + qC positive.
 
 Everything runs in exact rational arithmetic when the inputs are
 ``fractions.Fraction``; float inputs use deterministic bisection plus
-bounded rational reconstruction.
+bounded rational reconstruction.  Exact and float roots of the cubic
+come from one bisection: the exact path halves until a single rational
+of admissible denominator fits the bracket, snaps to it and checks it
+by substitution, in O(log b) halvings for A = a/b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 from typing import Optional
 
 __all__ = [
@@ -62,10 +65,13 @@ def _cubic_value(A, delta):
     return A + delta * delta - 4 * delta**3
 
 
-def _bisect(A: float, lo: float, hi: float, iters: int = 200) -> float:
+def _bisect(A, lo, hi, halvings: int):
+    """Midpoint of the bracket (lo, hi) of a sign change of the cubic after
+    ``halvings`` halvings, or earlier once floats have no midpoint left.
+    Works alike on ``Fraction`` and float brackets."""
     flo = _cubic_value(A, lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
         if mid == lo or mid == hi:
             break
         fmid = _cubic_value(A, mid)
@@ -73,87 +79,57 @@ def _bisect(A: float, lo: float, hi: float, iters: int = 200) -> float:
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _cubic_roots_exact(A: Fraction) -> list:
-    """Nonnegative rational roots with multiplicity; raises when a
-    nonnegative root exists but is irrational."""
-    if A < A_MIN:
-        return []
-    if A == A_MIN:
-        return [(Fraction(1, 6), 2)]
-    if A == 0:
-        return [(Fraction(0), 2), (Fraction(1, 4), 1)]
-    expected = 1 if A > 0 else 2  # nonnegative real roots, counted simply
-
-    # roots of 4 b x^3 - b x^2 - a over Z, with A = a/b in lowest terms
-    a, b = A.numerator, A.denominator
-    coeffs = [4 * b, -b, 0, -a]
-
-    def value(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    found = []
-    for r in _divisors(a):
-        for s in _divisors(4 * b):
-            cand = Fraction(r, s)
-            if cand not in found and value(cand) == 0:
-                found.append(cand)
-    result = sorted((root, 1) for root in found if root >= 0)
-    if len(result) != expected:
-        raise ExactRootsUnavailable(
-            "cubic has irrational nonnegative roots; use float mode"
-        )
-    return result
+    return (lo + hi) / 2
 
 
 def cubic_roots(A):
     """Ordered nonnegative roots of A + Delta^2 - 4 Delta^3 = 0, with
     multiplicity, as a list of (root, multiplicity).
 
-    Exact ``Fraction`` input takes the exact-factorization path; float
-    input uses deterministic bisection on the bracketing intervals.
+    Exact (``Fraction`` or ``int``) and float input bisect the same
+    brackets: (0, 1/6) and (1/6, 1/4) when A < 0, (1/4, hi) when A > 0.
+    Floats halve until no midpoint is left (at most 200 times).  With
+    A = a/b in lowest terms, a rational root has a denominator dividing
+    4b (rational root theorem) and two such rationals lie at least
+    1/(4b)^2 apart, so the exact path halves below 1/(2 (4b)^2), snaps
+    with ``limit_denominator(4b)`` and checks the root by substitution;
+    it raises :class:`ExactRootsUnavailable` when a root is irrational.
     Below the minimum -1/108 of the branch there are no nonnegative
     roots and the list is empty.
     """
-    if isinstance(A, Fraction) or isinstance(A, int):
-        A = Fraction(A)
-        if A == A_MIN:
-            return [(Fraction(1, 6), 2)]
-        return _cubic_roots_exact(A)
-
-    A = float(A)
-    a_min = float(A_MIN)
+    exact = isinstance(A, (Fraction, int))
+    A = Fraction(A) if exact else float(A)
+    one = Fraction(1) if exact else 1.0
+    a_min = A_MIN if exact else float(A_MIN)
     if A == a_min:
-        return [(1.0 / 6.0, 2)]
+        return [(one / 6, 2)]
     if A < a_min:
         return []
-    if A == 0.0:
-        return [(0.0, 2), (0.25, 1)]
-    if A > 0.0:
-        hi = 0.5
+    if A == 0:
+        return [(0 * one, 2), (one / 4, 1)]
+    if A > 0:
+        hi = one / 2
         while _cubic_value(A, hi) > 0:
-            hi *= 2.0
-        return [(_bisect(A, 0.25, hi), 1)]
-    lower = _bisect(A, 0.0, 1.0 / 6.0)
-    upper = _bisect(A, 1.0 / 6.0, 0.25)
-    return [(lower, 1), (upper, 1)]
+            hi *= 2
+        brackets = [(one / 4, hi)]
+    else:
+        brackets = [(0 * one, one / 6), (one / 6, one / 4)]
+    if not exact:
+        return [(_bisect(A, lo, hi, 200), 1) for lo, hi in brackets]
+
+    den = 4 * A.denominator
+    roots = []
+    for lo, hi in brackets:
+        # 2^halvings > 2 (hi - lo) den^2: the final bracket is narrower
+        # than 1/(2 den^2), and its midpoint snaps to the rational root
+        halvings = ceil(2 * (hi - lo) * den**2).bit_length()
+        root = _bisect(A, lo, hi, halvings).limit_denominator(den)
+        if _cubic_value(A, root) != 0:
+            raise ExactRootsUnavailable(
+                "cubic has irrational nonnegative roots; use float mode"
+            )
+        roots.append((root, 1))
+    return roots
 
 
 # ---------------------------------------------------------------------------

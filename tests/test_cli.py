@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
+from esasaki import geometry
 from esasaki.cli import main
 from esasaki.evolution import CaseIIState
 
@@ -34,14 +37,6 @@ def test_evolve_case_i_closed_form_samples(tmp_path):
     assert first[0] == pytest.approx(1 / 3)
     assert first[3] == pytest.approx(1.0)
     assert max(max(r) for r in data["residuals"]) < 1e-12
-
-
-def test_evolve_general_non_solution_exits_2(tmp_path):
-    bad = {"eta": [[0.3333, 0, 0, 1], [0, 0, 0, 1], [0, 0.40824829, 0, 0], [0, 0, 0.40824829, 0]], "m": 0}
-    path = tmp_path / "eta.json"
-    path.write_text(json.dumps(bad))
-    code = run(["evolve", "--case", "general", "--input", path, "--t1", "0.2", "--out", tmp_path])
-    assert code == 2
 
 
 def test_evolve_case_iii_writes_flow_with_drift(tmp_path):
@@ -208,15 +203,37 @@ def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeyp
         ["evolve", "--case", "i", "--k", "nan"],
         ["evolve", "--case", "ii", "--h0", "inf", "--a0", "0.1"],
         ["evolve", "--case", "iii", "--h0", "0.4", "--a0", "0.2", "--record-every", "0"],
+        ["verify", "--A", "0", "--fd-step", "0", "--points", "1"],
+        ["verify", "--A", "0", "--fd-step=-1e-3", "--points", "1"],
+        ["enumerate"],
+        ["verify", "--A", "0.5"],
+        ["extend-check", "--C", "6"],
+        ["evolve", "--case", "general", "--input", "{bad}", "--t1", "0.2"],
     ],
-    ids=["bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0"],
+    ids=[
+        "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
+        "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
+    ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
-    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    bad = {"eta": [[0.3333, 0, 0, 1], [0, 0, 0, 1], [0, 0.40824829, 0, 0], [0, 0, 0.40824829, 0]], "m": 0}
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    argv = [a.format(missing=tmp_path / "missing.json", bad=tmp_path / "bad.json") for a in argv]
     assert run(argv + ["--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "flow.csv").exists()
+
+
+def test_verify_nan_residual_fails(tmp_path, capsys, monkeypatch):
+    ricci_fd = geometry.ricci_fd
+
+    def nan_residual(chart, point, fd_step):
+        return dataclasses.replace(ricci_fd(chart, point, fd_step), einstein_residual=math.nan)
+
+    monkeypatch.setattr(geometry, "ricci_fd", nan_residual)
+    assert run(["verify", "--A", "0", "--points", "2", "--out", tmp_path]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: Einstein residual nan")
 
 
 @pytest.mark.parametrize("flag", ["--t1", "--step", "--tol"])

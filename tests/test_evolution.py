@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from esasaki.exterior import E4, InvariantForm, d_invariant, wedge
 from esasaki.evolution import (
     CaseIIState,
     CaseIIIState,
@@ -17,6 +20,7 @@ from esasaki.evolution import (
     rk4_path,
     turning_points,
 )
+from esasaki.evolution import _general_system
 from esasaki.structures import IdStructure, residual_hypo
 
 S6 = 1.0 / math.sqrt(6.0)
@@ -235,6 +239,32 @@ def test_general_flow_aborts_on_non_solution():
     bad = IdStructure(((1, 0, 0, 0.3), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0.2, 0, 1)))
     with pytest.raises(ConstraintError):
         evolve_general(bad, (0, 0.1), 1e-3)
+
+
+def test_general_system_matches_exact_product_rule():
+    # A x - b of the float system against the three product-rule
+    # equations in the exact exterior algebra, at random rational data
+    rng = np.random.default_rng(23)
+    pairs = list(combinations(range(1, 5), 2))
+
+    def one_form(row):
+        return InvariantForm(1, {(j + 1,): c for j, c in enumerate(row)})
+
+    for _ in range(50):
+        eta = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(4)] for _ in range(4)]
+        rates = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(4)] for _ in range(3)]
+        m = int(rng.integers(-2, 3))
+        e0, e1, e2, e3 = map(one_form, eta)
+        x1, x2, x3 = map(one_form, rates)
+        equations = (
+            wedge(x2, e3) + wedge(e2, x3) + d_invariant(e1),
+            wedge(x3, e1) + wedge(e3, x1) - (3 * wedge(e0, e3) - d_invariant(e2) + m * wedge(E4, e3)),
+            wedge(x1, e2) + wedge(e1, x2) - (-3 * wedge(e0, e2) - m * wedge(E4, e2) - d_invariant(e3)),
+        )
+        expected = [float(eq.coefficient(pair)) for eq in equations for pair in pairs]
+        A, b = _general_system(np.array(eta, dtype=float).reshape(-1), m)
+        x = np.array(rates, dtype=float).reshape(-1)
+        assert np.allclose(A @ x - b, expected, rtol=0, atol=1e-12)
 
 
 def test_general_flow_stops_at_coframe_degeneration():

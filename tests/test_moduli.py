@@ -4,6 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esasaki.moduli import (
     A_MIN,
@@ -11,6 +12,7 @@ from esasaki.moduli import (
     ROUND_SPHERE_BRANCH,
     YPQ_BRANCH,
     EndData,
+    ExactRootsUnavailable,
     YpqFamily,
     build_diagram,
     classify_A,
@@ -20,6 +22,7 @@ from esasaki.moduli import (
     ratio_from_root,
     rational_reconstruct,
 )
+from esasaki.moduli import _cubic_value
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +59,57 @@ def test_roots_positive_A_single():
 
 
 def test_float_and_rational_roots_agree():
-    for fam in enumerate_rational_families(31):
-        exact = [float(r) for r, _ in cubic_roots(fam.A)]
+    for fam in enumerate_rational_families(2000):
+        roots = cubic_roots(fam.A)
+        assert roots == [(fam.delta_minus, 1), (fam.delta_plus, 1)]
+        exact = [float(r) for r, _ in roots]
         approx = [r for r, _ in cubic_roots(float(fam.A))]
         assert np.allclose(exact, approx, atol=1e-12)
+
+
+# A with a chosen rational root r, so that the exact path also succeeds;
+# denominators are bounded so that float(A) keeps every root to 1e-12
+_rational_root_A = st.fractions(0, F(7, 10), max_denominator=1000).map(lambda r: 4 * r**3 - r**2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.fractions(A_MIN, 1, max_denominator=10**6),
+    _rational_root_A,
+).filter(lambda A: A_MIN < A < 1))
+def test_exact_roots_are_roots_and_match_float_roots(A):
+    try:
+        exact = cubic_roots(A)
+    except ExactRootsUnavailable:
+        return
+    for root, _ in exact:
+        assert _cubic_value(A, root) == 0
+    approx = cubic_roots(float(A))
+    assert [m for _, m in exact] == [m for _, m in approx]
+    assert np.allclose([float(r) for r, _ in exact], [r for r, _ in approx], rtol=0, atol=1e-12)
+
+
+def test_exact_roots_at_large_denominator():
+    # A has a denominator of 1.6e14; the roots come from a bisection of
+    # about 100 halvings and a snap, not from a divisor search
+    S = F(10201, 34203)
+    root = F(6060, 34203)  # sqrt(S (1 - 3 S))
+    d_minus, d_plus = (S - root) / 2, (S + root) / 2
+    A = 4 * d_plus * d_minus * (F(1, 4) - S)
+    assert A.denominator > 10**14
+    assert cubic_roots(A) == [(d_minus, 1), (d_plus, 1)]
+    verdict = classify_A(A, F(6), 0)
+    assert verdict.branch == YPQ_BRANCH
+    assert (verdict.family.delta_minus, verdict.family.delta_plus) == (d_minus, d_plus)
+
+
+def test_irrational_exact_roots_fall_back_to_float():
+    A = F(-1, 200)
+    with pytest.raises(ExactRootsUnavailable):
+        cubic_roots(A)
+    verdict = classify_A(A, F(6), 0)
+    assert verdict.roots == tuple(cubic_roots(-1 / 200))
+    assert all(isinstance(r, float) for r, _ in verdict.roots)
 
 
 # ---------------------------------------------------------------------------
