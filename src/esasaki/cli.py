@@ -240,6 +240,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     out = _outdir(args)
     A = _parse_number(args.A, args.arith)
     a_float = float(A)

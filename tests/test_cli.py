@@ -113,11 +113,15 @@ def test_verify_reports_worst_offender_on_failure(tmp_path, capsys):
 
 
 def test_verify_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    run(["verify", "--A", "0", "--points", "2", "--seed", "3", "--out", out1])
-    run(["verify", "--A", "0", "--points", "2", "--seed", "3", "--out", out2])
-    assert (out1 / "curvature.csv").read_bytes() == (out2 / "curvature.csv").read_bytes()
-    assert (out1 / "curvature.json").read_bytes() == (out2 / "curvature.json").read_bytes()
+    for i, argv in enumerate([
+        ["--A", "0", "--points", "2", "--seed", "3"],
+        ["--A=-9/2197", "--C", "6", "--points", "3", "--seed", "5"],
+    ]):
+        out1, out2 = tmp_path / f"a{i}", tmp_path / f"b{i}"
+        assert run(["verify", *argv, "--out", out1]) == 0
+        assert run(["verify", *argv, "--out", out2]) == 0
+        assert (out1 / "curvature.csv").read_bytes() == (out2 / "curvature.csv").read_bytes()
+        assert (out1 / "curvature.json").read_bytes() == (out2 / "curvature.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +213,13 @@ def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeyp
         ["verify", "--A", "0.5"],
         ["extend-check", "--C", "6"],
         ["evolve", "--case", "general", "--input", "{bad}", "--t1", "0.2"],
+        ["verify", "--A", "0", "--points", "0"],
+        ["verify", "--A", "0", "--points", "-3"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
+        "points-0", "points-negative",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -223,6 +230,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "flow.csv").exists()
+    assert not list(tmp_path.glob("curvature.*"))
 
 
 def test_verify_nan_residual_fails(tmp_path, capsys, monkeypatch):

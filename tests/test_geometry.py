@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esasaki.evolution import CaseIIState
 from esasaki.geometry import (
@@ -84,6 +87,28 @@ def test_chart_degenerates_at_y_endpoints():
     assert dets[2] < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    A=st.floats(min_value=-1 / 108, max_value=0.0, exclude_min=True),
+    theta=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
+    u=st.floats(min_value=0.01, max_value=0.99),
+    angles=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=5, max_size=5),
+    shifts=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=5, max_size=5),
+)
+def test_ypq_metric_ignores_its_cyclic_coordinates(A, theta, u, angles, shifts):
+    # the curvature stencils skip the declared coordinates, so shifting
+    # any of them must leave the metric bitwise unchanged
+    chart = ypq_chart(A, 6.0)
+    assert [chart.coords[k] for k in chart.cyclic] == ["phi", "beta", "psi"]
+    lo, hi = chart.box[2]
+    point = list(angles)
+    point[0], point[2] = theta, lo + u * (hi - lo)
+    moved = [x + shifts[k] if k in chart.cyclic else x for k, x in enumerate(point)]
+    for dtype in (float, np.longdouble):
+        g = chart.metric(point, dtype=dtype)
+        assert np.array_equal(chart.metric(moved, dtype=dtype), g)
+
+
 def test_chart_domain_errors():
     with pytest.raises(ChartDomainError):
         ypq_chart_metric(A_EX, 6.0, (0.0, 0.0, 0.0, 0.0, 0.0))  # theta = 0
@@ -164,6 +189,31 @@ def test_convergence_order_on_halving():
     res_coarse = ricci_fd(chart, point, 2e-3).einstein_residual
     res_fine = ricci_fd(chart, point, 1e-3).einstein_residual
     assert res_coarse / res_fine > 8.0
+
+
+@pytest.mark.parametrize("A", [0.0, A_EX, -0.008])
+def test_skipping_cyclic_stencils_matches_the_full_stencil(A):
+    chart = ypq_chart(A, 6.0)
+    full = dataclasses.replace(chart, cyclic=())
+    for p in sample_interior_points(chart, 5, seed=13):
+        skipped, stenciled = ricci_fd(chart, p), ricci_fd(full, p)
+        assert np.abs(skipped.ricci - stenciled.ricci).max() < 1e-10
+        assert abs(skipped.einstein_residual - stenciled.einstein_residual) < 1e-10
+
+
+def test_metric_evaluations_per_point():
+    chart = ypq_chart(A_EX, 6.0)
+    calls = []
+
+    def counted(point, dtype=float):
+        calls.append(1)
+        return chart.metric(point, dtype=dtype)
+
+    point = (1.2, 0.5, 0.05, 0.3, 0.8)
+    for cyclic, expected in (((1, 3, 4), 82), ((), 442)):
+        calls.clear()
+        ricci_fd(dataclasses.replace(chart, metric=counted, cyclic=cyclic), point)
+        assert len(calls) == expected
 
 
 def test_ricci_fd_near_boundary_error():
