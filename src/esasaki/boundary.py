@@ -7,9 +7,14 @@ ray satisfies a divisibility-and-vanishing pattern
 round orbit, one-dimensional circle orbit) reduce to concrete parity and
 limit conditions on the flow profiles of the coframe coefficients.
 
-Limits at the origin are obtained by polynomial extrapolation over a
-geometric radius grid (r, r/2, r/4, ...).  Parity is decided from
-one-sided derivative estimates: a full-degree polynomial fit on a
+Circle ends of the conformal family are decided from the exact Taylor
+series of Delta at the turning value
+(:func:`esasaki.evolution.turning_series`): limits and the curvature
+identity are read off its coefficients and evenness goes through
+:func:`kw_extends`.  Round-type ends and the ends of the non-conformal
+family have no series; there limits at the origin are obtained by
+polynomial extrapolation over a geometric radius grid (r, r/2, r/4,
+...), and parity is decided by a full-degree polynomial fit on a
 uniform radius grid, solved exactly over the rationals so that monomial
 inputs are resolved to machine accuracy; odd-order coefficients must
 vanish to tolerance for an even verdict.
@@ -322,12 +327,11 @@ def check_round_branch(
 
 
 def check_circle_branch(
-    profile: Callable,
+    series: Sequence,
     q: int,
     sigma: int,
     C: float,
     m: int,
-    radii: Optional[Sequence[float]] = None,
     *,
     tol_limit: float = 1e-5,
     tol_parity: float = 1e-4,
@@ -335,46 +339,36 @@ def check_circle_branch(
 ) -> ExtensionReport:
     """Extension test across a one-dimensional special orbit.
 
+    ``series`` holds the Taylor coefficients c_0..c_N of Delta in the
+    distance from the orbit (:func:`esasaki.evolution.turning_series`).
     ``sigma`` may carry the orientation sign (its absolute value is the
     stabilizer intersection order); p = q m + sigma and the slope
     functional p + qC must be positive, else the sign normalization was
-    violated and a ValueError is raised.  Uses the turning identity
-    Delta'' = 1 - 6 Delta to express the curvature condition, and checks
-    it against a finite-difference second derivative.  The default radii
-    are ``geometric_radii(min(0.256, 4 Delta))`` with Delta read at
-    r = 1e-3, so the window shrinks with a small end value.
+    violated and a ValueError is raised.  The origin value and the
+    curvature condition read c_0; evenness is decided by
+    :func:`kw_extends` at weight 0, and 2 c_2 is checked against the
+    turning identity Delta'' = 1 - 6 Delta.  The cross terms hb + ck and
+    h^2 + c^2 - b^2 - k^2 vanish identically on the conformal profile
+    (h, h, 0, 0).
     """
     p = q * m + sigma
     pqc = p + q * C
     if pqc <= 0:
         raise ValueError(f"sign normalization violated: p + qC = {pqc} <= 0")
-    if radii is None:
-        radii = geometric_radii(min(0.256, 4.0 * _delta_of(profile(1e-3))))
-    radii = sorted(radii, reverse=True)
-    rmax = radii[0] / 4.0
-    states = [profile(r) for r in radii]
-    deltas = [_delta_of(s) for s in states]
-
-    delta0, _ = richardson_limit(radii, deltas)
-    target_delta = q * (C + m) / (6.0 * pqc)
-    coeffs, _, odd = parity_fit(lambda r: _delta_of(profile(r)), rmax)
-    delta_pp_fd = 2.0 * coeffs[2] / rmax**2
+    delta0 = series[0]
+    even, _ = kw_extends(TaylorData(series, abs(sigma), 0))
+    odd = max(abs(c) for c in series[1::2]) / max(abs(delta0), 1e-12)
 
     conditions = [
-        _cond("delta_origin_value", delta0, target_delta, tol_limit),
+        _cond("delta_origin_value", delta0, q * (C + m) / (6.0 * pqc), tol_limit),
         ConditionCheck("delta_origin_nonzero", float(delta0), 0.0, tol_limit, bool(abs(delta0) > tol_limit)),
-        _cond("delta_even", odd / max(abs(delta0), 1e-12), 0.0, tol_parity),
-        _cond("curvature_matches_sigma", abs(1.0 - 6.0 * delta0), abs(sigma) / pqc, 10 * tol_limit),
-        _cond("delta_pp_fd_matches_identity", delta_pp_fd, 1.0 - 6.0 * delta0, tol_identity),
+        ConditionCheck("delta_even", float(odd), 0.0, tol_parity, even),
+        _cond("curvature_matches_sigma", abs(1 - 6 * delta0), abs(sigma) / pqc, 10 * tol_limit),
+        _cond("delta_pp_fd_matches_identity", 2 * series[2], 1 - 6 * delta0, tol_identity),
     ]
-
     if p != 0:
-        cross1 = [s[0] * s[2] + s[3] * s[1] for s in states]       # hb + ck
-        cross2 = [s[0] ** 2 + s[3] ** 2 - s[2] ** 2 - s[1] ** 2 for s in states]
-        lim1, _ = richardson_limit(radii, cross1)
-        lim2, _ = richardson_limit(radii, cross2)
-        conditions.append(_cond("hb_ck_vanishes", lim1, 0.0, 10 * tol_limit))
-        conditions.append(_cond("h2c2_minus_b2k2_vanishes", lim2, 0.0, 10 * tol_limit))
+        conditions.append(_cond("hb_ck_vanishes", 0.0, 0.0, 10 * tol_limit))
+        conditions.append(_cond("h2c2_minus_b2k2_vanishes", 0.0, 0.0, 10 * tol_limit))
 
     return ExtensionReport(branch=CIRCLE_BRANCH, conditions=conditions)
 

@@ -130,7 +130,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_verify.add_argument("--A", required=True)
     p_verify.add_argument("--C", default="0")
     p_verify.add_argument("--points", type=int, default=10)
-    p_verify.add_argument("--fd-step", type=finite_float, default=1e-3)
+    p_verify.add_argument("--fd-step", type=finite_float, default=None,
+                          help="stencil step (default: min(1e-3, y-band width / 400))")
 
     p_ext = sub.add_parser("extend-check", help="full compact-extension verdict", parents=[common])
     p_ext.add_argument("--A", default=None)
@@ -175,6 +176,8 @@ def cmd_evolve(args) -> int:
     m = args.m
     t_span = (args.t0, args.t1)
     if args.case == "i":
+        if args.t1 <= args.t0:
+            raise ValueError("t_span must be increasing")
         k = float(_parse_number(args.k or "1", args.arith))
         times = np.linspace(args.t0, args.t1, max(2, int(round((args.t1 - args.t0) / max(args.step, 1e-6))) + 1))
         states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
@@ -249,8 +252,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"A={a_float} outside (-1/108, 0]")
     C = float(_parse_number(args.C, args.arith))
     chart = geometry.ypq_chart(a_float, C)
+    fd_step = args.fd_step
+    if fd_step is None:
+        # a fixed step loses the fourth-order accuracy on narrow y-bands
+        y_lo, y_hi = chart.box[2]
+        fd_step = min(1e-3, (y_hi - y_lo) / 400.0)
     points = geometry.sample_interior_points(chart, args.points, seed=args.seed)
-    reports = [geometry.ricci_fd(chart, p, fd_step=args.fd_step) for p in points]
+    reports = [geometry.ricci_fd(chart, p, fd_step=fd_step) for p in points]
 
     with open(out / "curvature.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -259,7 +267,7 @@ def cmd_verify(args) -> int:
             writer.writerow([repr(v) for v in rep.point] + [repr(rep.einstein_residual), repr(rep.sectional_spread)])
     _write_json(
         out / "curvature.json",
-        {"meta": _meta(args, A=a_float, C=C, fd_step=args.fd_step), "reports": [r.to_json_dict() for r in reports]},
+        {"meta": _meta(args, A=a_float, C=C, fd_step=fd_step), "reports": [r.to_json_dict() for r in reports]},
     )
 
     # a NaN residual is the worst of all and fails the check
@@ -313,23 +321,16 @@ def cmd_extend_check(args) -> int:
             payload["diagram_error"] = str(exc)
             failures.append(f"diagram: {exc}")
 
-        a_float = float(A)
+        fam = verdict.family
         ends = {}
-        if verdict.branch == moduli.YPQ_BRANCH:
-            for tag, end, which in (
-                ("lower", verdict.family.minus, "lower"),
-                ("upper", verdict.family.plus, "upper"),
-            ):
-                profile = evolution.case_ii_endpoint_profile(a_float, which)
+        for tag, end, delta_star in (("lower", fam.minus, fam.delta_minus), ("upper", fam.plus, fam.delta_plus)):
+            if end is None:
+                # the h -> 0 end of A = 0, where h = sin(r)/2 in closed form
+                ends[tag] = boundary.check_round_branch(lambda r: (0.5 * math.sin(r),) * 2 + (0.0, 0.0))
+            else:
                 ends[tag] = boundary.check_circle_branch(
-                    profile, end.q, end.sigma_signed, float(C), args.m
+                    evolution.turning_series(fam.A, delta_star), end.q, end.sigma_signed, float(C), args.m
                 )
-        elif a_float == 0:
-            ends["lower"] = boundary.check_round_branch(evolution.case_ii_endpoint_profile(a_float, "round"))
-            prof_up = evolution.case_ii_endpoint_profile(a_float, "upper")
-            ends["upper"] = boundary.check_circle_branch(
-                prof_up, verdict.family.plus.q, verdict.family.plus.sigma_signed, float(C), args.m
-            )
         payload["end_reports"] = {tag: rep.to_json_dict() for tag, rep in ends.items()}
         failures += [f"{tag}:{name}" for tag, rep in ends.items() for name in rep.failing()]
 

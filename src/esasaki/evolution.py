@@ -30,7 +30,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +51,7 @@ __all__ = [
     "evolve_case_ii",
     "evolve_case_iii",
     "turning_points",
-    "case_ii_endpoint_profile",
+    "turning_series",
     "rk4_path",
 ]
 
@@ -534,47 +533,31 @@ def turning_points(A: float) -> list:
     return [math.sqrt(float(root)) for root, _ in moduli.cubic_roots(A) if root > 0]
 
 
-def case_ii_endpoint_profile(A: float, which: str, *, n_sub: int = 200) -> Callable:
-    """Radial profile r -> (h, k, b, c) of the conformal flow near an end.
+TURNING_SERIES_ORDER = 12
 
-    ``which`` is ``"round"`` (the h -> 0 end, only for A = 0), ``"lower"``
-    or ``"upper"`` (the turning points at the smaller/larger root).  The
-    radial coordinate r measures distance into the interval from the end.
+
+def turning_series(A, delta_star) -> tuple:
+    """Taylor coefficients c_0..c_N (N = ``TURNING_SERIES_ORDER``) of
+    Delta = h^2 in the distance r from a turning value Delta* of the
+    conformal family.
+
+    With p = h^2 and s = a h the flow and the conserved A give
+    2 p^2 p'' = p^2 - 8 p^3 - A, and at a turning point p(0) = Delta*,
+    p'(0) = 0.  Matching powers of r with Cauchy products fixes c_{n+2}
+    from c_0..c_{n+1}; the coefficients are exact Fractions when A and
+    Delta* are.  The equation is invariant under r -> -r, so the odd
+    coefficients vanish, and c_2 = (1 - 6 Delta*)/2 at a root of the
+    turning cubic.
     """
-    if which == "round":
-        if A != 0:
-            raise ValueError("the h -> 0 end exists only for A = 0")
-
-        def f(_, y):
-            return np.array([0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * y[0] ** 2))])
-
-        y0, height = np.array([0.0]), float
-    else:
-        roots = [float(root) for root, _ in moduli.cubic_roots(A) if root > 0]
-        if len(roots) < 1:
-            raise ValueError(f"no turning points for A={A}")
-        if which == "lower":
-            delta_star = min(roots)
-        elif which == "upper":
-            delta_star = max(roots)
-        else:
-            raise ValueError(f"unknown end {which!r}")
-        # inward direction: a h becomes positive moving into the interval
-        sign = 1.0 if which == "lower" else -1.0
-
-        def f(_, y):
-            return sign * _case_ii_rhs(0.0, y)
-
-        y0, height = np.array([delta_star, 0.0]), lambda p: math.sqrt(float(p))
-
-    # the checks sample some radii more than once
-    @lru_cache(maxsize=None)
-    def profile(r: float):
-        _, ys, _ = rk4_path(f, y0, 0.0, r, r / n_sub)
-        h = height(ys[-1][0])
-        return (h, h, 0.0, 0.0)
-
-    return profile
+    c = [delta_star, 0 * delta_star]
+    sq, dd = [], []  # coefficients of p^2 and of p''
+    for n in range(TURNING_SERIES_ORDER - 1):
+        sq.append(sum(c[i] * c[n - i] for i in range(n + 1)))
+        cube = sum(sq[i] * c[n - i] for i in range(n + 1))
+        rhs = sq[n] - 8 * cube - (A if n == 0 else 0) - 2 * sum(sq[n - k] * dd[k] for k in range(n))
+        dd.append(rhs / (2 * sq[0]))
+        c.append(dd[n] / ((n + 2) * (n + 1)))
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------

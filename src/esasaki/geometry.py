@@ -224,10 +224,14 @@ def _varying(chart: CoordinateChart, n: int) -> list:
 def christoffel_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float, dtype=_REAL) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij by fourth-order central differences."""
     x = np.asarray(point, dtype=dtype)
+    return _christoffel(chart, x, _metric_at(chart, x, dtype), fd_step, dtype)
+
+
+def _christoffel(chart: CoordinateChart, x: np.ndarray, g: np.ndarray, fd_step: float, dtype) -> np.ndarray:
+    """:func:`christoffel_fd` at x, given the metric g there."""
     n = len(x)
-    g = _metric_at(chart, x, dtype)
     if abs(float(np.linalg.det(np.asarray(g, dtype=float)))) < 1e-300:
-        raise SingularMetricError(f"metric singular at {point}")
+        raise SingularMetricError(f"metric singular at {tuple(float(v) for v in x)}")
     dg = np.zeros((n, n, n), dtype=dtype)  # dg[l, i, j] = d_l g_ij
     for k in _varying(chart, n):
         dg[k] = _derivative(lambda xs: _metric_at(chart, xs, dtype), x, k, dtype(fd_step))
@@ -271,7 +275,8 @@ def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e
     x = np.asarray(point, dtype=dtype)
     n = len(x)
 
-    gamma0 = christoffel_fd(chart, x, fd_step, dtype)
+    g = _metric_at(chart, x, dtype)
+    gamma0 = _christoffel(chart, x, g, fd_step, dtype)
     dgamma = np.zeros((n, n, n, n), dtype=dtype)
     for k in _varying(chart, n):
         dgamma[k] = _derivative(lambda xs: christoffel_fd(chart, xs, fd_step, dtype), x, k, dtype(fd_step))
@@ -285,7 +290,6 @@ def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e
     )
     ricci = np.einsum("rsrn->sn", riemann)
 
-    g = _metric_at(chart, x, dtype)
     target = dtype(EINSTEIN_CONSTANT) * g
     residual = float(np.linalg.norm(np.asarray(ricci - target, dtype=float)) / np.linalg.norm(np.asarray(g, dtype=float)))
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,26 @@ from esasaki.boundary import (
     reject_case_iii,
     richardson_limit,
 )
-from esasaki.evolution import CaseIIIState, case_ii_endpoint_profile, evolve_case_iii
+from esasaki.evolution import CaseIIIState, evolve_case_iii, turning_series
+from esasaki.moduli import enumerate_rational_families
 
-A_EX = -9 / 2197
+A_EX = Fraction(-9, 2197)
+LOWER_EX, UPPER_EX = Fraction(1, 13), Fraction(3, 13)
+
+
+def round_end(r):
+    """The h -> 0 end of the A = 0 flow in closed form, h = sin(r)/2."""
+    h = 0.5 * math.sin(r)
+    return (h, h, 0.0, 0.0)
+
+
+def series_profile(series):
+    """The conformal profile (h, h, 0, 0) with h^2 the summed series."""
+    def profile(r):
+        h = math.sqrt(sum(float(c) * r**k for k, c in enumerate(series)))
+        return (h, h, 0.0, 0.0)
+
+    return profile
 
 
 def monomial_taylor(j, order=10):
@@ -107,7 +125,7 @@ def test_richardson_limit_on_smooth_even_function():
 
 
 def test_round_branch_passes_on_sphere_end():
-    rep = check_round_branch(case_ii_endpoint_profile(0.0, "round"))
+    rep = check_round_branch(round_end)
     assert rep.passed
     names = [c.name for c in rep.conditions]
     assert "delta_over_r2_limit" in names
@@ -116,7 +134,7 @@ def test_round_branch_passes_on_sphere_end():
 
 
 def test_round_branch_inapplicable_away_from_zero():
-    rep = check_round_branch(case_ii_endpoint_profile(A_EX, "lower"))
+    rep = check_round_branch(series_profile(turning_series(A_EX, LOWER_EX)))
     assert not rep.applicable
     assert not rep.passed
     assert "bounded away" in rep.notes
@@ -144,8 +162,8 @@ def test_round_branch_detects_minus_three_obstruction():
 
 
 def test_circle_branch_passes_at_both_ends_of_rational_family():
-    upper = check_circle_branch(case_ii_endpoint_profile(A_EX, "upper"), q=6, sigma=-10, C=6.0, m=0)
-    lower = check_circle_branch(case_ii_endpoint_profile(A_EX, "lower"), q=2, sigma=14, C=6.0, m=0)
+    upper = check_circle_branch(turning_series(A_EX, UPPER_EX), q=6, sigma=-10, C=6.0, m=0)
+    lower = check_circle_branch(turning_series(A_EX, LOWER_EX), q=2, sigma=14, C=6.0, m=0)
     assert upper.passed and lower.passed
     cond = next(c for c in upper.conditions if c.name == "curvature_matches_sigma")
     assert cond.target == pytest.approx(10 / 26)
@@ -153,17 +171,29 @@ def test_circle_branch_passes_at_both_ends_of_rational_family():
 
 
 def test_circle_branch_endpoint_identity_fd():
-    rep = check_circle_branch(case_ii_endpoint_profile(A_EX, "upper"), q=6, sigma=-10, C=6.0, m=0)
+    rep = check_circle_branch(turning_series(A_EX, UPPER_EX), q=6, sigma=-10, C=6.0, m=0)
     cond = next(c for c in rep.conditions if c.name == "delta_pp_fd_matches_identity")
     assert cond.passed
-    assert abs(cond.measured - cond.target) < 1e-6
+    # 2 c_2 of the exact series is 1 - 6 Delta* = -5/13 exactly
+    assert cond.measured == cond.target == float(Fraction(-5, 13))
+    even = next(c for c in rep.conditions if c.name == "delta_even")
+    assert even.passed and even.measured == 0.0
+
+
+def test_circle_branch_rejects_odd_series():
+    # kw_extends decides evenness: an odd term at the origin fails it
+    series = list(turning_series(A_EX, UPPER_EX))
+    series[3] = Fraction(1, 10**9)
+    rep = check_circle_branch(series, q=6, sigma=-10, C=6.0, m=0)
+    assert rep.failing() == ["delta_even"]
 
 
 def test_circle_branch_degenerate_sixth():
-    # a profile sitting at Delta = 1/6 forces |Delta''| = 0: the
-    # curvature condition cannot match any positive sigma/(p+qC)
-    profile = lambda r: (math.sqrt(1 / 6), math.sqrt(1 / 6), 0.0, 0.0)
-    rep = check_circle_branch(profile, q=2, sigma=14, C=6.0, m=0)
+    # the stationary solution Delta = 1/6 of A = -1/108 has Delta'' = 0:
+    # the curvature condition cannot match any positive sigma/(p+qC)
+    series = turning_series(Fraction(-1, 108), Fraction(1, 6))
+    assert series == (Fraction(1, 6),) + (0,) * (len(series) - 1)
+    rep = check_circle_branch(series, q=2, sigma=14, C=6.0, m=0)
     cond = next(c for c in rep.conditions if c.name == "curvature_matches_sigma")
     assert not cond.passed
     assert not rep.passed
@@ -171,7 +201,7 @@ def test_circle_branch_degenerate_sixth():
 
 def test_circle_branch_sign_normalization_error():
     with pytest.raises(ValueError, match="sign normalization"):
-        check_circle_branch(case_ii_endpoint_profile(A_EX, "upper"), q=-6, sigma=10, C=6.0, m=0)
+        check_circle_branch(turning_series(A_EX, UPPER_EX), q=-6, sigma=10, C=6.0, m=0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,51 +248,42 @@ def test_reject_randomized_flows():
 def test_soundness_hook_enumerated_families_pass_both_ends():
     # every family accepted by the classification passes the circle-end
     # checks at both turning values with its own integer witnesses
-    from esasaki.moduli import enumerate_rational_families
-
     for fam in enumerate_rational_families(31):
-        A = float(fam.A)
-        for which, end in (("lower", fam.minus), ("upper", fam.plus)):
+        for delta, end in ((fam.delta_minus, fam.minus), (fam.delta_plus, fam.plus)):
             rep = check_circle_branch(
-                case_ii_endpoint_profile(A, which),
+                turning_series(fam.A, delta),
                 q=end.q,
                 sigma=end.sigma_signed,
                 C=float(fam.C),
                 m=fam.m,
             )
-            assert rep.passed, (fam.S, which, rep.failing())
+            assert rep.passed, (fam.S, delta, rep.failing())
 
 
 @pytest.mark.parametrize("S", ["25/91", "36/133", "49/183", "64/241", "81/307", "100/381"])
 def test_circle_window_scales_with_small_lower_end(S):
     # the lower turning value of these families is below 0.064, where a
-    # parity-fit window of fixed width no longer resolves Delta''
-    from fractions import Fraction
-
-    from esasaki.moduli import enumerate_rational_families
-
+    # sampled parity fit needs a window that shrinks with Delta; the
+    # series check reads the same conditions off exact coefficients
     fam = next(f for f in enumerate_rational_families(381) if f.S == Fraction(S))
     assert fam.delta_minus < Fraction(64, 1000)
-    A = float(fam.A)
-    for which, end in (("lower", fam.minus), ("upper", fam.plus)):
+    for delta, end in ((fam.delta_minus, fam.minus), (fam.delta_plus, fam.plus)):
         rep = check_circle_branch(
-            case_ii_endpoint_profile(A, which), q=end.q, sigma=end.sigma_signed, C=float(fam.C), m=fam.m
+            turning_series(fam.A, delta), q=end.q, sigma=end.sigma_signed, C=float(fam.C), m=fam.m
         )
-        assert rep.passed, (which, rep.failing())
+        assert rep.passed, (delta, rep.failing())
 
 
 def test_soundness_hook_round_branch_level():
     # the A = 0 level passes the round check at the vanishing end and the
     # circle check at the upper end with its classification witnesses
-    from fractions import Fraction
-
     from esasaki.moduli import classify_A
 
     verdict = classify_A(Fraction(0), Fraction(6), 0)
-    assert check_round_branch(case_ii_endpoint_profile(0.0, "round")).passed
+    assert check_round_branch(round_end).passed
     end = verdict.family.plus
     rep = check_circle_branch(
-        case_ii_endpoint_profile(0.0, "upper"), q=end.q, sigma=end.sigma_signed, C=6.0, m=0
+        turning_series(Fraction(0), verdict.family.delta_plus), q=end.q, sigma=end.sigma_signed, C=6.0, m=0
     )
     assert rep.passed, rep.failing()
 

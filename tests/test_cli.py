@@ -112,6 +112,21 @@ def test_verify_reports_worst_offender_on_failure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_verify_step_scales_with_a_narrow_band(tmp_path):
+    # the y-band of this family is 0.249 wide: a fixed step of 1e-3 gave
+    # a residual of 1.1e-4 on this correct metric
+    argv = ["verify", "--A=-63504/7189057", "--C", "1", "--points", "3", "--seed", "335484"]
+    assert run(argv + ["--out", tmp_path]) == 0
+    meta = json.loads((tmp_path / "curvature.json").read_text())["meta"]
+    y_lo, y_hi = geometry.ypq_chart(-63504 / 7189057, 1.0).box[2]
+    assert meta["fd_step"] == (y_hi - y_lo) / 400 < 1e-3
+    # a wide band keeps 1e-3, and an explicit step is used as given
+    assert run(["verify", "--A=-9/2197", "--C", "6", "--points", "1", "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "curvature.json").read_text())["meta"]["fd_step"] == 1e-3
+    assert run(argv + ["--fd-step", "2e-3", "--out", tmp_path]) == 1
+    assert json.loads((tmp_path / "curvature.json").read_text())["meta"]["fd_step"] == 2e-3
+
+
 def test_verify_deterministic(tmp_path):
     for i, argv in enumerate([
         ["--A", "0", "--points", "2", "--seed", "3"],
@@ -177,8 +192,8 @@ def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeyp
 
     real = boundary.check_circle_branch
 
-    def failing_lower(profile, q, sigma, C, m, *args, **kwargs):
-        rep = real(profile, q, sigma, C, m, *args, **kwargs)
+    def failing_lower(series, q, sigma, C, m, **kwargs):
+        rep = real(series, q, sigma, C, m, **kwargs)
         if sigma == 14:  # the lower end of A = -9/2197 at C = 6
             rep.conditions.append(boundary.ConditionCheck("forced", 1.0, 0.0, 0.0, False))
         return rep
@@ -190,6 +205,52 @@ def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeyp
     assert not data["end_reports"]["lower"]["pass"]
     assert data["end_reports"]["upper"]["pass"]
     assert capsys.readouterr().err.startswith("FAIL: lower:forced")
+
+
+def test_conformal_extend_check_integrates_nothing(tmp_path, monkeypatch):
+    # the conformal ends are decided from series and a closed form; the
+    # case-iii run shows that the counter sees the integrator
+    from esasaki import boundary, evolution
+
+    steps = []
+    real = evolution.rk4_step
+
+    def counted(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(evolution, "rk4_step", counted)
+    monkeypatch.setattr(boundary, "rk4_step", counted)
+    for A in ("--A=-9/2197", "--A=0"):
+        assert run(["extend-check", A, "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path]) == 0
+    assert len(steps) == 0
+    assert run(["extend-check", "--case-iii", "--step", "2e-3", "--out", tmp_path]) == 1
+    assert len(steps) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend-check", "--A=-9/2197", "--C", "6", "--m", "0", "--arith", "rational"],
+        ["extend-check", "--A=0", "--C", "6", "--m", "0", "--arith", "rational"],
+        ["extend-check", "--case-iii", "--h0", "0.4", "--k0", "0.3", "--c0", "0.1", "--a0", "0.2"],
+        ["evolve", "--case", "i", "--k", "1", "--m", "0"],
+        ["evolve", "--case", "ii", "--h0", "0.3", "--A=-9/2197", "--C", "6"],
+        ["normal-form", "--input", "{eta}"],
+    ],
+    ids=["extend-ypq", "extend-round", "extend-case-iii", "evolve-i", "evolve-ii", "normal-form"],
+)
+def test_reruns_are_byte_identical(tmp_path, argv):
+    eta = tmp_path / "eta.json"
+    eta.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    argv = [a.format(eta=eta) for a in argv]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    codes = [run(argv + ["--out", out]) for out in outs]
+    assert codes[0] == codes[1]
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files and files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +276,12 @@ def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeyp
         ["evolve", "--case", "general", "--input", "{bad}", "--t1", "0.2"],
         ["verify", "--A", "0", "--points", "0"],
         ["verify", "--A", "0", "--points", "-3"],
+        ["evolve", "--case", "i", "--t0", "1", "--t1", "0"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
-        "points-0", "points-negative",
+        "points-0", "points-negative", "case-i-backward-span",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):

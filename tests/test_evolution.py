@@ -10,7 +10,6 @@ from esasaki.evolution import (
     CaseIIState,
     CaseIIIState,
     ConstraintError,
-    case_ii_endpoint_profile,
     closed_form_case_i,
     evolve_case_ii,
     evolve_case_iii,
@@ -19,8 +18,10 @@ from esasaki.evolution import (
     general_rhs,
     rk4_path,
     turning_points,
+    turning_series,
 )
-from esasaki.evolution import _general_system
+from esasaki.evolution import _case_ii_rhs, _general_system
+from esasaki.moduli import enumerate_rational_families
 from esasaki.structures import IdStructure, residual_hypo
 
 S6 = 1.0 / math.sqrt(6.0)
@@ -116,12 +117,14 @@ def test_case_ii_orientation_precondition():
         evolve_case_ii(CaseIIState(0.3, -0.1), (0, 1.0), 1e-3)
 
 
-def test_case_ii_h_zero_stop():
-    # A = 0 flow reaches h -> 0 backward in h; start near the bottom
-    # moving down is excluded by orientation, so run the round profile
-    prof = case_ii_endpoint_profile(0.0, "round")
-    h = prof(0.3)[0]
-    assert h == pytest.approx(0.5 * math.sin(0.3), abs=1e-10)
+def test_round_end_series_is_quarter_cos_squared():
+    # at the A = 0 upper end Delta = cos(r)^2/4 = 1/8 + cos(2r)/8
+    expected = [F(1, 4)] + [
+        F((-1) ** (k // 2) * 2**k, 8 * math.factorial(k)) if k % 2 == 0 else F(0) for k in range(1, 13)
+    ]
+    series = turning_series(F(0), F(1, 4))
+    assert list(series) == expected
+    assert series[:7] == (F(1, 4), 0, F(-1, 4), 0, F(1, 12), 0, F(-1, 90))
 
 
 def test_case_ii_residuals_along_flow():
@@ -140,6 +143,26 @@ def test_turning_points_examples():
     assert turning_points(float(-1 / 108)) == pytest.approx([6 ** -0.5], abs=1e-12)
     with pytest.raises(ValueError):
         turning_points(-0.02)
+
+
+def test_turning_series_exact_at_every_enumerated_end():
+    for fam in enumerate_rational_families(400):
+        for delta in (fam.delta_minus, fam.delta_plus):
+            series = turning_series(fam.A, delta)
+            assert all(type(c) is F for c in series)
+            assert all(c == 0 for c in series[1::2]), (fam.S, delta)
+            assert 2 * series[2] == 1 - 6 * delta, (fam.S, delta)
+
+
+@pytest.mark.parametrize("S", [F(4, 13), F(9, 28), F(25, 91), F(16, 49)])
+def test_float_turning_series_matches_rk4(S):
+    fam = next(f for f in enumerate_rational_families(S.denominator) if f.S == S)
+    for delta in (fam.delta_minus, fam.delta_plus):
+        series = turning_series(float(fam.A), float(delta))
+        for r in (0.002, 0.008, 0.016):
+            _, ys, _ = rk4_path(_case_ii_rhs, np.array([float(delta), 0.0]), 0.0, r, r / 200)
+            summed = sum(c * r**k for k, c in enumerate(series))
+            assert summed == pytest.approx(ys[-1][0], rel=1e-13, abs=0.0), (S, delta, r)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,23 @@ def test_enumerate_agrees_with_classifier():
             assert got.simply_connected == fam.simply_connected
 
 
+def _orbit_data(verdict):
+    ends = () if verdict.family is None else (verdict.family.minus, verdict.family.plus)
+    return verdict.branch, [(end.q, end.sigma_signed) for end in ends]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(enumerate_rational_families(400)),
+    st.integers(1, 12),
+    st.integers(0, 3),
+)
+def test_exact_and_float_classification_agree(fam, C, m):
+    exact = classify_A(fam.A, F(C), m)
+    approx = classify_A(float(fam.A), float(C), m)
+    assert _orbit_data(exact) == _orbit_data(approx)
+
+
 # ---------------------------------------------------------------------------
 # diagrams
 
