@@ -1,8 +1,8 @@
 # No flow of the five-parameter family extends to a compact space.
 #
-# The flow is integrated to both ends of its maximal interval; at each
+# The flow is marched once to each end of its maximal interval; at each
 # end the extension conditions of the matching special-orbit branch are
-# measured.  The component V = sqrt((h-k)^2 + (b+c)^2)/2 must vanish
+# measured on short legs off that march.  The component V = sqrt((h-k)^2 + (b+c)^2)/2 must vanish
 # smoothly at a circle-type end (it refuses: its radial log-derivative
 # comes out negative, or V fails to vanish at all), and at a round-type
 # end the limit of r (dV/dr)/V is -3 where nonnegativity is required.
@@ -20,7 +20,7 @@ flow = evolve_case_iii(state0, (0.0, 2.0), 1e-3)
 print(f"\nforward flow: stopped '{flow.stopped_reason}' at t = {flow.boundary_time:.4f}")
 print(f"  conserved-ratio drift: lambda {max(flow.drift['lambda']):.2e}, mu {max(flow.drift['mu']):.2e}")
 
-report = reject_case_iii(flow)
+report = reject_case_iii(state0, 1e-3)
 print(f"\nverdict: {report.branch} (extendable: {report.passed})")
 print(f"obstructions: {report.failing()}")
 for tag, end in report.end_reports.items():

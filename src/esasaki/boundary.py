@@ -12,12 +12,15 @@ series of Delta at the turning value
 (:func:`esasaki.evolution.turning_series`): limits and the curvature
 identity are read off its coefficients and evenness goes through
 :func:`kw_extends`.  Round-type ends and the ends of the non-conformal
-family have no series; there limits at the origin are obtained by
-polynomial extrapolation over a geometric radius grid (r, r/2, r/4,
-...), and parity is decided by a full-degree polynomial fit on a
-uniform radius grid, solved exactly over the rationals so that monomial
-inputs are resolved to machine accuracy; odd-order coefficients must
-vanish to tolerance for an even verdict.
+family have no series; there a profile maps a radius to a
+:class:`~esasaki.evolution.CaseIIIState`, limits at the origin are
+obtained by polynomial extrapolation over a geometric radius grid (r,
+r/2, r/4, ...), and parity is decided by a full-degree polynomial fit on
+a uniform radius grid, solved exactly over the rationals so that
+monomial inputs are resolved to machine accuracy; odd-order
+coefficients must vanish to tolerance for an even verdict.  Each end of
+a non-conformal flow is found by one march, and its profile states are
+short legs off that march.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -236,36 +238,16 @@ class ExtensionReport:
 
 
 # ---------------------------------------------------------------------------
-# profile helpers
-
-def _v_of(state) -> float:
-    h, k, b, c = state
-    return 0.5 * math.hypot(h - k, b + c)
-
-
-def _u_of(state) -> float:
-    h, k, b, c = state
-    return 0.5 * math.hypot(h + k, b - c)
-
-
-def _delta_of(state) -> float:
-    h, k, b, c = state
-    return h * k - b * c
+# branch checks
 
 
 def _v_log_derivative(profile, r: float, rel: float = 1e-3) -> float:
     """r (dV/dr)/V by a central difference at radius r."""
     dr = rel * r
-    vp = _v_of(profile(r + dr))
-    vm = _v_of(profile(r - dr))
-    v0 = _v_of(profile(r))
+    v0 = profile(r).V
     if v0 == 0:
         return math.nan
-    return r * (vp - vm) / (2.0 * dr) / v0
-
-
-# ---------------------------------------------------------------------------
-# branch checks
+    return r * (profile(r + dr).V - profile(r - dr).V) / (2.0 * dr) / v0
 
 
 def check_round_branch(
@@ -278,7 +260,8 @@ def check_round_branch(
 ) -> ExtensionReport:
     """Extension test across a three-dimensional special orbit.
 
-    ``profile`` maps a radius r > 0 to the coefficients (h, k, b, c).
+    ``profile`` maps a radius r > 0 to the :class:`CaseIIIState` at
+    distance r from the orbit; only its ``h, k, b, c`` are read.
     Checks that Delta/r^2, (h^2+c^2)/r^2 and (k^2+b^2)/r^2 are even with
     common limit 1/4, that (hb+ck)/r^4 is even, and, when the profile has
     a nonvanishing V component, that the radial logarithmic derivative
@@ -291,7 +274,7 @@ def check_round_branch(
     radii = sorted(radii, reverse=True)
     states = [profile(r) for r in radii]
 
-    delta_limit, _ = richardson_limit(radii, [_delta_of(s) for s in states])
+    delta_limit, _ = richardson_limit(radii, [s.delta for s in states])
     conditions = [_cond("delta_vanishes_at_origin", delta_limit, 0.0, tol_limit)]
     if not conditions[0].passed:
         return ExtensionReport(
@@ -305,9 +288,9 @@ def check_round_branch(
     # an analytic profile decays geometrically with the grid radius
     rmax = radii[0] / 4.0
     ratio_specs = [
-        ("delta_over_r2", lambda s, r: _delta_of(s) / r**2, 0.25),
-        ("h2c2_over_r2", lambda s, r: (s[0] ** 2 + s[3] ** 2) / r**2, 0.25),
-        ("k2b2_over_r2", lambda s, r: (s[1] ** 2 + s[2] ** 2) / r**2, 0.25),
+        ("delta_over_r2", lambda s, r: s.delta / r**2, 0.25),
+        ("h2c2_over_r2", lambda s, r: (s.h**2 + s.c**2) / r**2, 0.25),
+        ("k2b2_over_r2", lambda s, r: (s.k**2 + s.b**2) / r**2, 0.25),
     ]
     for name, fn, target in ratio_specs:
         series = [fn(s, r) for s, r in zip(states, radii)]
@@ -316,11 +299,14 @@ def check_round_branch(
         _, _, odd = parity_fit(lambda r: fn(profile(r), r), rmax)
         conditions.append(_cond(f"{name}_even", odd, 0.0, tol_parity))
 
-    _, _, odd4 = parity_fit(lambda r: (profile(r)[0] * profile(r)[2] + profile(r)[3] * profile(r)[1]) / r**4, rmax)
+    def hbck_over_r4(r):
+        s = profile(r)
+        return (s.h * s.b + s.c * s.k) / r**4
+
+    _, _, odd4 = parity_fit(hbck_over_r4, rmax)
     conditions.append(_cond("hbck_over_r4_even", odd4, 0.0, tol_parity))
 
-    v_values = [_v_of(s) for s in states]
-    if max(v_values) > 1e-12:
+    if max(s.V for s in states) > 1e-12:
         q_small = _v_log_derivative(profile, radii[-1])
         conditions.append(_cond_ge("v_log_derivative_nonnegative", q_small, 0.0, tol_ratio))
     return ExtensionReport(branch=ROUND_BRANCH, conditions=conditions)
@@ -377,20 +363,28 @@ def check_circle_branch(
 # rejection of the non-conformal family
 
 
-def _locate_boundary(y0: np.ndarray, direction: float, step: float, max_span: float):
+# no finite boundary within this span fails the end
+MAX_SPAN = 50.0
+# an end whose Delta at the smallest radius is below this is round-type
+ROUND_DELTA_TOL = 5e-3
+
+
+def _locate_boundary(y0: np.ndarray, direction: float, step: float):
     """March toward the boundary with step halving as `a` collapses.
 
     The fixed-step bisection of ``rk4_path`` is no substitute here: one
     RK4 step across the 1/a singularity loses the accuracy that the end
-    analysis needs at t*.  Returns (signed boundary offset from the
-    start, reason) with reason None when no boundary was found within
-    max_span.
+    analysis needs at t*.  Returns (times, ys, reason) like ``rk4_path``:
+    the accepted states from the start on, the last one at the boundary
+    offset t*, and reason None when no boundary was found within
+    ``MAX_SPAN``.
     """
     y = np.array(y0, dtype=float)
     t = 0.0
+    times, ys = [t], [y]
     h = direction * step
     min_h = step * 2.0**-30
-    while abs(t) < max_span:
+    while abs(t) < MAX_SPAN:
         # keep `a` from collapsing by more than ~25% within one step
         a_rate = abs(case_iii_rhs(t, y)[4])
         while abs(h) > min_h and a_rate * abs(h) > 0.25 * y[4]:
@@ -398,85 +392,97 @@ def _locate_boundary(y0: np.ndarray, direction: float, step: float, max_span: fl
         y_try = rk4_step(case_iii_rhs, t, y, h)
         if not np.all(np.isfinite(y_try)) or y_try[4] <= 0:
             if abs(h) <= min_h:
-                return t, "turning_point"
+                return times, ys, "turning_point"
             h *= 0.5
             continue
         y, t = y_try, t + h
+        times.append(t)
+        ys.append(y)
         reason = case_iii_exit(y, 1e-10, 0.0, 1e8)
         if reason is not None:
-            return t, reason
+            return times, ys, reason
         if abs(h) < step:
             h = direction * min(step, 2.0 * abs(h))
-    return t, None
+    return times, ys, None
 
 
-def reject_case_iii(
-    flow,
-    *,
-    step: Optional[float] = None,
-    max_span: float = 50.0,
-    round_delta_tol: float = 5e-3,
-) -> ExtensionReport:
+def _end_profile(times, ys, direction: float, step: float) -> Callable:
+    """The profile r -> state at t* - direction r of a march ending at t*.
+
+    Each state is one ``rk4_path`` leg, no longer than ``step``, from the
+    last march state that is not past t* - direction r.  A radius beyond
+    the start (r > |t*|) gets a leg from the start state.
+    """
+    t_star = times[-1]
+    progress = direction * np.asarray(times)
+
+    def profile(r):
+        target = t_star - direction * r
+        i = max(0, int(np.searchsorted(progress, direction * target, side="right")) - 1)
+        _, leg, _ = rk4_path(case_iii_rhs, ys[i], times[i], target, step)
+        return CaseIIIState(*map(float, leg[-1]))
+
+    return profile
+
+
+def reject_case_iii(state0: CaseIIIState, step: float) -> ExtensionReport:
     """Test both ends of the maximal interval of a non-conformal flow.
 
     Every such flow fails to extend to a compact space; the report names
-    the obstruction per end.  At a circle-type end (Delta bounded away
-    from zero) a smooth extension needs the V component to vanish with
-    nonnegative radial log-derivative; at a round-type end (Delta -> 0)
-    the measured limit of r (dV/dr)/V is -3, violating nonnegativity.
-    The precondition is a genuinely non-conformal flow (V not identically
-    zero); flows with V = 0 are the conformal family in disguise.
+    the obstruction per end.  Each end is found by one march from
+    ``state0`` with steps no longer than ``step``, and its profile
+    states are short legs off that march.  At a circle-type end (Delta
+    bounded away from zero) a smooth extension needs the V component to
+    vanish with nonnegative radial log-derivative, measured at the two
+    smallest radii where V is resolved (V > 1e-10 U); at a round-type
+    end (Delta -> 0) the measured limit of r (dV/dr)/V is -3, violating
+    nonnegativity.  ``state0`` must pass
+    :meth:`CaseIIIState.require_flow_start`: data with V = 0 is the
+    conformal family in disguise.
     """
-    state0 = flow.states[0]
-    if not isinstance(state0, CaseIIIState):
-        raise ValueError("expected a flow of the five-parameter family")
-    if state0.V == 0:
-        raise ValueError("V vanishes identically: the flow is case ii in disguise")
-    step = step or flow.meta.get("step", 1e-3)
+    state0.require_flow_start()
+    if not step > 0:
+        raise ValueError("step must be positive")
 
     y0 = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
     end_reports = {}
     notes = []
     for tag, direction in (("upper", 1.0), ("lower", -1.0)):
-        t_star, reason = _locate_boundary(y0, direction, step, max_span)
+        times, ys, reason = _locate_boundary(y0, direction, step)
         if reason is None:
             end_reports[tag] = ExtensionReport(
                 branch=REJECT,
-                conditions=[ConditionCheck("finite_boundary", float("inf"), 0.0, max_span, False)],
-                notes=f"{tag} end: no finite special-orbit boundary within span {max_span}",
+                conditions=[ConditionCheck("finite_boundary", float("inf"), 0.0, MAX_SPAN, False)],
+                notes=f"{tag} end: no finite special-orbit boundary within span {MAX_SPAN}",
             )
             notes.append(f"{tag}: no finite boundary")
             continue
 
+        t_star = times[-1]
         safe = max(abs(t_star) * 1e-4, 4.0 * step)
         r_top = max(min(0.128, abs(t_star) / 4.0), 8.0 * safe)
-        levels = 5
-        radii = [r_top * 0.5**i for i in range(levels)]
+        radii = [r_top * 0.5**i for i in range(5)]
+        profile = _end_profile(times, ys, direction, step)
+        states = [profile(r) for r in radii]
 
-        @lru_cache(maxsize=None)
-        def profile(r, _dir=direction, _t=t_star):
-            _, ys, _ = rk4_path(case_iii_rhs, y0, 0.0, _t - _dir * r, step)
-            return tuple(ys[-1][:4])
-
-        delta_end = _delta_of(profile(radii[-1]))
-        if abs(delta_end) < round_delta_tol:
+        end = states[-1]
+        if abs(end.delta) < ROUND_DELTA_TOL:
             rep = check_round_branch(profile, radii, tol_limit=5e-2, tol_parity=5e-2, tol_ratio=0.5)
             rep.notes = f"{tag} end ({reason}): round-type analysis at t* = {t_star:.6f}"
         else:
-            v_small = _v_of(profile(radii[-1]))
-            v_ratio = min(_v_log_derivative(profile, radii[-1]), _v_log_derivative(profile, radii[-2]))
             conditions = [
                 ConditionCheck(
-                    "circle_v_vanishes",
-                    float(v_small),
-                    0.0,
-                    1e-2,
-                    bool(v_small <= 1e-2 * max(1.0, _u_of(profile(radii[-1])))),
+                    "circle_v_vanishes", float(end.V), 0.0, 1e-2, bool(end.V <= 1e-2 * max(1.0, end.U))
                 ),
-                _cond_ge("circle_v_log_derivative_nonnegative", v_ratio, 0.0, 0.05),
             ]
+            # once h - k and b + c have cancelled, V is rounding noise and
+            # its log-derivative measures nothing
+            resolved = [r for r, s in zip(radii, states) if s.V > 1e-10 * s.U]
+            if resolved:
+                v_ratio = min(_v_log_derivative(profile, r) for r in resolved[-2:])
+                conditions.append(_cond_ge("circle_v_log_derivative_nonnegative", v_ratio, 0.0, 0.05))
             rep = ExtensionReport(branch=CIRCLE_BRANCH, conditions=conditions)
-            rep.notes = f"{tag} end ({reason}): circle-type analysis at t* = {t_star:.6f}, Delta = {delta_end:.6f}"
+            rep.notes = f"{tag} end ({reason}): circle-type analysis at t* = {t_star:.6f}, Delta = {end.delta:.6f}"
         end_reports[tag] = rep
         if not rep.passed:
             notes.append(f"{tag}: {', '.join(rep.failing())}")

@@ -97,16 +97,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _global_flags(common, suppress=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
-    _original_add = sub.add_parser
-
-    def add_parser(*args, **kwargs):
-        p = _original_add(*args, **kwargs)
-        subparsers.append(p)
-        return p
-
-    sub.add_parser = add_parser
-
     p_evolve = sub.add_parser("evolve", help="integrate one of the invariant flows", parents=[common])
     p_evolve.add_argument("--case", choices=("i", "ii", "iii", "general"), required=True)
     p_evolve.add_argument("--k", default=None, help="case i amplitude / case iii k0")
@@ -151,7 +141,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     if config:
         defaults = {k.replace("-", "_"): v for k, v in config.items()}
         parser.set_defaults(**defaults)
-        for p in subparsers:
+        for p in sub.choices.values():
             p.set_defaults(**defaults)
     return parser
 
@@ -174,10 +164,10 @@ def _meta(args, **extra) -> dict:
 def cmd_evolve(args) -> int:
     out = _outdir(args)
     m = args.m
+    if args.t1 <= args.t0:
+        raise ValueError("t_span must be increasing")
     t_span = (args.t0, args.t1)
     if args.case == "i":
-        if args.t1 <= args.t0:
-            raise ValueError("t_span must be increasing")
         k = float(_parse_number(args.k or "1", args.arith))
         times = np.linspace(args.t0, args.t1, max(2, int(round((args.t1 - args.t0) / max(args.step, 1e-6))) + 1))
         states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
@@ -282,6 +272,13 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _round_end(r) -> evolution.CaseIIIState:
+    """The h -> 0 end of A = 0 in closed form: h = sin(r)/2, and
+    a = sin(2r)/4 from a^2 = h^2 (1 - 4 h^2)."""
+    h = 0.5 * math.sin(r)
+    return evolution.CaseIIIState(h, h, 0.0, 0.0, 0.25 * math.sin(2.0 * r))
+
+
 def cmd_extend_check(args) -> int:
     out = _outdir(args)
     if args.case_iii:
@@ -292,8 +289,7 @@ def cmd_extend_check(args) -> int:
             float(_parse_number(args.c0, args.arith)),
             float(_parse_number(args.a0, args.arith)),
         )
-        flow = evolution.evolve_case_iii(state0, (0.0, 1.0), args.step, m=args.m or 1)
-        report = boundary.reject_case_iii(flow)
+        report = boundary.reject_case_iii(state0, args.step)
         verdict = {
             "branch": "Reject",
             "reason": report.notes,
@@ -325,8 +321,7 @@ def cmd_extend_check(args) -> int:
         ends = {}
         for tag, end, delta_star in (("lower", fam.minus, fam.delta_minus), ("upper", fam.plus, fam.delta_plus)):
             if end is None:
-                # the h -> 0 end of A = 0, where h = sin(r)/2 in closed form
-                ends[tag] = boundary.check_round_branch(lambda r: (0.5 * math.sin(r),) * 2 + (0.0, 0.0))
+                ends[tag] = boundary.check_round_branch(_round_end)
             else:
                 ends[tag] = boundary.check_circle_branch(
                     evolution.turning_series(fam.A, delta_star), end.q, end.sigma_signed, float(C), args.m

@@ -40,7 +40,6 @@ from esasaki.exterior import basis_one_form, d_invariant
 from esasaki.structures import IdStructure, residual_hypo
 
 __all__ = [
-    "CaseIState",
     "CaseIIState",
     "CaseIIIState",
     "FlowResult",
@@ -64,18 +63,6 @@ class ConstraintError(ValueError):
 
 # ---------------------------------------------------------------------------
 # ansatz states
-
-
-@dataclass(frozen=True)
-class CaseIState:
-    """Rotating closed-form family: amplitude k, weight m, phase offset."""
-
-    k: float
-    m: int = 0
-    phase: float = 0.0
-
-    def structure(self, t: float) -> IdStructure:
-        return closed_form_case_i(self.k, self.m, t + self.phase)
 
 
 @dataclass(frozen=True)
@@ -160,6 +147,18 @@ class CaseIIIState:
     @property
     def mu(self) -> float:
         return self.z / self.v
+
+    def require_flow_start(self) -> None:
+        """A non-conformal flow starts at a > 0, hk - bc > 0 and
+        (h - k, b + c) != (0, 0); otherwise the data is the conformal
+        family in disguise (a phase rotation removes it) and must be
+        evolved as case ii."""
+        if self.a <= 0:
+            raise ValueError("a must be positive at the start")
+        if self.delta <= 0:
+            raise ValueError("hk - bc must be positive at the start")
+        if self.v == 0 and self.z == 0:
+            raise ValueError("(h - k, b + c) = (0, 0) reduces to case ii")
 
     def to_id_structure(self, m: int = 1) -> IdStructure:
         rows = (
@@ -607,18 +606,12 @@ def evolve_case_iii(
 ) -> FlowResult:
     """Integrate the five coupled equations of the non-conformal family.
 
-    Preconditions: a > 0, hk - bc > 0, and (h - k, b + c) != (0, 0) --
-    otherwise the data is the conformal family in disguise (a phase
-    rotation removes it) and must be evolved as case ii.  Stops, marking
-    the boundary, when a approaches zero (the coframe degenerates), when
-    u or v vanishes, or when the state leaves the resolvable range.
+    The start must pass :meth:`CaseIIIState.require_flow_start`.  Stops,
+    marking the boundary, when a approaches zero (the coframe
+    degenerates), when u or v vanishes, or when the state leaves the
+    resolvable range.
     """
-    if state0.a <= 0:
-        raise ValueError("a must be positive at the start")
-    if state0.delta <= 0:
-        raise ValueError("hk - bc must be positive at the start")
-    if state0.v == 0 and state0.z == 0:
-        raise ValueError("(h - k, b + c) = (0, 0) reduces to case ii")
+    state0.require_flow_start()
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:

@@ -16,7 +16,7 @@ from esasaki.boundary import (
     reject_case_iii,
     richardson_limit,
 )
-from esasaki.evolution import CaseIIIState, evolve_case_iii, turning_series
+from esasaki.evolution import CaseIIIState, turning_series
 from esasaki.moduli import enumerate_rational_families
 
 A_EX = Fraction(-9, 2197)
@@ -26,14 +26,14 @@ LOWER_EX, UPPER_EX = Fraction(1, 13), Fraction(3, 13)
 def round_end(r):
     """The h -> 0 end of the A = 0 flow in closed form, h = sin(r)/2."""
     h = 0.5 * math.sin(r)
-    return (h, h, 0.0, 0.0)
+    return CaseIIIState(h, h, 0.0, 0.0, 0.25 * math.sin(2 * r))
 
 
 def series_profile(series):
     """The conformal profile (h, h, 0, 0) with h^2 the summed series."""
     def profile(r):
         h = math.sqrt(sum(float(c) * r**k for k, c in enumerate(series)))
-        return (h, h, 0.0, 0.0)
+        return CaseIIIState(h, h, 0.0, 0.0, 0.0)  # a is not read
 
     return profile
 
@@ -146,9 +146,8 @@ def test_round_branch_detects_minus_three_obstruction():
     def profile(r):
         v = 1e-4 * r**-3
         u = math.sqrt(r * r / 4.0 + v * v)
-        # reconstruct (h, k, b, c) with b = 0: u = h + k, w = -c... use
         # the simplest representative: h + k = 2U, h - k = 2V, b = c = 0
-        return (u + v, u - v, 0.0, 0.0)
+        return CaseIIIState(u + v, u - v, 0.0, 0.0, 0.0)  # a is not read
 
     rep = check_round_branch(profile, tol_ratio=0.5)
     cond = next(c for c in rep.conditions if c.name == "v_log_derivative_nonnegative")
@@ -209,8 +208,7 @@ def test_circle_branch_sign_normalization_error():
 
 
 def test_reject_example_flow():
-    flow = evolve_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), (0, 2.0), 1e-3)
-    report = reject_case_iii(flow)
+    report = reject_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), 1e-3)
     assert report.branch == "Reject"
     assert not report.passed
     assert set(report.end_reports) == {"lower", "upper"}
@@ -218,10 +216,14 @@ def test_reject_example_flow():
 
 
 def test_reject_requires_nonconformal_flow():
-    flow = evolve_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), (0, 0.5), 1e-3)
-    flow.states[0] = CaseIIIState(0.4, 0.4, 0.1, -0.1, 0.2)  # V = 0 data
     with pytest.raises(ValueError, match="case ii"):
-        reject_case_iii(flow)
+        reject_case_iii(CaseIIIState(0.4, 0.4, 0.1, -0.1, 0.2), 1e-3)  # V = 0 data
+    with pytest.raises(ValueError, match="a must be positive"):
+        reject_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.0), 1e-3)
+    with pytest.raises(ValueError, match="hk - bc"):
+        reject_case_iii(CaseIIIState(0.4, 0.3, 0.4, 0.3, 0.2), 1e-3)
+    with pytest.raises(ValueError, match="step"):
+        reject_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), 0.0)
 
 
 def test_reject_randomized_flows():
@@ -238,11 +240,41 @@ def test_reject_randomized_flows():
         st = CaseIIIState(h, k, b, c, a)
         if st.delta < 0.05 or (st.v == 0 and st.z == 0):
             continue
-        flow = evolve_case_iii(st, (0, 1.0), 1e-3)
-        report = reject_case_iii(flow)
+        report = reject_case_iii(st, 1e-3)
         assert not report.passed, (st, report.to_json_dict())
         rejected += 1
     assert rejected == 5
+
+
+def test_reject_skips_the_log_derivative_where_v_has_cancelled():
+    # criterion 8's flow whose upper end has V = 4.1e-9 ... 2.8e-16, 0.0
+    # at r = 0.128 ... 0.008: h - k and b + c cancel to rounding there
+    st = CaseIIIState(0.30208948555943493, 0.48124419511852745, -0.0558409367595199,
+                      0.03262639698485434, 0.10557521695899841)
+    report = reject_case_iii(st, 1e-3)
+    measured = [c.measured for rep in report.end_reports.values() for c in rep.conditions]
+    assert all(not math.isnan(x) for x in measured)
+    # r (dV/dr)/V is about 8 wherever V is resolved (r >= 0.032)
+    upper = {c.name: c for c in report.end_reports["upper"].conditions}
+    assert upper["circle_v_log_derivative_nonnegative"].measured == pytest.approx(8.0, abs=0.1)
+    assert report.end_reports["upper"].passed
+    assert not report.end_reports["lower"].passed
+    assert not report.passed
+
+
+def test_reject_round_type_end():
+    st = CaseIIIState(0.16888014917517297, 0.407892864503532, 0.12613615814277324,
+                      0.14661975665727922, 0.46499963829121627)
+    report = reject_case_iii(st, 2e-3)
+    lower = report.end_reports["lower"]
+    assert lower.branch == "RoundSU2" and lower.applicable
+    assert "t* = -0.100" in lower.notes
+    assert lower.failing() == [
+        "delta_over_r2_limit", "delta_over_r2_even", "h2c2_over_r2_limit", "h2c2_over_r2_even",
+        "k2b2_over_r2_limit", "k2b2_over_r2_even", "hbck_over_r4_even",
+    ]
+    assert report.end_reports["upper"].branch == "CircleU1"
+    assert not report.passed
 
 
 def test_soundness_hook_enumerated_families_pass_both_ends():

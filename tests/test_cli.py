@@ -209,7 +209,8 @@ def test_extend_check_exits_1_when_an_end_report_fails(tmp_path, capsys, monkeyp
 
 def test_conformal_extend_check_integrates_nothing(tmp_path, monkeypatch):
     # the conformal ends are decided from series and a closed form; the
-    # case-iii run shows that the counter sees the integrator
+    # case-iii run shows that the counter sees the integrator, and that
+    # its profiles are short legs off the two boundary marches
     from esasaki import boundary, evolution
 
     steps = []
@@ -225,7 +226,7 @@ def test_conformal_extend_check_integrates_nothing(tmp_path, monkeypatch):
         assert run(["extend-check", A, "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path]) == 0
     assert len(steps) == 0
     assert run(["extend-check", "--case-iii", "--step", "2e-3", "--out", tmp_path]) == 1
-    assert len(steps) > 0
+    assert 0 < len(steps) <= 1000
 
 
 @pytest.mark.parametrize(
@@ -277,17 +278,21 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["verify", "--A", "0", "--points", "0"],
         ["verify", "--A", "0", "--points", "-3"],
         ["evolve", "--case", "i", "--t0", "1", "--t1", "0"],
+        ["evolve", "--case", "general", "--input", "{eta}", "--t0", "0", "--t1", "0"],
+        ["evolve", "--case", "general", "--input", "{eta}", "--t0", "0.1", "--t1", "0"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
-        "points-0", "points-negative", "case-i-backward-span",
+        "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     bad = {"eta": [[0.3333, 0, 0, 1], [0, 0, 0, 1], [0, 0.40824829, 0, 0], [0, 0, 0.40824829, 0]], "m": 0}
     (tmp_path / "bad.json").write_text(json.dumps(bad))
-    argv = [a.format(missing=tmp_path / "missing.json", bad=tmp_path / "bad.json") for a in argv]
+    (tmp_path / "eta.json").write_text(CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure().dumps())
+    argv = [a.format(missing=tmp_path / "missing.json", bad=tmp_path / "bad.json", eta=tmp_path / "eta.json")
+            for a in argv]
     assert run(argv + ["--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
