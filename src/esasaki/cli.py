@@ -8,7 +8,8 @@ Exit codes: 0 success; 1 a verification/classification check failed
 (worst offender reported; for extend-check also a failing end report
 or a group diagram that cannot be built); 2 invalid input or an aborted
 constraint (non-finite numbers, non-solution initial data, domain
-errors), mapped from ValueError and OSError in one place, :func:`main`.
+errors, inputs too large to represent), mapped from ValueError, OSError
+and OverflowError in one place, :func:`main`.
 
 Rational values are accepted as "p/q" strings to avoid float parsing
 loss; every output embeds the run parameters (and seed), never a
@@ -70,7 +71,10 @@ def _parse_number(text, arith: str = "float"):
     if isinstance(text, (int, Fraction)):
         return text
     if isinstance(text, str) and ("/" in text or arith == "rational"):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
     return finite_float(text)
 
 
@@ -166,12 +170,14 @@ def cmd_evolve(args) -> int:
     m = args.m
     if args.t1 <= args.t0:
         raise ValueError("t_span must be increasing")
+    if args.record_every < 1:
+        raise ValueError(f"--record-every must be at least 1, got {args.record_every}")
     t_span = (args.t0, args.t1)
     if args.case == "i":
         k = float(_parse_number(args.k or "1", args.arith))
         times = np.linspace(args.t0, args.t1, max(2, int(round((args.t1 - args.t0) / max(args.step, 1e-6))) + 1))
         states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
-        residuals = np.array([structures.residual_hypo(s) for s in states])
+        residuals = structures.residual_hypo_batch([s.matrix for s in states], m)
         flow = evolution.FlowResult(
             times=times,
             states=states,
@@ -180,6 +186,8 @@ def cmd_evolve(args) -> int:
             meta=_meta(args, family="case_i", k=k, m=m),
         )
     elif args.case == "ii":
+        if args.h0 is None:
+            raise ValueError("case ii needs --h0")
         h0 = float(_parse_number(args.h0, args.arith))
         C = float(_parse_number(args.C, args.arith))
         if args.a0 is not None:
@@ -191,6 +199,8 @@ def cmd_evolve(args) -> int:
         flow = evolution.evolve_case_ii(state0, t_span, args.step, record_every=args.record_every)
         flow.meta.update(_meta(args))
     elif args.case == "iii":
+        if args.h0 is None or args.a0 is None:
+            raise ValueError("case iii needs --h0 and --a0")
         state0 = evolution.CaseIIIState(
             float(_parse_number(args.h0, args.arith)),
             float(_parse_number(args.k or "0.3", args.arith)),
@@ -380,7 +390,7 @@ def main(argv=None) -> int:
         args = build_parser(config).parse_args(argv)
         RunConfig.from_args(args)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,14 +30,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from esasaki import moduli
-from esasaki.exterior import basis_one_form, d_invariant
-from esasaki.structures import IdStructure, residual_hypo
+from esasaki import exterior, moduli
+from esasaki.structures import IdStructure, residual_hypo, residual_hypo_batch
 
 __all__ = [
     "CaseIIState",
@@ -348,24 +346,38 @@ def rk4_path(
 
 
 # ---------------------------------------------------------------------------
-# general flow (numpy fast path for the wedge tables)
-
-# 2-form monomials 12, 13, 14, 23, 24, 34 over e1..e4, as index pairs
-_PAIRS = list(combinations(range(1, 5), 2))
-_I, _J = np.array(_PAIRS).T - 1
-
-# column j: d of e^(j+1) in those monomials, read off the structure equations
-_D1 = np.array([
-    [float(d_invariant(basis_one_form(j)).coefficient(pair)) for j in range(1, 5)]
-    for pair in _PAIRS
-])
-
-_E4 = np.array([0.0, 0.0, 0.0, 1.0])
+# general flow
 
 
-def _wedge11(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the 2-form x ^ y of one-forms held in the last axis."""
-    return x[..., _I] * y[..., _J] - x[..., _J] * y[..., _I]
+# the rate matrix by blocks, np.block([[0, L3, -L2], [-L3, 0, L1], [L2, -L1, 0]])
+# with L_v the 6x4 matrix of x -> x ^ eta_v: entry +-v of a row is +-L_v
+_A_BLOCKS = ((0, 3, -2), (-3, 0, 1), (2, -1, 0))
+
+
+def _rate_matrix_gather() -> tuple:
+    """Flat positions in the rate matrix, the entries of the (3, 4, 6)
+    array of the maps x -> x ^ eta_v (v = 1, 2, 3, then the component of
+    x, then the pair) they hold, and signs."""
+    flat, source, sign = [], [], []
+    for eq, blocks in enumerate(_A_BLOCKS):
+        for unknown, v in enumerate(blocks):
+            for pair in range(6) if v else ():
+                for k in range(4):
+                    flat.append((6 * eq + pair) * 12 + 4 * unknown + k)
+                    source.append((4 * (abs(v) - 1) + k) * 6 + pair)
+                    sign.append(math.copysign(1.0, v))
+    return np.array(flat), np.array(source), np.array(sign)
+
+
+_A_FLAT, _A_SOURCE, _A_SIGN = _rate_matrix_gather()
+_UNITS = np.eye(4).reshape(-1)
+# wedged rows of (eta0..eta3, e1..e4): e_k ^ eta_v for v = 1, 2, 3 and
+# k = 1..4 (the maps x -> x ^ eta_v), then the right-hand side's
+# eta0 ^ eta3, eta0 ^ eta2, e4 ^ eta3 and e4 ^ eta2
+_LEFT = np.array([4, 5, 6, 7] * 3 + [0, 0, 7, 7])
+_RIGHT = np.array([1] * 4 + [2] * 4 + [3] * 4 + [3, 2, 3, 2])
+# signs of the right-hand side's wedges in the second and third equations
+_B_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _general_system(y: np.ndarray, m: int):
@@ -377,29 +389,30 @@ def _general_system(y: np.ndarray, m: int):
         x2 ^ eta3 + eta2 ^ x3 = -d eta1
         x3 ^ eta1 + eta3 ^ x1 = 3 eta0 ^ eta3 - d eta2 + m e4 ^ eta3
         x1 ^ eta2 + eta1 ^ x2 = -3 eta0 ^ eta2 - m e4 ^ eta2 - d eta3
+
+    Every wedge comes from one stacked call of the exterior kernel.
     """
-    r0, r1, r2, r3 = y.reshape(4, 4)
-    # L(r): the 6x4 matrix of x -> x ^ r
-    L1, L2, L3 = (_wedge11(np.eye(4), r).T for r in (r1, r2, r3))
-    Z = np.zeros((6, 4))
-    A = np.block([[Z, L3, -L2], [-L3, Z, L1], [L2, -L1, Z]])
-    b = np.concatenate([
-        -_D1 @ r1,
-        3.0 * _wedge11(r0, r3) - _D1 @ r2 + m * _wedge11(_E4, r3),
-        -3.0 * _wedge11(r0, r2) - m * _wedge11(_E4, r2) - _D1 @ r3,
-    ])
-    return A, b
+    rows = np.concatenate((y, _UNITS)).reshape(8, 4)
+    w = exterior.wedge_coefficients(rows[_LEFT], rows[_RIGHT], exterior.WEDGE_1_1)
+    A = np.zeros(216)
+    A[_A_FLAT] = _A_SIGN * w.reshape(-1)[_A_SOURCE]
+    d = rows[1:4] @ exterior.D_1.T
+    # d and e4 ^ . never meet in one monomial, so the order of the sums is free
+    b = np.concatenate((-d[0], (3.0 * _B_SIGNS * w[12:14] - d[1:] + m * _B_SIGNS * w[14:]).reshape(-1)))
+    return A.reshape(18, 12), b
+
+
+def _general_rates(y: np.ndarray, m: int):
+    """Flow right-hand side, with the system it solved."""
+    A, b = _general_system(y, m)
+    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return np.concatenate((2.0 * y[4:8], x)), A, b
 
 
 def general_rhs(y: np.ndarray, m: int):
     """Flow right-hand side and the least-squares consistency residual."""
-    A, b = _general_system(y, m)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ x - b))
-    ydot = np.empty(16)
-    ydot[0:4] = 2.0 * y[4:8]
-    ydot[4:16] = x
-    return ydot, residual
+    ydot, A, b = _general_rates(y, m)
+    return ydot, float(np.linalg.norm(A @ ydot[4:] - b))
 
 
 def evolve_general(
@@ -438,7 +451,7 @@ def evolve_general(
         return None
 
     times, ys, stopped = rk4_path(
-        lambda t, y: general_rhs(y, m)[0], y0, float(t_span[0]), float(t_span[1]), step,
+        lambda t, y: _general_rates(y, m)[0], y0, float(t_span[0]), float(t_span[1]), step,
         every=record_every, exits=exits,
     )
     states, consistency = [], []
@@ -452,7 +465,7 @@ def evolve_general(
     return FlowResult(
         times=times,
         states=states,
-        residuals=np.array([residual_hypo(s) for s in states]),
+        residuals=residual_hypo_batch(ys.reshape(-1, 4, 4), m),
         drift={},
         consistency=np.array(consistency),
         boundary_time=float(times[-1]) if stopped else None,
@@ -512,7 +525,7 @@ def evolve_case_ii(
     return FlowResult(
         times=times,
         states=states,
-        residuals=np.array([residual_hypo(st.to_id_structure()) for st in states]),
+        residuals=residual_hypo_batch([st.to_id_structure().matrix for st in states], state0.m),
         drift={"A": np.array([abs(st.A - A0) / drift_scale for st in states])},
         boundary_time=float(times[-1]) if stopped else None,
         stopped_reason=stopped,
@@ -630,7 +643,7 @@ def evolve_case_iii(
     return FlowResult(
         times=times,
         states=states,
-        residuals=np.array([residual_hypo(st.to_id_structure(m)) for st in states]),
+        residuals=residual_hypo_batch([st.to_id_structure(m).matrix for st in states], m),
         drift={
             "lambda": np.array([abs(st.lam - lam0) for st in states]),
             "mu": np.array([abs(st.mu - mu0) if st.v != 0 else float("nan") for st in states]),

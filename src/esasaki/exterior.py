@@ -10,6 +10,18 @@ The exterior derivative is fixed by the structure equations
 extended to products by the graded Leibniz rule.  Coefficients may be
 exact (``int`` / ``fractions.Fraction``) or floating point; every
 operation preserves exactness when all operands are exact.
+
+The same algebra is also kept as index tables over the group directions
+e1..e4, derived once from the Leibniz table and the monomial merge
+rule: ``WEDGE_1_1`` and ``WEDGE_1_2`` for the wedge of a one-form with a
+one-form or a two-form, applied by :func:`wedge_coefficients`, and the
+d-matrices ``D_1`` and ``D_2`` on one- and two-forms (float, with exact
+entries 0 and +-1; ``D.astype(int)`` keeps object arrays exact).  They
+act on coefficient arrays in the lexicographic monomial order
+(``GROUP_KEYS``), batched over any leading axes; the wedge tables work
+in any dtype (object arrays of ``Fraction`` stay exact).  The float paths of :mod:`esasaki.evolution`
+(the general-flow rate system) and :mod:`esasaki.structures`
+(``residual_hypo``) use these tables and build no ``InvariantForm``.
 """
 
 from __future__ import annotations
@@ -20,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "DT_INDEX",
@@ -293,3 +307,61 @@ def d_invariant(a: InvariantForm) -> InvariantForm:
             else:
                 entries[merged] = total
     return InvariantForm(a.degree + 1, entries)
+
+
+# ---------------------------------------------------------------------------
+# index tables over the group directions e1..e4
+
+GROUP_KEYS = {degree: tuple(combinations(_INDICES[:4], degree)) for degree in range(5)}
+
+
+def _wedge_table(degree: int) -> tuple:
+    """Index arrays of the wedge of a one-form with a ``degree``-form, one
+    (left, right) pair per term: term n of output monomial k is
+    x[left[k]] * y[right[k]] with the sign (-1)^n.
+
+    The terms of a monomial are listed by increasing one-form index, the
+    order in which :func:`wedge` accumulates them; the n-th smallest
+    index passes n others, which is the alternating sign.
+    """
+    out = {key: n for n, key in enumerate(GROUP_KEYS[degree + 1])}
+    terms = [[] for _ in out]
+    for a, left in enumerate(GROUP_KEYS[1]):
+        for b, right in enumerate(GROUP_KEYS[degree]):
+            merged, sign = _merge_indices(left, right)
+            if merged is not None:
+                assert sign == (-1) ** len(terms[out[merged]])
+                terms[out[merged]].append((a, b))
+    table = np.array(terms)
+    return tuple((table[:, n, 0].copy(), table[:, n, 1].copy()) for n in range(degree + 1))
+
+
+def _d_matrix(degree: int) -> np.ndarray:
+    """Matrix of d from ``degree``-forms to ``degree + 1``-forms.
+
+    Float, so that float coefficients meet no integer cast in ``@``."""
+    rows = {key: n for n, key in enumerate(GROUP_KEYS[degree + 1])}
+    matrix = np.zeros((len(rows), len(GROUP_KEYS[degree])))
+    for col, key in enumerate(GROUP_KEYS[degree]):
+        for merged, sign in _D_MONOMIAL[key]:
+            matrix[rows[merged], col] += sign
+    return matrix
+
+
+WEDGE_1_1 = _wedge_table(1)
+WEDGE_1_2 = _wedge_table(2)
+D_1 = _d_matrix(1)
+D_2 = _d_matrix(2)
+
+
+def wedge_coefficients(x, y, table: tuple) -> np.ndarray:
+    """Coefficients of x ^ y for a one-form x and the form y that
+    ``table`` (``WEDGE_1_1`` or ``WEDGE_1_2``) expects, both held in the
+    last axis; the leading axes broadcast.  d of a coefficient array y
+    is ``y @ D.T``."""
+    (left, right), *rest = table
+    out = x[..., left] * y[..., right]
+    for n, (left, right) in enumerate(rest, 1):
+        term = x[..., left] * y[..., right]
+        out = out - term if n % 2 else out + term
+    return out

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from esasaki.exterior import DT, E4, InvariantForm, d_invariant, wedge
+from esasaki.exterior import D_1, D_2, DT, E4, WEDGE_1_1, WEDGE_1_2, InvariantForm, d_invariant, wedge
+from esasaki.exterior import wedge_coefficients
 
 __all__ = [
     "IdStructure",
@@ -37,6 +38,7 @@ __all__ = [
     "DegenerateCoframeError",
     "NotASolutionError",
     "residual_hypo",
+    "residual_hypo_batch",
     "assemble_su2_forms",
     "assemble_su2_rates",
     "residual_es",
@@ -130,10 +132,19 @@ class IdStructure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IdStructure":
+        """Inverse of :meth:`to_json_dict`; malformed data is a ValueError."""
         def dec(c):
-            return Fraction(c) if isinstance(c, str) else c
-        rows = tuple(tuple(dec(c) for c in row) for row in data["eta"])
-        return cls(rows, int(data.get("m", 0)))
+            if isinstance(c, str):
+                return Fraction(c)
+            if not isinstance(c, (int, float)) or not math.isfinite(c):
+                raise ValueError(f"coefficient {c!r} is not a finite number")
+            return c
+        try:
+            rows = tuple(tuple(dec(c) for c in row) for row in data["eta"])
+            m = int(data.get("m", 0))
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed coframe data: {exc}") from None
+        return cls(rows, m)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -143,17 +154,30 @@ class IdStructure:
         return cls.from_json_dict(json.loads(text))
 
 
+def residual_hypo_batch(etas, m: int) -> np.ndarray:
+    """Norms of the three structure-equation residuals of each coframe
+    in an (N, 4, 4) stack with weight m, as an (N, 3) array.
+
+    Works on the float coefficient arrays with the index tables of
+    :mod:`esasaki.exterior`; exact coframes are converted to float.
+    """
+    eta = np.asarray(etas, dtype=float)
+    # eta23, eta31, eta12
+    two = wedge_coefficients(eta[:, [2, 3, 1]], eta[:, [3, 1, 2]], WEDGE_1_1)
+    # eta0 ^ eta12, eta0 ^ eta31, e4 ^ eta12, e4 ^ eta31
+    left = eta[:, [0, 0, 0, 0]]
+    left[:, 2:] = (0.0, 0.0, 0.0, 1.0)
+    three = wedge_coefficients(left, two[:, [2, 1, 2, 1]], WEDGE_1_2)
+    d_two = two[:, 1:] @ D_2.T
+    r1 = eta[:, 0] @ D_1.T + 2.0 * two[:, 0]
+    r2 = d_two[:, 0] - 3.0 * three[:, 0] - m * three[:, 2]
+    r3 = d_two[:, 1] + 3.0 * three[:, 1] + m * three[:, 3]
+    return np.sqrt(np.stack([(r * r).sum(axis=-1) for r in (r1, r2, r3)], axis=-1))
+
+
 def residual_hypo(structure: IdStructure) -> tuple:
     """Norms of the three structure-equation residuals of a coframe."""
-    eta0, eta1, eta2, eta3 = structure.one_forms()
-    m = structure.m
-    eta23 = wedge(eta2, eta3)
-    eta31 = wedge(eta3, eta1)
-    eta12 = wedge(eta1, eta2)
-    r1 = d_invariant(eta0) + 2 * eta23
-    r2 = d_invariant(eta31) - 3 * wedge(eta0, eta12) - m * wedge(E4, eta12)
-    r3 = d_invariant(eta12) + 3 * wedge(eta0, eta31) + m * wedge(E4, eta31)
-    return (r1.norm(), r2.norm(), r3.norm())
+    return tuple(float(r) for r in residual_hypo_batch(structure.matrix[None], structure.m)[0])
 
 
 @dataclass(frozen=True)
@@ -375,8 +399,8 @@ def normal_form(structure: IdStructure, tol: float = 1e-9):
     work = structure.apply_so3(so3).apply_u1(u1_angle)
     w = work.matrix
 
-    eta31 = wedge(_row_form(w[3]), _row_form(w[1]))
-    closed = d_invariant(eta31).norm() <= 10 * tol * max(1.0, eta31.norm())
+    eta31 = wedge_coefficients(w[3], w[1], WEDGE_1_1)
+    closed = np.linalg.norm(eta31 @ D_2.T) <= 10 * tol * max(1.0, np.linalg.norm(eta31))
 
     eta1_sign = 1
     if closed:

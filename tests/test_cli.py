@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from esasaki import geometry
 from esasaki.cli import main
@@ -280,11 +281,17 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "i", "--t0", "1", "--t1", "0"],
         ["evolve", "--case", "general", "--input", "{eta}", "--t0", "0", "--t1", "0"],
         ["evolve", "--case", "general", "--input", "{eta}", "--t0", "0.1", "--t1", "0"],
+        ["evolve", "--case", "i", "--record-every", "0"],
+        ["evolve", "--case", "ii", "--a0", "0.1"],
+        ["evolve", "--case", "iii", "--h0", "0.4"],
+        ["evolve", "--case", "i", "--k", "1/0"],
+        ["evolve", "--case", "ii", "--h0", "1e308", "--a0", "0.3"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
         "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
+        "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -298,6 +305,83 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "flow.csv").exists()
     assert not list(tmp_path.glob("curvature.*"))
+
+
+# number-like flag values: valid, boundary, non-finite and malformed
+_NUMBERS = st.sampled_from(
+    ["0.3", "0.2", "0.45", "1", "0", "-0.1", "1e-3", "-9/2197", "2/7", "1/0", "nan", "inf", "-inf", "1e308", "abc", ""]
+)
+_COFRAMES = {
+    "case-ii": CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure().to_json_dict(),
+    "exact": {"eta": [["24/245", "-64/245", "192/1225", "-8/75"], ["3/196", "-2/49", "6/245", "2/5"],
+                      ["880/2597", "-6/12985", "-552/2597", "0"], ["2256/12985", "600/2597", "718/2597", "0"]],
+              "m": 0},
+    "identity": {"eta": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
+    "short-row": {"eta": [[1, 0], [0, 1], [0, 0], [0, 0]], "m": 0},
+    "no-eta": {"m": 0},
+    "list": [1, 2, 3],
+    "null-entry": {"eta": [[None, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    "bad-m": {"eta": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": "x"},
+    "nan-entry": {"eta": [[math.nan, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
+    "zero-denominator": {"eta": [["1/0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
+}
+
+
+@st.composite
+def _evolve_argv(draw):
+    argv = ["evolve", "--case", draw(st.sampled_from(["i", "ii", "iii", "general"]))]
+    for flag in ("--k", "--h0", "--a0", "--A", "--C", "--b0", "--c0"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_NUMBERS)}")
+    if draw(st.booleans()):
+        argv += ["--m", draw(st.sampled_from(["0", "1", "3", "-2", "x"]))]
+    # spans of at most a few steps keep every example fast
+    t0 = draw(st.sampled_from([0.0, 0.1, -0.05]))
+    argv += ["--t0", repr(t0), "--t1", repr(t0 + draw(st.sampled_from([0.05, 0.02, 0.0, -0.02])))]
+    argv += ["--step", draw(st.sampled_from(["0.01", "0.025", "0", "-1e-3", "nan"]))]
+    if draw(st.booleans()):
+        argv += ["--record-every", draw(st.sampled_from(["1", "3", "0", "-1"]))]
+    if draw(st.booleans()):
+        argv += ["--input", f"{{{draw(st.sampled_from(sorted(_COFRAMES) + ['missing']))}}}"]
+    if draw(st.booleans()):
+        argv += ["--arith", "rational"]
+    return argv
+
+
+_NORMAL_FORM_ARGV = st.builds(
+    lambda name, arith: ["normal-form", "--input", f"{{{name}}}"] + arith,
+    st.sampled_from(sorted(_COFRAMES) + ["missing", "garbage"]),
+    st.sampled_from([[], ["--arith", "rational"]]),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(_evolve_argv(), _NORMAL_FORM_ARGV))
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, argv):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {name: tmp / f"{name}.json" for name in _COFRAMES}
+    for name, data in _COFRAMES.items():
+        paths[name].write_text(json.dumps(data))
+    paths["missing"] = tmp / "missing.json"
+    paths["garbage"] = tmp / "garbage.json"
+    paths["garbage"].write_text("{not json")
+    argv = [a.format(**paths) for a in argv]
+    try:
+        code = run(argv + ["--out", tmp / "out"])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["short-row", "no-eta", "list", "null-entry", "bad-m", "nan-entry", "zero-denominator"])
+def test_malformed_coframe_files_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(_COFRAMES[name]))
+    for argv in (["normal-form", "--input", path], ["evolve", "--case", "general", "--input", path]):
+        assert run(argv + ["--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_nan_residual_fails(tmp_path, capsys, monkeypatch):

@@ -3,20 +3,27 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from esasaki.exterior import (
+    D_1,
+    D_2,
     DT,
     DT_INDEX,
     E1,
     E2,
     E3,
     E4,
+    GROUP_KEYS,
+    WEDGE_1_1,
+    WEDGE_1_2,
     InvariantForm,
     basis_one_form,
     d_invariant,
     monomial,
     wedge,
+    wedge_coefficients,
 )
 
 
@@ -130,6 +137,33 @@ def test_graded_antisymmetry(a, b):
         return
     sign = (-1) ** (a.degree * b.degree)
     assert wedge(a, b) == sign * wedge(b, a)
+
+
+# ---------------------------------------------------------------------------
+# index tables over e1..e4
+
+exact_numbers = st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+def group_form(degree, coefficients):
+    return InvariantForm(degree, dict(zip(GROUP_KEYS[degree], coefficients)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(exact_numbers, min_size=4, max_size=4), min_size=2, max_size=2),
+    st.lists(exact_numbers, min_size=6, max_size=6),
+)
+def test_tables_equal_the_exact_algebra(ones, two):
+    (x, y), z = np.array(ones, dtype=object), np.array(two, dtype=object)
+    fx, fy, fz = group_form(1, ones[0]), group_form(1, ones[1]), group_form(2, two)
+    assert group_form(2, wedge_coefficients(x, y, WEDGE_1_1)) == wedge(fx, fy)
+    assert group_form(3, wedge_coefficients(x, z, WEDGE_1_2)) == wedge(fx, fz)
+    assert group_form(2, x @ D_1.T.astype(int)) == d_invariant(fx)
+    assert group_form(3, z @ D_2.T.astype(int)) == d_invariant(fz)
+    # leading axes broadcast: a stack of one-forms against one two-form
+    stacked = wedge_coefficients(np.array(ones, dtype=object), z, WEDGE_1_2)
+    assert [group_form(3, row) for row in stacked] == [wedge(fx, fz), wedge(fy, fz)]
 
 
 def test_associativity():

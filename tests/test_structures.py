@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from esasaki.exterior import DT, E1, E2, E3, E4, d_invariant, monomial, wedge
+from esasaki.exterior import DT, E1, E2, E3, E4, InvariantForm, d_invariant, monomial, wedge
 from esasaki.structures import (
     DegenerateCoframeError,
     FamilyTag,
@@ -15,6 +16,7 @@ from esasaki.structures import (
     normal_form,
     residual_es,
     residual_hypo,
+    residual_hypo_batch,
 )
 from esasaki.evolution import CaseIIState, closed_form_case_i
 
@@ -46,6 +48,32 @@ def case_i_rates(k, m, t):
 # ---------------------------------------------------------------------------
 # residual_hypo
 
+
+
+def exact_algebra_residuals(eta, m):
+    """The three residual norms written out in the exact algebra."""
+    e0, e1, e2, e3 = (InvariantForm(1, {(j + 1,): c for j, c in enumerate(row) if c != 0}) for row in eta)
+    e23, e31, e12 = wedge(e2, e3), wedge(e3, e1), wedge(e1, e2)
+    return (
+        (d_invariant(e0) + 2 * e23).norm(),
+        (d_invariant(e31) - 3 * wedge(e0, e12) - m * wedge(E4, e12)).norm(),
+        (d_invariant(e12) + 3 * wedge(e0, e31) + m * wedge(E4, e31)).norm(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.floats(-4, 4), min_size=16, max_size=16), min_size=1, max_size=6),
+    st.integers(0, 3),
+)
+def test_batched_residual_matches_exact_algebra(rows, m):
+    etas = np.array(rows).reshape(-1, 4, 4)
+    batch = residual_hypo_batch(etas, m)
+    assert batch.shape == (len(etas), 3)
+    for row, eta in zip(batch, etas):
+        for value, reference in zip(row, exact_algebra_residuals(eta, m)):
+            assert abs(value - reference) <= 4 * math.ulp(reference)
+        assert tuple(row) == residual_hypo(IdStructure(eta, m))
 
 def test_homogeneous_structure_solves():
     assert max(residual_hypo(homogeneous_structure())) < 1e-14

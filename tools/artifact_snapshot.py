@@ -1,0 +1,83 @@
+"""Run the README commands and the benchmark's CLI jobs; keep every artifact.
+
+    python3 tools/artifact_snapshot.py --out DIR [--src SRC]
+
+Each command runs in-process through ``esasaki.cli.main`` with the
+package imported from SRC (default: ``src/`` of this checkout), in its
+own directory under DIR, next to a ``run.txt`` holding its argv, exit
+code, stdout and stderr.  The commands are the README examples (with an
+``eta.json`` holding a conformal-family coframe), the seed-1 ``flows``
+jobs and the exact ``normal-form`` jobs of the seed-1 ``classify``
+round, as ``perfbench/run.py --list-jobs`` prints them.  Two snapshots
+compare with ``diff -r``; to compare a change against another checkout:
+
+    python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
+    python3 tools/artifact_snapshot.py --out /tmp/b
+    diff -r /tmp/a /tmp/b
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+README = [
+    "enumerate --bound 31",
+    "evolve --case ii --h0 0.3 --A=-9/2197 --C 6",
+    "evolve --case i --k 1 --m 0",
+    "evolve --case general --input {eta}",
+    "verify --A=-9/2197 --C 6 --points 10",
+    "extend-check --A=-9/2197 --C 6 --m 0 --arith rational",
+    "extend-check --case-iii --h0 0.4 --k0 0.3 --c0 0.1 --a0 0.2",
+    "normal-form --input {eta}",
+]
+
+
+def benchmark_jobs(workload: str, kinds: tuple) -> list:
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", "1", "--list-jobs"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    rows = (line.split("\t", 1) for line in out.splitlines() if "\t" in line)
+    return [label for kind, label in rows if kind in kinds]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="snapshot directory (created)")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the esasaki package")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from esasaki import cli, evolution
+
+    out = Path(args.out)
+    out.mkdir(parents=True)
+    eta = out / "eta.json"
+    eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+
+    commands = [("readme", c.format(eta=eta)) for c in README]
+    commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
+    commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",))]
+    for n, (group, command) in enumerate(commands):
+        workdir = out / f"{group}-{n:02d}"
+        workdir.mkdir()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(shlex.split(command) + ["--out", str(workdir)])
+        # printed paths name the snapshot directory; keep them relative
+        text = f"{command}\nexit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
+        (workdir / "run.txt").write_text(text.replace(str(out), "DIR"))
+    print(f"{len(commands)} commands -> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
