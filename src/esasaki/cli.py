@@ -320,9 +320,8 @@ def cmd_extend_check(args) -> int:
 
     if verdict.family is not None:
         try:
-            diagram = moduli.build_diagram(verdict.family)
-            payload["diagram"] = diagram.to_json_dict()
-            _write_json(out / "diagram.json", diagram.to_json_dict())
+            payload["diagram"] = moduli.build_diagram(verdict.family).to_json_dict()
+            _write_json(out / "diagram.json", payload["diagram"])
         except ValueError as exc:
             payload["diagram_error"] = str(exc)
             failures.append(f"diagram: {exc}")

@@ -19,13 +19,18 @@ bounded rational reconstruction.  Exact and float roots of the cubic
 come from one bisection: the exact path halves until a single rational
 of admissible denominator fits the bracket, snaps to it and checks it
 by substitution, in O(log b) halvings for A = a/b.
+
+Group diagrams run on integers: every generator (1/2, q/sigma mod 1) of
+K lies in (1/N)Z^2/Z^2 with N = lcm(2, sigma_-, sigma_+), so K is built
+as a subgroup of (Z/N)^2 and its elements become ``Fraction`` pairs only
+once, when the diagram is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, lcm
 from typing import Optional
 
 __all__ = [
@@ -337,10 +342,6 @@ def enumerate_rational_families(denominator_bound: int, m: int = 0) -> list:
 # group diagrams
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 @dataclass(frozen=True)
 class GroupDiagram:
     """The data K in {H-, H+} in SU(2) x U(1), phases as exact rationals."""
@@ -367,31 +368,14 @@ class GroupDiagram:
         }
 
 
-def _subgroup_closure(generators) -> set:
-    elements = {(Fraction(0), Fraction(0))}
-    frontier = list(elements)
-    while frontier:
-        base = frontier.pop()
-        for g in generators:
-            new = (_mod1(base[0] + g[0]), _mod1(base[1] + g[1]))
-            if new not in elements:
-                elements.add(new)
-                frontier.append(new)
-    return elements
-
-
-def _circle_order(elements, P: int, Q: int) -> int:
-    """Order of the intersection of a finite subgroup of the torus with
-    the circle of integer slope (P, Q)."""
-    count = 0
-    for x, y in elements:
-        if (Q * x - P * y).denominator == 1:
-            count += 1
-    return count
-
-
 def build_diagram(family: YpqFamily) -> GroupDiagram:
     """Construct and validate the canonical group diagram of a family.
+
+    K is the subgroup of (Z/N)^2, N = lcm(2, sigma at each end), spanned
+    by (N/2, qN/sigma mod N) for each end; the pair (a, b) stands for the
+    phases (a/N, b/N).  It is listed in full, so the cost grows with |K|.
+    An element lies on the circle of slope (P, Q) = ((qm+sigma)/2, q)
+    when Q a - P b = 0 mod N, and on SU(2) x {1} when b = 0.
 
     Raises ``ValueError`` naming the failed condition when the integer
     data violates parity or coprimality, or when the computed stabilizer
@@ -413,14 +397,25 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
         if end.q == 0:
             raise ValueError(f"{name} end: q must be nonzero")
 
-    generators = tuple(
-        (Fraction(1, 2), _mod1(Fraction(end.q, end.sigma))) for _, end in ends
-    )
-    elements = _subgroup_closure(generators)
+    # every generator (1/2, q/sigma mod 1) lies in (1/N)Z^2/Z^2, so K is
+    # the subgroup of (Z/N)^2 spanned by the pairs (N/2, qN/sigma mod N)
+    N = lcm(2, *(end.sigma for _, end in ends))
+    generators = [(N // 2, end.q * (N // end.sigma) % N) for _, end in ends]
+    elements = {(0, 0)}
+    for a, b in generators:
+        # adjoin g = (a, b) coset by coset: K + <g> is the union of the
+        # j g + K for 0 <= j < t, with t the first multiple of g in K
+        coset, x, y = [], a, b
+        while (x, y) not in elements:
+            coset.append((x, y))
+            x, y = (x + a) % N, (y + b) % N
+        elements |= {((u + x) % N, (v + y) % N) for u, v in elements for x, y in coset}
 
     orders = {}
     for name, end in ends:
-        got = _circle_order(elements, end.p // 2, end.q)
+        # (a, b)/N lies on the circle of slope (P, Q) iff Q a - P b = 0 mod N
+        P, Q = end.p // 2, end.q
+        got = sum((Q * a - P * b) % N == 0 for a, b in elements)
         orders[name] = got
         if got != end.sigma:
             raise ValueError(
@@ -429,9 +424,9 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
 
     if family.branch == ROUND_SPHERE_BRANCH:
         # the three-dimensional end absorbs SU(2): K must miss it
-        for x, y in elements:
-            if y == 0 and x != 0:
-                raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
+        # (every element has a = 0 or a = N/2)
+        if (N // 2, 0) in elements:
+            raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
         h_minus = {"type": "su2_times_K"}
         pi1 = 1
         simply = True
@@ -453,8 +448,9 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
         "sigma": family.plus.sigma,
     }
     return GroupDiagram(
-        k_generators=generators,
-        k_elements=tuple(sorted(elements)),
+        k_generators=tuple((Fraction(a, N), Fraction(b, N)) for a, b in generators),
+        # pairs sharing the denominator N sort as their numerators do
+        k_elements=tuple((Fraction(a, N), Fraction(b, N)) for a, b in sorted(elements)),
         h_plus=h_plus,
         h_minus=h_minus,
         intersection_orders=orders,

@@ -165,6 +165,18 @@ def test_extend_check_ypq_branch_with_diagram(tmp_path):
     assert data["end_reports"]["upper"]["pass"]
 
 
+def test_extend_check_lists_a_large_group_K(tmp_path):
+    # S = 576/1729 at C = 6: K has about 10^4 elements, built on (Z/N)^2
+    code = run(["extend-check", "--A=-47610000/5168743489", "--C", "6", "--m", "0", "--arith", "rational",
+                "--out", tmp_path])
+    assert code == 0
+    family = json.loads((tmp_path / "verdict.json").read_text())["verdict"]["family"]
+    diagram = json.loads((tmp_path / "diagram.json").read_text())
+    assert diagram["K_order"] == len(diagram["K_elements"]) == 10366
+    assert diagram["intersection_orders"] == {"minus": family["minus"]["sigma"], "plus": family["plus"]["sigma"]}
+    assert (family["minus"]["sigma"], family["plus"]["sigma"]) == (146, 142)
+
+
 def test_extend_check_no_extension_exits_1(tmp_path, capsys):
     code = run(["extend-check", "--A=-1/108", "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path])
     assert code == 1
@@ -355,8 +367,54 @@ _NORMAL_FORM_ARGV = st.builds(
 )
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=st.one_of(_evolve_argv(), _NORMAL_FORM_ARGV))
+def _mixed(good: list, bad: list):
+    """A flag value, valid half of the time."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad))
+
+
+# conformal levels: Y^{p,q} families, A = 0, an A with irrational turning
+# values, the double root, A > 0 and malformed values.  C is a small
+# rational (denominator <= 50), so no example builds a large K.
+_LEVELS = _mixed(["-9/2197", "0", "-9/1372", "-25/9261", "-79/81143", "-0.004"],
+                 ["-1/108", "6/20027", "0.1", "nan", "inf", "1/0", "abc", ""])
+_SMALL_C = st.one_of(st.fractions(-3, 12, max_denominator=50).map(str), st.sampled_from(["0", "nan", "1/0", "x"]))
+_ARITH = st.sampled_from([[], ["--arith", "rational"]])
+
+
+def _flags(draw, values: dict) -> list:
+    """Each of ``values`` (flag -> strategy) drawn or left out."""
+    return [f"{flag}={draw(strategy)}" for flag, strategy in values.items() if draw(st.booleans())]
+
+
+@st.composite
+def _verify_argv(draw):
+    argv = ["verify", f"--A={draw(_LEVELS)}", f"--C={draw(_SMALL_C)}"]
+    argv += _flags(draw, {"--points": _mixed(["1", "2"], ["0", "-1", "x"]),
+                          "--fd-step": _mixed(["1e-3", "2e-4"], ["0", "-1e-3", "nan"]),
+                          "--tol": _mixed(["1e-4", "1e-12"], ["0", "inf"]),
+                          "--seed": _mixed(["0", "7"], ["-1"])})
+    return argv + draw(_ARITH)
+
+
+@st.composite
+def _extend_check_argv(draw):
+    if draw(st.booleans()):
+        argv = ["extend-check", f"--A={draw(_LEVELS)}", f"--C={draw(_SMALL_C)}"]
+        return argv + _flags(draw, {"--m": _mixed(["0", "1"], ["3", "-2", "x"])}) + draw(_ARITH)
+    # case iii integrates toward both ends: a coarse step keeps it short
+    argv = ["extend-check", "--case-iii", f"--step={draw(_mixed(['4e-3', '2e-3'], ['0', 'nan']))}"]
+    start = st.one_of(st.sampled_from(["0.4", "0.3", "0.2", "0.1", "0.05"]), _NUMBERS)
+    return argv + _flags(draw, {flag: start for flag in ("--h0", "--k0", "--b0", "--c0", "--a0")})
+
+
+@st.composite
+def _enumerate_argv(draw):
+    argv = ["enumerate", f"--bound={draw(_mixed(['2', '13', '31', '100'], ['1', '0', '-5', 'x']))}"]
+    return argv + _flags(draw, {"--m": _mixed(["0", "1", "3"], ["6", "-2", "x"])}) + draw(_ARITH)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(_evolve_argv(), _NORMAL_FORM_ARGV, _verify_argv(), _extend_check_argv(), _enumerate_argv()))
 def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, argv):
     tmp = tmp_path_factory.mktemp("fuzz")
     paths = {name: tmp / f"{name}.json" for name in _COFRAMES}

@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from esasaki.moduli import (
     A_MIN,
@@ -311,6 +311,85 @@ def test_pi1_order_two_example():
     assert gcd(abs(fam.plus.q), abs(fam.minus.q)) == 2
     assert diag.pi1_order == 2
     assert not diag.simply_connected
+
+
+def _fraction_diagram(family):
+    """Reference for build_diagram: the closure of K over pairs of phases
+    in [0, 1) as Fractions, with the same checks in the same order.
+    Returns (generators, sorted elements, intersection orders)."""
+    mod1 = lambda x: x - (x.numerator // x.denominator)
+    ends = [("plus", family.plus)]
+    if family.branch == YPQ_BRANCH:
+        if family.minus is None:
+            raise ValueError("two-root family requires orbit data at both ends")
+        ends.append(("minus", family.minus))
+    for name, end in ends:
+        if end.p % 2 != 0:
+            raise ValueError(f"{name} end: p = qm+sigma = {end.p} is odd")
+        if gcd(abs(end.q), abs(end.p) // 2) != 1:
+            raise ValueError(f"{name} end: q = {end.q} and (qm+sigma)/2 = {end.p // 2} are not coprime")
+        if end.q == 0:
+            raise ValueError(f"{name} end: q must be nonzero")
+    generators = [(F(1, 2), mod1(F(end.q, end.sigma))) for _, end in ends]
+    elements = {(F(0), F(0))}
+    frontier = list(elements)
+    while frontier:
+        x, y = frontier.pop()
+        for gx, gy in generators:
+            new = (mod1(x + gx), mod1(y + gy))
+            if new not in elements:
+                elements.add(new)
+                frontier.append(new)
+    orders = {}
+    for name, end in ends:
+        P, Q = end.p // 2, end.q
+        orders[name] = sum((Q * x - P * y).denominator == 1 for x, y in elements)
+        if orders[name] != end.sigma:
+            raise ValueError(
+                f"{name} end: stabilizer intersection has order {orders[name]}, expected {end.sigma}"
+            )
+    if family.branch == ROUND_SPHERE_BRANCH and any(y == 0 and x != 0 for x, y in elements):
+        raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
+    return generators, sorted(elements), orders
+
+
+@st.composite
+def _diagram_data(draw):
+    """Integer orbit data for one or two ends (None at the round end); an
+    even p = qm + sigma three times in four, m != 0 one time in three."""
+    m = draw(st.sampled_from([0, 0, 1, 2, 0, 0]))
+
+    def end():
+        q = draw(st.integers(-30, 30))
+        if draw(st.integers(0, 3)):
+            sigma_signed = 2 * draw(st.integers(-15, 15)) - q * m
+        else:
+            sigma_signed = draw(st.integers(-30, 30))
+        assume(sigma_signed != 0)
+        return EndData(delta=None, ratio=F(q, sigma_signed), q=q, sigma=abs(sigma_signed),
+                       sigma_signed=sigma_signed, p=q * m + sigma_signed)
+
+    minus = end() if draw(st.booleans()) else None
+    return YpqFamily(
+        A=F(-1, 200), C=F(1), m=m, delta_minus=None, delta_plus=None, minus=minus, plus=end(),
+        quasi_regular=True, simply_connected=True,
+        branch=ROUND_SPHERE_BRANCH if minus is None else YPQ_BRANCH,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagram_data())
+def test_build_diagram_matches_the_fraction_closure(fam):
+    try:
+        want = _fraction_diagram(fam)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_diagram(fam)
+        assert str(got.value) == str(exc)
+        return
+    diag = build_diagram(fam)
+    assert (list(diag.k_generators), list(diag.k_elements), diag.intersection_orders) == want
+    assert all(type(v) is F for pair in diag.k_generators + diag.k_elements for v in pair)
 
 
 # ---------------------------------------------------------------------------

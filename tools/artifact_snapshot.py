@@ -6,9 +6,11 @@ Each command runs in-process through ``esasaki.cli.main`` with the
 package imported from SRC (default: ``src/`` of this checkout), in its
 own directory under DIR, next to a ``run.txt`` holding its argv, exit
 code, stdout and stderr.  The commands are the README examples (with an
-``eta.json`` holding a conformal-family coframe), the seed-1 ``flows``
-jobs and the exact ``normal-form`` jobs of the seed-1 ``classify``
-round, as ``perfbench/run.py --list-jobs`` prints them.  Two snapshots
+``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
+group K has 10366 elements, the seed-1 ``flows`` jobs, the conformal
+``extend-check`` jobs of the seed-1 ``extension`` round and the exact
+``normal-form`` jobs of the seed-1 ``classify`` round, as
+``perfbench/run.py --list-jobs`` prints them.  Two snapshots
 compare with ``diff -r``; to compare a change against another checkout:
 
     python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
@@ -39,6 +41,9 @@ README = [
     "normal-form --input {eta}",
 ]
 
+# S = 576/1729 at C = 6: diagram.json lists |K| = 10366 elements
+LARGE_K = "extend-check --A=-47610000/5168743489 --C 6 --m 0 --arith rational"
+
 
 def benchmark_jobs(workload: str, kinds: tuple) -> list:
     out = subprocess.run(
@@ -63,8 +68,9 @@ def main(argv=None) -> int:
     eta = out / "eta.json"
     eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
 
-    commands = [("readme", c.format(eta=eta)) for c in README]
+    commands = [("readme", c.format(eta=eta)) for c in README] + [("large-k", LARGE_K)]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
+    commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round"))]
     commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",))]
     for n, (group, command) in enumerate(commands):
         workdir = out / f"{group}-{n:02d}"
