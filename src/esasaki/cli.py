@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -150,6 +151,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so the one without --config
+    # defaults is built once per process
+    return build_parser()
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,6 +167,21 @@ def _outdir(args) -> Path:
 def _write_json(path: Path, data) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
+
+
+def _write_reports_json(path: Path, meta: dict, reports: list) -> None:
+    """The bytes of :func:`_write_json` on {"meta": meta, "reports": [...]},
+    with one report's JSON dict in memory at a time."""
+
+    def dumps(obj, depth: int) -> str:
+        # encoded JSON has no raw newlines inside strings
+        return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
+
+    with open(path, "w") as fh:
+        fh.write('{\n "meta": ' + dumps(meta, 1) + ',\n "reports": [')
+        for k, rep in enumerate(reports):
+            fh.write(("," if k else "") + "\n  " + dumps(rep.to_json_dict(), 2))
+        fh.write("\n ]\n}")
 
 
 def _meta(args, **extra) -> dict:
@@ -258,17 +281,14 @@ def cmd_verify(args) -> int:
         y_lo, y_hi = chart.box[2]
         fd_step = min(1e-3, (y_hi - y_lo) / 400.0)
     points = geometry.sample_interior_points(chart, args.points, seed=args.seed)
-    reports = [geometry.ricci_fd(chart, p, fd_step=fd_step) for p in points]
+    reports = geometry.ricci_fd_many(chart, points, fd_step=fd_step)
 
     with open(out / "curvature.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "phi", "y", "beta", "psi", "einstein_residual", "sectional_spread"])
         for rep in reports:
             writer.writerow([repr(v) for v in rep.point] + [repr(rep.einstein_residual), repr(rep.sectional_spread)])
-    _write_json(
-        out / "curvature.json",
-        {"meta": _meta(args, A=a_float, C=C, fd_step=fd_step), "reports": [r.to_json_dict() for r in reports]},
-    )
+    _write_reports_json(out / "curvature.json", _meta(args, A=a_float, C=C, fd_step=fd_step), reports)
 
     # a NaN residual is the worst of all and fails the check
     worst = max(reports, key=lambda r: math.inf if math.isnan(r.einstein_residual) else r.einstein_residual)
@@ -386,7 +406,7 @@ def main(argv=None) -> int:
         if known.config:
             with open(known.config) as fh:
                 config = json.load(fh)
-        args = build_parser(config).parse_args(argv)
+        args = (build_parser(config) if config else _default_parser()).parse_args(argv)
         RunConfig.from_args(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, OverflowError) as exc:

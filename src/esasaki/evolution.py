@@ -242,25 +242,23 @@ class FlowResult:
         return np.array([s.matrix.reshape(-1) for s in self.id_structures()])
 
     def to_csv(self, path) -> None:
-        coeff = self.coefficient_rows()
         drift_names = sorted(self.drift)
         header = ["t"]
         header += [f"eta{i}_{j+1}" for i in range(4) for j in range(4)]
         header += ["res_go_1", "res_go_2", "res_go_3"]
+        columns = [self.times, self.coefficient_rows(), self.residuals]
         if self.consistency is not None:
             header += ["lsq_residual"]
+            columns.append(self.consistency)
         header += [f"drift_{name}" for name in drift_names]
+        columns += [self.drift[name] for name in drift_names]
+        # csv writes each Python float as its repr
+        n = len(self.times)
+        table = np.hstack([np.asarray(c, dtype=float).reshape(n, -1) for c in columns])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                row += [repr(float(x)) for x in coeff[i]]
-                row += [repr(float(x)) for x in self.residuals[i]]
-                if self.consistency is not None:
-                    row += [repr(float(self.consistency[i]))]
-                row += [repr(float(self.drift[name][i])) for name in drift_names]
-                writer.writerow(row)
+            writer.writerows(table.tolist())
 
     def to_json_dict(self) -> dict:
         data = {

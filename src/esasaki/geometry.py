@@ -19,10 +19,15 @@ stencils run in extended precision and the Einstein constant lambda = 4
 (the unit-sphere normalization, under which the A = 0 chart is the round
 five-sphere with Ric = 4 g) is resolved with margin to spare.
 
-A chart may declare cyclic coordinates, the ones its metric does not
-depend on (phi, beta and psi for the chart above).  Derivatives along a
-declared coordinate are taken as exactly zero and never stenciled, so a
-point of that chart costs 82 metric evaluations instead of 442.
+A chart's metric takes stacked coordinates, shape (..., 5), to stacked
+metrics, shape (..., 5, 5).  :func:`ricci_fd_many` evaluates it twice
+per batch of sample points: once at every point where a Christoffel
+symbol is needed (the sample points and their stencil points), once at
+all of their stencil points.  A chart may declare cyclic coordinates,
+the ones its metric does not depend on (phi, beta and psi for the chart
+above).  Derivatives along a declared coordinate are taken as exactly
+zero and never stenciled, so a sample point of that chart needs the
+metric at 9 x 9 = 81 stencil points instead of 21 x 21 = 441.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "flat_torus_chart",
     "christoffel_fd",
     "ricci_fd",
+    "ricci_fd_many",
     "case_ii_frame_metric_in_chart",
     "sample_interior_points",
 ]
@@ -98,29 +104,31 @@ def ypq_chart_metric(A: float, C: float, point: Sequence[float]) -> np.ndarray:
 
 def _chart_components(A, theta, y, dtype=float) -> np.ndarray:
     one = dtype(1.0)
-    A, theta, y = dtype(A), dtype(theta), dtype(y)
+    A, theta, y = dtype(A), np.asarray(theta, dtype=dtype), np.asarray(y, dtype=dtype)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     w = 2.0 * (108.0 * A + one - 3.0 * y * y + 2.0 * y**3) / (one - y)
-    g = np.zeros((5, 5), dtype=dtype)
-    g[0, 0] = (one - y) / 6.0
-    g[1, 1] = (one - y) / 6.0 * sin_t**2 + (w / 36.0) * cos_t**2 + (y - one) ** 2 * cos_t**2 / 9.0
-    g[2, 2] = one / w
-    g[3, 3] = w / 36.0 + y * y / 9.0
-    g[4, 4] = one / 9.0
-    g[1, 3] = g[3, 1] = (w / 36.0) * cos_t + y * (y - one) * cos_t / 9.0
-    g[1, 4] = g[4, 1] = (y - one) * cos_t / 9.0
-    g[3, 4] = g[4, 3] = y / 9.0
+    g = np.zeros(y.shape + (5, 5), dtype=dtype)
+    g[..., 0, 0] = (one - y) / 6.0
+    g[..., 1, 1] = (one - y) / 6.0 * sin_t**2 + (w / 36.0) * cos_t**2 + (y - one) ** 2 * cos_t**2 / 9.0
+    g[..., 2, 2] = one / w
+    g[..., 3, 3] = w / 36.0 + y * y / 9.0
+    g[..., 4, 4] = one / 9.0
+    g[..., 1, 3] = g[..., 3, 1] = (w / 36.0) * cos_t + y * (y - one) * cos_t / 9.0
+    g[..., 1, 4] = g[..., 4, 1] = (y - one) * cos_t / 9.0
+    g[..., 3, 4] = g[..., 4, 3] = y / 9.0
     return g
 
 
 @dataclass(frozen=True)
 class CoordinateChart:
-    """A metric chart: a point -> 5x5 matrix map plus its admissible box.
+    """A metric chart: a stacked point -> matrix map plus its admissible box.
 
-    ``box`` holds per-coordinate open intervals, or None for periodic /
-    unconstrained coordinates.  ``cyclic`` holds the indices of the
-    coordinates the metric does not depend on: the finite differences
-    take their derivatives as exactly zero instead of stenciling them.
+    ``metric(points, dtype=float)`` maps coordinates of shape (..., 5)
+    to metrics of shape (..., 5, 5).  ``box`` holds per-coordinate open
+    intervals, or None for periodic / unconstrained coordinates.
+    ``cyclic`` holds the indices of the coordinates the metric does not
+    depend on: the finite differences take their derivatives as exactly
+    zero instead of stenciling them.
     """
 
     name: str
@@ -154,9 +162,9 @@ def ypq_chart(A: float, C: float = 0.0) -> CoordinateChart:
             raise ChartDomainError(f"A={A} is outside (-1/108, 0]: no band between turning values")
         lo_delta, hi_delta = positive
 
-    def metric(point, dtype=float):
-        theta, phi, y, beta, psi = (dtype(p) for p in point)
-        return _chart_components(A, theta, y, dtype=dtype)
+    def metric(points, dtype=float):
+        x = np.asarray(points, dtype=dtype)
+        return _chart_components(A, x[..., 0], x[..., 2], dtype=dtype)
 
     return CoordinateChart(
         name="ypq",
@@ -172,8 +180,9 @@ def flat_torus_chart(radii: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0)) -> Coor
     """Diagnostic flat metric (constant diagonal); Ricci must vanish."""
     diag = [float(r) ** 2 for r in radii]
 
-    def metric(point, dtype=float):
-        return np.diag(np.array(diag, dtype=dtype))
+    def metric(points, dtype=float):
+        shape = np.shape(points)[:-1]
+        return np.broadcast_to(np.diag(np.array(diag, dtype=dtype)), shape + (5, 5)).copy()
 
     return CoordinateChart(
         name="flat_torus",
@@ -186,57 +195,76 @@ def flat_torus_chart(radii: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0)) -> Coor
 
 # ---------------------------------------------------------------------------
 # finite differences
+#
+# Every array below carries the sample (or stencil) points on its leading
+# axis, so each derivative level is one metric call on a stack of points.
 
 _STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h), fourth order
+_OFFSETS = np.array([offset for offset, _ in _STENCIL])
+
+# sample points per batch: the stencil arrays of a batch take about 0.1 MB
+# a point, so they stay near 3 MB however many points are asked for
+_BLOCK = 32
 
 
 def _metric_at(chart: CoordinateChart, x: np.ndarray, dtype) -> np.ndarray:
-    try:
-        return np.asarray(chart.metric(x, dtype=dtype), dtype=dtype)
-    except TypeError:
-        return np.asarray(chart.metric(x), dtype=dtype)
+    return np.asarray(chart.metric(x, dtype=dtype), dtype=dtype)
 
 
 def _inv(mat: np.ndarray) -> np.ndarray:
-    """Extended-precision inverse: double-precision seed plus one Newton
-    refinement step (LAPACK has no extended-precision path)."""
+    """Extended-precision inverse of each matrix of a stack: double-precision
+    seed plus Newton refinement (LAPACK has no extended-precision path)."""
     seed = np.linalg.inv(np.asarray(mat, dtype=float))
     x = np.asarray(seed, dtype=mat.dtype)
     for _ in range(2):
-        x = x @ (2.0 * np.eye(mat.shape[0], dtype=mat.dtype) - mat @ x)
+        x = x @ (2.0 * np.eye(mat.shape[-1], dtype=mat.dtype) - mat @ x)
     return x
-
-
-def _derivative(f: Callable, x: np.ndarray, k: int, h) -> np.ndarray:
-    """Fourth-order central difference of f along coordinate k."""
-    acc = 0.0
-    for offset, weight in _STENCIL:
-        xs = x.copy()
-        xs[k] = xs[k] + offset * h
-        acc = acc + weight * f(xs)
-    return acc / (12.0 * h)
 
 
 def _varying(chart: CoordinateChart, n: int) -> list:
     return [k for k in range(n) if k not in chart.cyclic]
 
 
-def christoffel_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float, dtype=_REAL) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij by fourth-order central differences."""
-    x = np.asarray(point, dtype=dtype)
-    return _christoffel(chart, x, _metric_at(chart, x, dtype), fd_step, dtype)
+def _stencil_points(x: np.ndarray, varying: list, h) -> np.ndarray:
+    """The points x + offset h e_k of rows x (M, n), shaped (len(varying), 4, M, n)."""
+    xs = np.tile(x, (len(varying), len(_STENCIL), 1, 1))
+    for v, k in enumerate(varying):
+        xs[v, :, :, k] = x[:, k] + (_OFFSETS * h)[:, None]
+    return xs
 
 
-def _christoffel(chart: CoordinateChart, x: np.ndarray, g: np.ndarray, fd_step: float, dtype) -> np.ndarray:
-    """:func:`christoffel_fd` at x, given the metric g there."""
-    n = len(x)
-    if abs(float(np.linalg.det(np.asarray(g, dtype=float)))) < 1e-300:
-        raise SingularMetricError(f"metric singular at {tuple(float(v) for v in x)}")
-    dg = np.zeros((n, n, n), dtype=dtype)  # dg[l, i, j] = d_l g_ij
-    for k in _varying(chart, n):
-        dg[k] = _derivative(lambda xs: _metric_at(chart, xs, dtype), x, k, dtype(fd_step))
+def _difference(fs: np.ndarray, h) -> np.ndarray:
+    """Fourth-order central differences from values fs (V, 4, M, ...) at
+    :func:`_stencil_points`, returned as (M, V, ...)."""
+    acc = 0.0
+    for j, (_, weight) in enumerate(_STENCIL):
+        acc = acc + weight * fs[:, j]
+    return np.moveaxis(acc / (12.0 * h), 0, 1)
+
+
+def christoffel_fd(chart: CoordinateChart, points, fd_step: float, dtype=_REAL) -> np.ndarray:
+    """Christoffel symbols Gamma^k_ij by fourth-order central differences,
+    shaped (..., n, n, n) for points of shape (..., n)."""
+    x = np.asarray(points, dtype=dtype)
+    rows = x.reshape(-1, x.shape[-1])
+    gamma = _christoffel(chart, rows, _metric_at(chart, rows, dtype), dtype(fd_step))
+    return gamma.reshape(x.shape + gamma.shape[-2:])
+
+
+def _christoffel(chart: CoordinateChart, x: np.ndarray, g: np.ndarray, h) -> np.ndarray:
+    """Gamma at the rows of x (M, n), given the metrics g (M, n, n) there."""
+    m, n = x.shape
+    dtype = g.dtype.type
+    singular = np.flatnonzero(np.abs(np.linalg.det(np.asarray(g, dtype=float))) < 1e-300)
+    if singular.size:
+        raise SingularMetricError(f"metric singular at {tuple(float(v) for v in x[singular[0]])}")
+    varying = _varying(chart, n)
+    stencil = _stencil_points(x, varying, h)
+    dg = np.zeros((m, n, n, n), dtype=dtype)  # dg[., l, i, j] = d_l g_ij
+    dg[:, varying] = _difference(_metric_at(chart, stencil, dtype), h)
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-    return 0.5 * np.einsum("kl,ijl->kij", _inv(g), dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("mkl,mijl->mkij", _inv(g), sym)
 
 
 @dataclass(frozen=True)
@@ -262,53 +290,78 @@ class CurvatureReport:
 
 
 def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e-3, dtype=_REAL) -> CurvatureReport:
-    """Ricci tensor by nested central differences, and the relative
-    Frobenius residual of Ric - lambda g with lambda = 4.
+    """:func:`ricci_fd_many` at one point."""
+    return ricci_fd_many(chart, [point], fd_step, dtype)[0]
 
-    The point must sit further than 2 fd_step from the box boundary so
-    that every stencil point is admissible.
+
+def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-3, dtype=_REAL) -> list:
+    """Ricci tensor by nested central differences at each point, and the
+    relative Frobenius residual of Ric - lambda g with lambda = 4.
+
+    Every point must sit further than 2 fd_step from the box boundary so
+    that every stencil point is admissible.  Points are handled in
+    batches of ``_BLOCK``; a point's report does not depend on the others.
     """
     if not fd_step > 0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
-    if not chart.contains(point, margin=2.0 * fd_step):
-        raise ChartDomainError(f"point {point} within 2 fd_step of the chart boundary")
-    x = np.asarray(point, dtype=dtype)
-    n = len(x)
+    for point in points:
+        if not chart.contains(point, margin=2.0 * fd_step):
+            raise ChartDomainError(f"point {point} within 2 fd_step of the chart boundary")
+    reports = []
+    for start in range(0, len(points), _BLOCK):
+        reports += _ricci_block(chart, points[start:start + _BLOCK], fd_step, dtype)
+    return reports
 
-    g = _metric_at(chart, x, dtype)
-    gamma0 = _christoffel(chart, x, g, fd_step, dtype)
-    dgamma = np.zeros((n, n, n, n), dtype=dtype)
-    for k in _varying(chart, n):
-        dgamma[k] = _derivative(lambda xs: christoffel_fd(chart, xs, fd_step, dtype), x, k, dtype(fd_step))
+
+def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype) -> list:
+    x = np.asarray(points, dtype=dtype)
+    N, n = x.shape
+    h = dtype(fd_step)
+    varying = _varying(chart, n)
+
+    # Christoffels at the points and at their stencil points, the metric
+    # of all of them in one call and of all their stencil points in another
+    centres = np.concatenate([x, _stencil_points(x, varying, h).reshape(-1, n)])
+    g_all = _metric_at(chart, centres, dtype)
+    gamma_all = _christoffel(chart, centres, g_all, h)
+    g, gamma0 = g_all[:N], gamma_all[:N]
+    dgamma = np.zeros((N, n, n, n, n), dtype=dtype)  # dgamma[., m, r, i, j] = d_m G^r_ij
+    dgamma[:, varying] = _difference(gamma_all[N:].reshape((len(varying), len(_STENCIL), N) + gamma0.shape[1:]), h)
 
     # Riemann R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l} G^l_{n s} - G^r_{n l} G^l_{m s}
     riemann = (
-        np.einsum("mrns->rsmn", dgamma)
-        - np.einsum("nrms->rsmn", dgamma)
-        + np.einsum("rml,lns->rsmn", gamma0, gamma0)
-        - np.einsum("rnl,lms->rsmn", gamma0, gamma0)
+        np.einsum("Pmrns->Prsmn", dgamma)
+        - np.einsum("Pnrms->Prsmn", dgamma)
+        + np.einsum("Prml,Plns->Prsmn", gamma0, gamma0)
+        - np.einsum("Prnl,Plms->Prsmn", gamma0, gamma0)
     )
-    ricci = np.einsum("rsrn->sn", riemann)
+    ricci = np.einsum("Prsrn->Psn", riemann)
 
-    target = dtype(EINSTEIN_CONSTANT) * g
-    residual = float(np.linalg.norm(np.asarray(ricci - target, dtype=float)) / np.linalg.norm(np.asarray(g, dtype=float)))
+    # the Frobenius norms of np.linalg.norm, one dot product a point
+    diff = np.asarray(ricci - dtype(EINSTEIN_CONSTANT) * g, dtype=float).reshape(N, -1)
+    gf = np.asarray(g, dtype=float).reshape(N, -1)
+    residuals = np.sqrt(np.vecdot(diff, diff)) / np.sqrt(np.vecdot(gf, gf))
 
-    riem_low = np.einsum("rl,lsmn->rsmn", g, riemann)
-    sectionals = []
-    for i, j in combinations(range(n), 2):
-        numer = riem_low[i, j, i, j]
-        denom = g[i, i] * g[j, j] - g[i, j] ** 2
-        sectionals.append(float(numer / denom))
-    spread = max(sectionals) - min(sectionals)
+    riem_low = np.einsum("Prl,Plsmn->Prsmn", g, riemann)
+    i, j = np.array(list(combinations(range(n), 2))).T
+    numer = riem_low[:, i, j, i, j]
+    denom = g[:, i, i] * g[:, j, j] - g[:, i, j] ** 2
+    sectionals = np.asarray(numer / denom, dtype=float)
+    spreads = sectionals.max(axis=1) - sectionals.min(axis=1)
 
-    return CurvatureReport(
-        point=tuple(float(p) for p in point),
-        ricci=np.asarray(ricci, dtype=float),
-        einstein_residual=residual,
-        sectional_spread=spread,
-        sectional_values=tuple(sectionals),
-        fd_step=float(fd_step),
-    )
+    return [
+        CurvatureReport(
+            point=tuple(float(p) for p in point),
+            ricci=ricci_k,
+            einstein_residual=residual,
+            sectional_spread=spread,
+            sectional_values=tuple(values),
+            fd_step=float(fd_step),
+        )
+        for point, ricci_k, residual, spread, values in zip(
+            points, np.asarray(ricci, dtype=float), residuals.tolist(), spreads.tolist(), sectionals.tolist()
+        )
+    ]
 
 
 def sample_interior_points(chart: CoordinateChart, count: int, seed: int = 0, margin: float = 0.1) -> list:

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from esasaki import geometry
+from esasaki import cli, geometry
 from esasaki.cli import main
 from esasaki.evolution import CaseIIState
 
@@ -443,12 +443,12 @@ def test_malformed_coframe_files_exit_2(tmp_path, capsys, name):
 
 
 def test_verify_nan_residual_fails(tmp_path, capsys, monkeypatch):
-    ricci_fd = geometry.ricci_fd
+    ricci_fd_many = geometry.ricci_fd_many
 
-    def nan_residual(chart, point, fd_step):
-        return dataclasses.replace(ricci_fd(chart, point, fd_step), einstein_residual=math.nan)
+    def nan_residual(chart, points, fd_step):
+        return [dataclasses.replace(rep, einstein_residual=math.nan) for rep in ricci_fd_many(chart, points, fd_step)]
 
-    monkeypatch.setattr(geometry, "ricci_fd", nan_residual)
+    monkeypatch.setattr(geometry, "ricci_fd_many", nan_residual)
     assert run(["verify", "--A", "0", "--points", "2", "--out", tmp_path]) == 1
     assert capsys.readouterr().err.startswith("FAIL: Einstein residual nan")
 
@@ -490,6 +490,28 @@ def test_config_file_defaults(tmp_path):
     config.write_text(json.dumps({"out": str(tmp_path / "cfg_out"), "bound": 13}))
     assert run(["--config", config, "enumerate"]) == 0
     assert (tmp_path / "cfg_out" / "families.csv").exists()
+
+
+def test_consecutive_runs_share_no_flags_or_defaults(tmp_path, capsys):
+    # the parser without --config is built once per process; no run may
+    # see another run's flags or a config file's defaults
+    assert cli._default_parser() is cli._default_parser()
+    assert run(["evolve", "--case", "i", "--t1", "0.1", "--step", "0.05", "--seed", "7", "--tol", "0.5",
+                "--out", tmp_path / "evolve"]) == 0
+    assert json.loads((tmp_path / "evolve" / "flow.json").read_text())["meta"]["seed"] == 7
+    assert run(["verify", "--A", "0", "--points", "1", "--out", tmp_path / "verify"]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "cfg_out"), "bound": 13, "seed": 5, "arith": "rational"}))
+    assert run(["--config", config, "enumerate"]) == 0
+    assert json.loads((tmp_path / "cfg_out" / "families.json").read_text())["meta"]["seed"] == 5
+    assert run(["verify", "--A", "0", "--points", "1", "--out", tmp_path / "default"]) == 0
+    for name in ("verify", "default"):
+        meta = json.loads((tmp_path / name / "curvature.json").read_text())["meta"]
+        assert (meta["seed"], meta["tol"], meta["step"], meta["arith"]) == (0, 1e-4, 1e-3, "float")
+    assert (tmp_path / "verify" / "curvature.json").read_bytes() == (tmp_path / "default" / "curvature.json").read_bytes()
+    capsys.readouterr()
+    assert run(["enumerate", "--out", tmp_path / "no_bound"]) == 2  # the config's bound is gone
+    assert "need --bound" in capsys.readouterr().err
 
 
 def test_rational_string_inputs(tmp_path):

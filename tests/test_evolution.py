@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 from itertools import combinations
@@ -361,3 +362,15 @@ def test_flow_result_serialization(tmp_path):
     data = json_mod.loads(json_path.read_text())
     assert len(data["times"]) == len(flow.times)
     assert len(data["coefficients"][0]) == 16
+
+
+def test_flow_csv_writes_every_value_as_its_float_repr(tmp_path):
+    flow = evolve_case_ii(CaseIIState(0.3, 0.11, 6.0, 0), (0, 0.2), 1e-3, record_every=20)
+    flow = dataclasses.replace(flow, consistency=np.linspace(0.0, 1e-13, len(flow.times)))
+    flow.to_csv(tmp_path / "flow.csv")
+    lines = (tmp_path / "flow.csv").read_text().splitlines()
+    assert lines[0].split(",")[-2:] == ["lsq_residual", "drift_A"]
+    coeff = flow.coefficient_rows()
+    for i, line in enumerate(lines[1:]):
+        values = [flow.times[i], *coeff[i], *flow.residuals[i], flow.consistency[i], flow.drift["A"][i]]
+        assert line == ",".join(repr(float(v)) for v in values)

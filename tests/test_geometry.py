@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from esasaki.evolution import CaseIIState
 from esasaki.geometry import (
+    _BLOCK,
     EINSTEIN_CONSTANT,
     ChartDomainError,
     case_ii_frame_metric_in_chart,
+    christoffel_fd,
     flat_torus_chart,
     metric_from_frame,
     ricci_fd,
+    ricci_fd_many,
     sample_interior_points,
     wq,
     ypq_chart,
@@ -203,19 +206,140 @@ def test_skipping_cyclic_stencils_matches_the_full_stencil(A):
 
 def test_metric_evaluations_per_point():
     chart = ypq_chart(A_EX, 6.0)
-    calls = []
+    rows = []
 
-    def counted(point, dtype=float):
-        calls.append(1)
-        return chart.metric(point, dtype=dtype)
+    def counted(points, dtype=float):
+        rows.append(np.prod(np.shape(points)[:-1], dtype=int))
+        return chart.metric(points, dtype=dtype)
 
     # one Christoffel stencil per stencil point and the centre, each of
     # one metric evaluation per stencil point and the centre
     point = (1.2, 0.5, 0.05, 0.3, 0.8)
     for cyclic, expected in (((1, 3, 4), 9 * 9), ((), 21 * 21)):
-        calls.clear()
-        ricci_fd(dataclasses.replace(chart, metric=counted, cyclic=cyclic), point)
-        assert len(calls) == expected
+        for npoints in (1, 3):
+            rows.clear()
+            ricci_fd_many(dataclasses.replace(chart, metric=counted, cyclic=cyclic), [point] * npoints)
+            assert sum(rows) == npoints * expected
+            assert len(rows) == 2  # the Christoffel centres, then their stencil points
+
+
+def test_chart_metrics_take_stacked_points():
+    rng = np.random.default_rng(4)
+    for chart in (ypq_chart(A_EX, 6.0), flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4))):
+        points = np.array(sample_interior_points(chart, 6, seed=2)).reshape(2, 3, 5)
+        for dtype in (float, np.longdouble):
+            stacked = chart.metric(points, dtype=dtype)
+            assert stacked.shape == (2, 3, 5, 5) and stacked.dtype == np.dtype(dtype)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(stacked[idx], chart.metric(points[idx], dtype=dtype))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    A=st.one_of(st.just(0.0), st.floats(min_value=-1 / 108, max_value=0.0, exclude_min=True)),
+    cyclic=st.booleans(),
+    seed=st.integers(0, 2**16),
+    count=st.integers(_BLOCK + 1, 2 * _BLOCK + 3),
+    repeats=st.lists(st.integers(0, _BLOCK), min_size=1, max_size=4),
+)
+def test_ricci_fd_many_equals_ricci_fd_bit_for_bit(A, cyclic, seed, count, repeats):
+    # batching and blocking change no bit of any report, duplicates and
+    # block boundaries included
+    chart = ypq_chart(A, 6.0)
+    if not cyclic:
+        chart = dataclasses.replace(chart, cyclic=())
+    lo, hi = chart.box[2]
+    fd_step = min(1e-3, (hi - lo) / 400.0)  # verify's default step
+    points = sample_interior_points(chart, count, seed=seed)
+    points += [points[r] for r in repeats]
+    many = ricci_fd_many(chart, points, fd_step)
+    assert len(many) == len(points)
+    for point, rep in zip(points, many):
+        one = ricci_fd(chart, point, fd_step)
+        assert rep.point == one.point
+        assert rep.ricci.tobytes() == one.ricci.tobytes()
+        assert repr(rep.einstein_residual) == repr(one.einstein_residual)
+        assert repr(rep.sectional_values) == repr(one.sectional_values)
+        assert repr(rep.sectional_spread) == repr(one.sectional_spread)
+
+
+def test_christoffel_fd_takes_stacked_points():
+    chart = ypq_chart(A_EX, 6.0)
+    points = np.array(sample_interior_points(chart, 6, seed=8)).reshape(3, 2, 5)
+    gamma = christoffel_fd(chart, points, 1e-3)
+    assert gamma.shape == (3, 2, 5, 5, 5)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(gamma[idx], christoffel_fd(chart, points[idx], 1e-3))
+    assert np.array_equal(gamma, gamma.swapaxes(-1, -2))  # Gamma^k_ij = Gamma^k_ji
+    assert not christoffel_fd(flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4)), points, 1e-3).any()
+
+
+def _pointwise_ricci(chart, point, h):
+    """Reference: one stencil point at a time, in the arithmetic order of
+    the batched code (longdouble, stencil sums from 0.0 in _STENCIL order)."""
+    L = np.longdouble
+    stencil = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+    varying = [k for k in range(5) if k not in chart.cyclic]
+
+    def derivative(f, x, k):
+        acc = 0.0
+        for offset, weight in stencil:
+            xs = x.copy()
+            xs[k] = xs[k] + offset * L(h)
+            acc = acc + weight * f(xs)
+        return acc / (12.0 * L(h))
+
+    def inv(g):
+        x = np.asarray(np.linalg.inv(np.asarray(g, dtype=float)), dtype=L)
+        for _ in range(2):
+            x = x @ (2.0 * np.eye(5, dtype=L) - g @ x)
+        return x
+
+    def christoffel(x):
+        dg = np.zeros((5, 5, 5), dtype=L)
+        for k in varying:
+            dg[k] = derivative(lambda xs: chart.metric(xs, dtype=L), x, k)
+        return 0.5 * np.einsum("kl,ijl->kij", inv(chart.metric(x, dtype=L)), dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+
+    x = np.asarray(point, dtype=L)
+    g, gamma = chart.metric(x, dtype=L), christoffel(x)
+    dgamma = np.zeros((5, 5, 5, 5), dtype=L)
+    for k in varying:
+        dgamma[k] = derivative(christoffel, x, k)
+    riemann = (
+        np.einsum("mrns->rsmn", dgamma) - np.einsum("nrms->rsmn", dgamma)
+        + np.einsum("rml,lns->rsmn", gamma, gamma) - np.einsum("rnl,lms->rsmn", gamma, gamma)
+    )
+    ricci = np.einsum("rsrn->sn", riemann)
+    diff, gf = np.asarray(ricci - L(EINSTEIN_CONSTANT) * g, dtype=float), np.asarray(g, dtype=float)
+    riem_low = np.einsum("rl,lsmn->rsmn", g, riemann)
+    sectionals = [float(riem_low[i, j, i, j] / (g[i, i] * g[j, j] - g[i, j] ** 2)) for i in range(5) for j in range(i + 1, 5)]
+    return np.asarray(ricci, dtype=float), float(np.linalg.norm(diff) / np.linalg.norm(gf)), sectionals
+
+
+@pytest.mark.parametrize("A, cyclic", [(0.0, True), (A_EX, True), (-0.008, False)])
+def test_ricci_fd_many_matches_the_pointwise_reference_bit_for_bit(A, cyclic):
+    chart = ypq_chart(A, 6.0)
+    if not cyclic:
+        chart = dataclasses.replace(chart, cyclic=())
+    points = sample_interior_points(chart, 3, seed=21)
+    for point, rep in zip(points, ricci_fd_many(chart, points, 1e-3)):
+        ricci, residual, sectionals = _pointwise_ricci(chart, point, 1e-3)
+        assert rep.ricci.tobytes() == ricci.tobytes()
+        assert repr(rep.einstein_residual) == repr(residual)
+        assert repr(rep.sectional_values) == repr(tuple(sectionals))
+        assert repr(rep.sectional_spread) == repr(max(sectionals) - min(sectionals))
+
+
+def test_ricci_fd_many_rejects_any_point_near_the_boundary():
+    chart = ypq_chart(0.0, 6.0)
+    inside = (1.3, 0.7, 0.1, 0.4, 0.9)
+    assert ricci_fd_many(chart, [], 1e-3) == []
+    with pytest.raises(ChartDomainError):
+        ricci_fd_many(chart, [inside] * 40 + [(1e-4, 0.5, 0.1, 0.3, 0.8)], 1e-3)
+    for step in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError):
+            ricci_fd_many(chart, [inside], step)
 
 
 def test_ricci_fd_near_boundary_error():
@@ -227,9 +351,12 @@ def test_ricci_fd_near_boundary_error():
 def test_singular_metric_at_stencil_point_errors():
     from esasaki.geometry import CoordinateChart, SingularMetricError
 
-    def metric(point, dtype=float):
-        x = float(point[0])
-        return np.diag(np.array([x, 1.0, 1.0, 1.0, 1.0], dtype=dtype))
+    def metric(points, dtype=float):
+        x = np.asarray(points, dtype=dtype)
+        g = np.zeros(x.shape + (5,), dtype=dtype)
+        g[...] = np.eye(5, dtype=dtype)
+        g[..., 0, 0] = x[..., 0]
+        return g
 
     chart = CoordinateChart("degenerate", ("x",) * 5, metric, (None,) * 5)
     with pytest.raises(SingularMetricError):

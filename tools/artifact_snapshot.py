@@ -7,10 +7,12 @@ package imported from SRC (default: ``src/`` of this checkout), in its
 own directory under DIR, next to a ``run.txt`` holding its argv, exit
 code, stdout and stderr.  The commands are the README examples (with an
 ``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
-group K has 10366 elements, the seed-1 ``flows`` jobs, the conformal
-``extend-check`` jobs of the seed-1 ``extension`` round and the exact
-``normal-form`` jobs of the seed-1 ``classify`` round, as
-``perfbench/run.py --list-jobs`` prints them.  Two snapshots
+group K has 10366 elements, a 500-point ``verify`` (eight batches of
+curvature stencils), the seed-1 ``flows`` jobs, the ``verify`` jobs of
+the seed-1 ``curvature`` round, the conformal ``extend-check`` jobs of
+the seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
+seed-1 ``classify`` round, as ``perfbench/run.py --list-jobs`` prints
+them.  Two snapshots
 compare with ``diff -r``; to compare a change against another checkout:
 
     python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
@@ -44,6 +46,8 @@ README = [
 # S = 576/1729 at C = 6: diagram.json lists |K| = 10366 elements
 LARGE_K = "extend-check --A=-47610000/5168743489 --C 6 --m 0 --arith rational"
 
+MANY_POINTS = "verify --A=-9/2197 --C 6 --points 500"
+
 
 def benchmark_jobs(workload: str, kinds: tuple) -> list:
     out = subprocess.run(
@@ -68,8 +72,9 @@ def main(argv=None) -> int:
     eta = out / "eta.json"
     eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
 
-    commands = [("readme", c.format(eta=eta)) for c in README] + [("large-k", LARGE_K)]
+    commands = [("readme", c.format(eta=eta)) for c in README] + [("large-k", LARGE_K), ("many-points", MANY_POINTS)]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
+    commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round"))]
     commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",))]
     for n, (group, command) in enumerate(commands):
