@@ -326,7 +326,7 @@ def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype
     gamma_all = _christoffel(chart, centres, g_all, h)
     g, gamma0 = g_all[:N], gamma_all[:N]
     dgamma = np.zeros((N, n, n, n, n), dtype=dtype)  # dgamma[., m, r, i, j] = d_m G^r_ij
-    dgamma[:, varying] = _difference(gamma_all[N:].reshape((len(varying), len(_STENCIL), N) + gamma0.shape[1:]), h)
+    dgamma[:, varying] = _difference(gamma_all[N:].reshape(len(varying), len(_STENCIL), N, n, n, n), h)
 
     # Riemann R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l} G^l_{n s} - G^r_{n l} G^l_{m s}
     riemann = (
