@@ -337,10 +337,10 @@ def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype
     )
     ricci = np.einsum("Prsrn->Psn", riemann)
 
-    # the Frobenius norms of np.linalg.norm, one dot product a point
-    diff = np.asarray(ricci - dtype(EINSTEIN_CONSTANT) * g, dtype=float).reshape(N, -1)
-    gf = np.asarray(g, dtype=float).reshape(N, -1)
-    residuals = np.sqrt(np.vecdot(diff, diff)) / np.sqrt(np.vecdot(gf, gf))
+    # the Frobenius norms point by point, one np.linalg.norm call each
+    diff = np.asarray(ricci - dtype(EINSTEIN_CONSTANT) * g, dtype=float)
+    gf = np.asarray(g, dtype=float)
+    residuals = [float(np.linalg.norm(d) / np.linalg.norm(q)) for d, q in zip(diff, gf)]
 
     riem_low = np.einsum("Prl,Plsmn->Prsmn", g, riemann)
     i, j = np.array(list(combinations(range(n), 2))).T
@@ -359,7 +359,7 @@ def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype
             fd_step=float(fd_step),
         )
         for point, ricci_k, residual, spread, values in zip(
-            points, np.asarray(ricci, dtype=float), residuals.tolist(), spreads.tolist(), sectionals.tolist()
+            points, np.asarray(ricci, dtype=float), residuals, spreads.tolist(), sectionals.tolist()
         )
     ]
 
