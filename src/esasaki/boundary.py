@@ -16,16 +16,18 @@ family have no series; there a profile maps a radius to a
 :class:`~esasaki.evolution.CaseIIIState`, limits at the origin are
 obtained by polynomial extrapolation over a geometric radius grid (r,
 r/2, r/4, ...), and parity is decided by a full-degree polynomial fit on
-a uniform radius grid, solved exactly over the rationals so that
-monomial inputs are resolved to machine accuracy; odd-order
-coefficients must vanish to tolerance for an even verdict.  Each end of
-a non-conformal flow is found by one march, and its profile states are
-short legs off that march.
+one fixed grid, the nodes j/9 (j = 1..9) of the fit window, sampled
+once for every ratio.  The fit is one product with the exact inverse of
+the Vandermonde matrix on those nodes, a constant built once from the
+Lagrange basis, so monomial inputs are resolved to machine accuracy;
+odd-order coefficients must vanish to tolerance for an even verdict.
+Each end of a non-conformal flow is found by one march, and its profile
+states are short legs off that march.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +54,20 @@ ROUND_BRANCH = "RoundSU2"
 CIRCLE_BRANCH = "CircleU1"
 REJECT = "Reject"
 
+# kw_extends: a coefficient larger than this in magnitude does not vanish
+KW_TOL = 0.0
+# the limit grid (GRID_R0, GRID_R0/2, ...) bottoms out at 1e-3
+GRID_R0 = 0.256
+GRID_LEVELS = 9
+# parity fits sample their window (0, rmax] at j rmax / FIT_NODES, j = 1..FIT_NODES
+FIT_NODES = 9
+# relative radius step of the central difference in _v_log_derivative
+LOG_DERIVATIVE_REL = 1e-3
+# check_circle_branch tolerances: origin values, series parity, turning identity
+CIRCLE_TOL_LIMIT = 1e-5
+CIRCLE_TOL_PARITY = 1e-4
+CIRCLE_TOL_IDENTITY = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # the equivariant extension criterion
@@ -74,7 +90,7 @@ class TaylorData:
         return len(self.coeffs) - 1
 
 
-def kw_extends(data: TaylorData, tol: float = 0.0):
+def kw_extends(data: TaylorData):
     """Smooth equivariant extendability of a radial profile.
 
     True exactly when sigma divides n and every coefficient c_k vanishes
@@ -91,7 +107,7 @@ def kw_extends(data: TaylorData, tol: float = 0.0):
         raise ValueError(f"need Taylor order >= |n/sigma| + 2 = {weight + 2}")
     must_vanish = list(range(weight)) + list(range(weight + 1, data.order + 1, 2))
     for k in sorted(must_vanish):
-        if abs(data.coeffs[k]) > tol:
+        if abs(data.coeffs[k]) > KW_TOL:
             return False, k
     return True, None
 
@@ -100,69 +116,58 @@ def kw_extends(data: TaylorData, tol: float = 0.0):
 # limit and parity machinery
 
 
-def geometric_radii(r0: float = 0.256, levels: int = 9) -> list:
-    """The grid (r0, r0/2, r0/4, ...); the default bottoms out at 1e-3."""
-    return [r0 * 0.5**i for i in range(levels)]
+def geometric_radii() -> list:
+    """The grid (GRID_R0, GRID_R0/2, GRID_R0/4, ...) of GRID_LEVELS radii."""
+    return [GRID_R0 * 0.5**i for i in range(GRID_LEVELS)]
 
 
-def richardson_limit(radii: Sequence[float], values: Sequence[float]):
-    """Polynomial extrapolation of samples on a shrinking grid to r = 0.
-
-    Returns (limit, error_estimate) by Neville's scheme; the estimate is
-    the change contributed by the deepest level.
-    """
+def richardson_limit(radii: Sequence[float], values: Sequence[float]) -> float:
+    """Polynomial extrapolation of samples on a shrinking grid to r = 0,
+    by Neville's scheme."""
     rs = [float(r) for r in radii]
     T = [float(v) for v in values]
     n = len(T)
-    prev = T[0]
     for k in range(1, n):
         for i in range(n - k):
             T[i] = (rs[i + k] * T[i] - rs[i] * T[i + 1]) / (rs[i + k] - rs[i])
-        if k == n - 2:
-            prev = T[0]
-    return T[0], abs(T[0] - prev)
+    return T[0]
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over exact rationals."""
-    n = len(rhs)
-    M = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if M[pivot][col] == 0:
-            raise ZeroDivisionError("singular fit system")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+@functools.cache
+def _vandermonde_inverse() -> tuple:
+    """The exact inverse of the Vandermonde matrix [s_i^j] on the nodes
+    s_i = i/FIT_NODES, i = 1..FIT_NODES, as rows: row j holds the s^j
+    coefficients of the nodes' Lagrange basis polynomials."""
+    nodes = [Fraction(i, FIT_NODES) for i in range(1, FIT_NODES + 1)]
+    basis = []
+    for i, s_i in enumerate(nodes):
+        poly = [Fraction(1)]  # coefficients in increasing degree
+        for s_m in nodes[:i] + nodes[i + 1:]:
+            # multiply by (s - s_m) / (s_i - s_m)
+            poly = [(shifted - s_m * kept) / (s_i - s_m) for shifted, kept in zip([0] + poly, poly + [0])]
+        basis.append(poly)
+    return tuple(zip(*basis))
 
 
-def parity_fit(profile: Callable, rmax: float, npts: int = 9):
-    """Full-degree polynomial fit of a one-sided profile on (0, rmax].
+def parity_fit(samples: Sequence[float]):
+    """Full-degree polynomial fit of a one-sided profile on (0, rmax],
+    from its samples at the radii j rmax / FIT_NODES, j = 1..FIT_NODES.
 
-    Returns (coeffs, even_defect, odd_defect) where coeffs are the
-    polynomial coefficients in the scaled variable s = r/rmax and the
-    defects are the largest even/odd coefficient magnitudes after
-    normalizing by the largest sample.  An even function has odd defect
-    at the level of the fit error; pure monomials r^j with j < npts are
-    resolved exactly up to rounding of the samples.
+    Returns (even_defect, odd_defect): the largest even/odd coefficient
+    magnitudes of the fit in the scaled variable s after normalizing by
+    the largest sample.  An even function has odd defect at the level of
+    the fit error; pure monomials r^j with j < FIT_NODES are resolved
+    exactly up to rounding of the samples.
     """
-    nodes = [Fraction(j, npts) for j in range(1, npts + 1)]
-    samples = [Fraction(float(profile(float(s) * rmax))) for s in nodes]
-    vmax = max(abs(float(v)) for v in samples)
+    values = [Fraction(float(v)) for v in samples]
+    vmax = max(abs(float(v)) for v in values)
     if vmax == 0.0:
-        zeros = tuple(0.0 for _ in range(npts))
-        return zeros, 0.0, 0.0
-    vander = [[s**j for j in range(npts)] for s in nodes]
-    coeffs = _solve_exact(vander, samples)
-    coeffs = tuple(float(c) for c in coeffs)
-    even_defect = max(abs(c) for j, c in enumerate(coeffs) if j % 2 == 0) / vmax
-    odd_defect = max(abs(c) for j, c in enumerate(coeffs) if j % 2 == 1) / vmax
-    return coeffs, even_defect, odd_defect
+        return 0.0, 0.0
+    rows = _vandermonde_inverse()
+    coeffs = [float(sum(w * v for w, v in zip(row, values, strict=True))) for row in rows]
+    even_defect = max(abs(c) for c in coeffs[0::2]) / vmax
+    odd_defect = max(abs(c) for c in coeffs[1::2]) / vmax
+    return even_defect, odd_defect
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +237,14 @@ class ExtensionReport:
             data["end_reports"] = {k: v.to_json_dict() for k, v in self.end_reports.items()}
         return data
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
 
 # ---------------------------------------------------------------------------
 # branch checks
 
 
-def _v_log_derivative(profile, r: float, rel: float = 1e-3) -> float:
+def _v_log_derivative(profile, r: float) -> float:
     """r (dV/dr)/V by a central difference at radius r."""
-    dr = rel * r
+    dr = LOG_DERIVATIVE_REL * r
     v0 = profile(r).V
     if v0 == 0:
         return math.nan
@@ -268,13 +269,12 @@ def check_round_branch(
     r (dV/dr)/V stays nonnegative (a smooth vanishing V forces this; the
     obstructed flows measure -3 here).
     """
-    radii = list(radii) if radii is not None else geometric_radii()
+    radii = sorted(radii if radii is not None else geometric_radii(), reverse=True)
     if len(radii) < 4:
         raise ValueError("need at least four radii for extrapolation")
-    radii = sorted(radii, reverse=True)
     states = [profile(r) for r in radii]
 
-    delta_limit, _ = richardson_limit(radii, [s.delta for s in states])
+    delta_limit = richardson_limit(radii, [s.delta for s in states])
     conditions = [_cond("delta_vanishes_at_origin", delta_limit, 0.0, tol_limit)]
     if not conditions[0].passed:
         return ExtensionReport(
@@ -287,23 +287,20 @@ def check_round_branch(
     # parity fits use a quarter of the limit grid: the unresolved tail of
     # an analytic profile decays geometrically with the grid radius
     rmax = radii[0] / 4.0
+    fit_radii = [j / FIT_NODES * rmax for j in range(1, FIT_NODES + 1)]
+    fit_states = [profile(r) for r in fit_radii]
     ratio_specs = [
         ("delta_over_r2", lambda s, r: s.delta / r**2, 0.25),
         ("h2c2_over_r2", lambda s, r: (s.h**2 + s.c**2) / r**2, 0.25),
         ("k2b2_over_r2", lambda s, r: (s.k**2 + s.b**2) / r**2, 0.25),
     ]
     for name, fn, target in ratio_specs:
-        series = [fn(s, r) for s, r in zip(states, radii)]
-        limit, _ = richardson_limit(radii, series)
+        limit = richardson_limit(radii, [fn(s, r) for s, r in zip(states, radii)])
         conditions.append(_cond(f"{name}_limit", limit, target, tol_limit))
-        _, _, odd = parity_fit(lambda r: fn(profile(r), r), rmax)
+        _, odd = parity_fit([fn(s, r) for s, r in zip(fit_states, fit_radii)])
         conditions.append(_cond(f"{name}_even", odd, 0.0, tol_parity))
 
-    def hbck_over_r4(r):
-        s = profile(r)
-        return (s.h * s.b + s.c * s.k) / r**4
-
-    _, _, odd4 = parity_fit(hbck_over_r4, rmax)
+    _, odd4 = parity_fit([(s.h * s.b + s.c * s.k) / r**4 for s, r in zip(fit_states, fit_radii)])
     conditions.append(_cond("hbck_over_r4_even", odd4, 0.0, tol_parity))
 
     if max(s.V for s in states) > 1e-12:
@@ -318,10 +315,6 @@ def check_circle_branch(
     sigma: int,
     C: float,
     m: int,
-    *,
-    tol_limit: float = 1e-5,
-    tol_parity: float = 1e-4,
-    tol_identity: float = 1e-6,
 ) -> ExtensionReport:
     """Extension test across a one-dimensional special orbit.
 
@@ -346,15 +339,17 @@ def check_circle_branch(
     odd = max(abs(c) for c in series[1::2]) / max(abs(delta0), 1e-12)
 
     conditions = [
-        _cond("delta_origin_value", delta0, q * (C + m) / (6.0 * pqc), tol_limit),
-        ConditionCheck("delta_origin_nonzero", float(delta0), 0.0, tol_limit, bool(abs(delta0) > tol_limit)),
-        ConditionCheck("delta_even", float(odd), 0.0, tol_parity, even),
-        _cond("curvature_matches_sigma", abs(1 - 6 * delta0), abs(sigma) / pqc, 10 * tol_limit),
-        _cond("delta_pp_fd_matches_identity", 2 * series[2], 1 - 6 * delta0, tol_identity),
+        _cond("delta_origin_value", delta0, q * (C + m) / (6.0 * pqc), CIRCLE_TOL_LIMIT),
+        ConditionCheck(
+            "delta_origin_nonzero", float(delta0), 0.0, CIRCLE_TOL_LIMIT, bool(abs(delta0) > CIRCLE_TOL_LIMIT)
+        ),
+        ConditionCheck("delta_even", float(odd), 0.0, CIRCLE_TOL_PARITY, even),
+        _cond("curvature_matches_sigma", abs(1 - 6 * delta0), abs(sigma) / pqc, 10 * CIRCLE_TOL_LIMIT),
+        _cond("delta_pp_fd_matches_identity", 2 * series[2], 1 - 6 * delta0, CIRCLE_TOL_IDENTITY),
     ]
     if p != 0:
-        conditions.append(_cond("hb_ck_vanishes", 0.0, 0.0, 10 * tol_limit))
-        conditions.append(_cond("h2c2_minus_b2k2_vanishes", 0.0, 0.0, 10 * tol_limit))
+        conditions.append(_cond("hb_ck_vanishes", 0.0, 0.0, 10 * CIRCLE_TOL_LIMIT))
+        conditions.append(_cond("h2c2_minus_b2k2_vanishes", 0.0, 0.0, 10 * CIRCLE_TOL_LIMIT))
 
     return ExtensionReport(branch=CIRCLE_BRANCH, conditions=conditions)
 

@@ -68,10 +68,8 @@ def finite_float(text) -> float:
     return value
 
 
-def _parse_number(text, arith: str = "float"):
-    if isinstance(text, (int, Fraction)):
-        return text
-    if isinstance(text, str) and ("/" in text or arith == "rational"):
+def _parse_number(text: str, arith: str = "float"):
+    if "/" in text or arith == "rational":
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -144,9 +142,16 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_norm.add_argument("--output", default=None)
 
     if config:
+        parsers = [parser, *sub.choices.values()]
         defaults = {k.replace("-", "_"): v for k, v in config.items()}
-        parser.set_defaults(**defaults)
-        for p in sub.choices.values():
+        for key, value in defaults.items():
+            switch = any(isinstance(p.get_default(key), bool) for p in parsers)
+            if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"--config: {key} takes {'true or false' if switch else 'a string or a number'}")
+            # argparse applies a flag's type to string defaults only: a
+            # number goes in as its text, as on the command line
+            defaults[key] = value if isinstance(value, (str, bool)) else str(value)
+        for p in parsers:
             p.set_defaults(**defaults)
     return parser
 
@@ -269,10 +274,7 @@ def cmd_verify(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     out = _outdir(args)
-    A = _parse_number(args.A, args.arith)
-    a_float = float(A)
-    if not (-1.0 / 108.0 < a_float <= 0.0):
-        raise ValueError(f"A={a_float} outside (-1/108, 0]")
+    a_float = float(_parse_number(args.A, args.arith))
     C = float(_parse_number(args.C, args.arith))
     chart = geometry.ypq_chart(a_float, C)
     fd_step = args.fd_step
@@ -406,6 +408,8 @@ def main(argv=None) -> int:
         if known.config:
             with open(known.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"--config file {known.config} must hold a JSON object")
         args = (build_parser(config) if config else _default_parser()).parse_args(argv)
         RunConfig.from_args(args)
         return _COMMANDS[args.command](args)

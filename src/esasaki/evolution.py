@@ -53,6 +53,14 @@ __all__ = [
 ]
 
 EPS_ROT = math.sqrt(6.0)
+# evolve_general's bound on initial residuals, relative to max(1, max |coefficient|)
+GENERAL_PRE_TOL = 1e-8
+# evolve_case_ii ends a flow once h falls to this
+CASE_II_H_FLOOR = 1e-6
+# the case_iii_exit bounds of evolve_case_iii
+CASE_III_A_FLOOR = 1e-7
+CASE_III_UV_FLOOR = 1e-6
+CASE_III_NORM_CAP = 1e7
 
 
 class ConstraintError(ValueError):
@@ -419,7 +427,6 @@ def evolve_general(
     step: float,
     *,
     record_every: int = 10,
-    pre_tol: float = 1e-8,
     abort_tol: float = 1e-6,
     det_threshold: float = 1e-9,
 ) -> FlowResult:
@@ -432,7 +439,7 @@ def evolve_general(
     """
     res0 = residual_hypo(eta0)
     scale = max(1.0, float(np.abs(eta0.matrix).max()))
-    if max(res0) > pre_tol * scale:
+    if max(res0) > GENERAL_PRE_TOL * scale:
         raise ConstraintError(
             f"initial data violates the structure equations: residuals {res0}"
         )
@@ -488,7 +495,6 @@ def evolve_case_ii(
     step: float,
     *,
     record_every: int = 10,
-    h_floor: float = 1e-6,
 ) -> FlowResult:
     """Integrate d(h^2)/dt = a, d(ah)/dt = h - 6 h^3.
 
@@ -507,7 +513,7 @@ def evolve_case_ii(
     drift_scale = max(abs(A0), 1e-30)
 
     def exits(q):
-        if not q[0] > h_floor**2:
+        if not q[0] > CASE_II_H_FLOOR**2:
             return "h_zero"
         if q[1] < 0.0:
             return "turning_point"
@@ -611,9 +617,6 @@ def evolve_case_iii(
     *,
     record_every: int = 10,
     m: int = 1,
-    a_floor: float = 1e-7,
-    uv_floor: float = 1e-6,
-    norm_cap: float = 1e7,
 ) -> FlowResult:
     """Integrate the five coupled equations of the non-conformal family.
 
@@ -634,7 +637,7 @@ def evolve_case_iii(
     y0 = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
     times, ys, stopped = rk4_path(
         case_iii_rhs, y0, t0, t1, step, every=record_every,
-        exits=lambda y: case_iii_exit(y, a_floor, uv_floor, norm_cap),
+        exits=lambda y: case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP),
     )
     states = [CaseIIIState(*[float(x) for x in y]) for y in ys]
 

@@ -135,9 +135,6 @@ class InvariantForm:
     def coefficient(self, key: Iterable[int]):
         return self.entries.get(tuple(key), 0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.entries.values())
-
     def is_exact(self) -> bool:
         return all(_is_exact(c) for c in self.entries.values())
 

@@ -33,7 +33,7 @@ metric at 9 x 9 = 81 stencil points instead of 21 x 21 = 441.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -62,6 +62,8 @@ __all__ = [
 EINSTEIN_CONSTANT = 4.0
 
 _REAL = np.longdouble
+# sample_interior_points keeps this share of each bounded interval free at both ends
+SAMPLE_MARGIN = 0.1
 
 
 class ChartDomainError(ValueError):
@@ -135,7 +137,6 @@ class CoordinateChart:
     coords: tuple
     metric: Callable
     box: tuple
-    params: dict = field(default_factory=dict)
     cyclic: tuple = ()
 
     def contains(self, point: Sequence[float], margin: float = 0.0) -> bool:
@@ -171,7 +172,6 @@ def ypq_chart(A: float, C: float = 0.0) -> CoordinateChart:
         coords=("theta", "phi", "y", "beta", "psi"),
         metric=metric,
         box=((0.0, math.pi), None, (1.0 - 6.0 * hi_delta, 1.0 - 6.0 * lo_delta), None, None),
-        params={"A": float(A), "C": float(C)},
         cyclic=(1, 3, 4),
     )
 
@@ -189,7 +189,6 @@ def flat_torus_chart(radii: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0)) -> Coor
         coords=("x1", "x2", "x3", "x4", "x5"),
         metric=metric,
         box=(None, None, None, None, None),
-        params={"radii": list(radii)},
     )
 
 
@@ -207,8 +206,8 @@ _OFFSETS = np.array([offset for offset, _ in _STENCIL])
 _BLOCK = 32
 
 
-def _metric_at(chart: CoordinateChart, x: np.ndarray, dtype) -> np.ndarray:
-    return np.asarray(chart.metric(x, dtype=dtype), dtype=dtype)
+def _metric_at(chart: CoordinateChart, x: np.ndarray) -> np.ndarray:
+    return np.asarray(chart.metric(x, dtype=_REAL), dtype=_REAL)
 
 
 def _inv(mat: np.ndarray) -> np.ndarray:
@@ -242,26 +241,25 @@ def _difference(fs: np.ndarray, h) -> np.ndarray:
     return np.moveaxis(acc / (12.0 * h), 0, 1)
 
 
-def christoffel_fd(chart: CoordinateChart, points, fd_step: float, dtype=_REAL) -> np.ndarray:
+def christoffel_fd(chart: CoordinateChart, points, fd_step: float) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij by fourth-order central differences,
     shaped (..., n, n, n) for points of shape (..., n)."""
-    x = np.asarray(points, dtype=dtype)
+    x = np.asarray(points, dtype=_REAL)
     rows = x.reshape(-1, x.shape[-1])
-    gamma = _christoffel(chart, rows, _metric_at(chart, rows, dtype), dtype(fd_step))
+    gamma = _christoffel(chart, rows, _metric_at(chart, rows), _REAL(fd_step))
     return gamma.reshape(x.shape + gamma.shape[-2:])
 
 
 def _christoffel(chart: CoordinateChart, x: np.ndarray, g: np.ndarray, h) -> np.ndarray:
     """Gamma at the rows of x (M, n), given the metrics g (M, n, n) there."""
     m, n = x.shape
-    dtype = g.dtype.type
     singular = np.flatnonzero(np.abs(np.linalg.det(np.asarray(g, dtype=float))) < 1e-300)
     if singular.size:
         raise SingularMetricError(f"metric singular at {tuple(float(v) for v in x[singular[0]])}")
     varying = _varying(chart, n)
     stencil = _stencil_points(x, varying, h)
-    dg = np.zeros((m, n, n, n), dtype=dtype)  # dg[., l, i, j] = d_l g_ij
-    dg[:, varying] = _difference(_metric_at(chart, stencil, dtype), h)
+    dg = np.zeros((m, n, n, n), dtype=_REAL)  # dg[., l, i, j] = d_l g_ij
+    dg[:, varying] = _difference(_metric_at(chart, stencil), h)
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
     sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     return 0.5 * np.einsum("mkl,mijl->mkij", _inv(g), sym)
@@ -289,12 +287,12 @@ class CurvatureReport:
         }
 
 
-def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e-3, dtype=_REAL) -> CurvatureReport:
+def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e-3) -> CurvatureReport:
     """:func:`ricci_fd_many` at one point."""
-    return ricci_fd_many(chart, [point], fd_step, dtype)[0]
+    return ricci_fd_many(chart, [point], fd_step)[0]
 
 
-def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-3, dtype=_REAL) -> list:
+def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-3) -> list:
     """Ricci tensor by nested central differences at each point, and the
     relative Frobenius residual of Ric - lambda g with lambda = 4.
 
@@ -309,23 +307,23 @@ def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-
             raise ChartDomainError(f"point {point} within 2 fd_step of the chart boundary")
     reports = []
     for start in range(0, len(points), _BLOCK):
-        reports += _ricci_block(chart, points[start:start + _BLOCK], fd_step, dtype)
+        reports += _ricci_block(chart, points[start:start + _BLOCK], fd_step)
     return reports
 
 
-def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype) -> list:
-    x = np.asarray(points, dtype=dtype)
+def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float) -> list:
+    x = np.asarray(points, dtype=_REAL)
     N, n = x.shape
-    h = dtype(fd_step)
+    h = _REAL(fd_step)
     varying = _varying(chart, n)
 
     # Christoffels at the points and at their stencil points, the metric
     # of all of them in one call and of all their stencil points in another
     centres = np.concatenate([x, _stencil_points(x, varying, h).reshape(-1, n)])
-    g_all = _metric_at(chart, centres, dtype)
+    g_all = _metric_at(chart, centres)
     gamma_all = _christoffel(chart, centres, g_all, h)
     g, gamma0 = g_all[:N], gamma_all[:N]
-    dgamma = np.zeros((N, n, n, n, n), dtype=dtype)  # dgamma[., m, r, i, j] = d_m G^r_ij
+    dgamma = np.zeros((N, n, n, n, n), dtype=_REAL)  # dgamma[., m, r, i, j] = d_m G^r_ij
     dgamma[:, varying] = _difference(gamma_all[N:].reshape(len(varying), len(_STENCIL), N, n, n, n), h)
 
     # Riemann R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l} G^l_{n s} - G^r_{n l} G^l_{m s}
@@ -338,7 +336,7 @@ def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype
     ricci = np.einsum("Prsrn->Psn", riemann)
 
     # the Frobenius norms point by point, one np.linalg.norm call each
-    diff = np.asarray(ricci - dtype(EINSTEIN_CONSTANT) * g, dtype=float)
+    diff = np.asarray(ricci - _REAL(EINSTEIN_CONSTANT) * g, dtype=float)
     gf = np.asarray(g, dtype=float)
     residuals = [float(np.linalg.norm(d) / np.linalg.norm(q)) for d, q in zip(diff, gf)]
 
@@ -364,9 +362,9 @@ def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float, dtype
     ]
 
 
-def sample_interior_points(chart: CoordinateChart, count: int, seed: int = 0, margin: float = 0.1) -> list:
+def sample_interior_points(chart: CoordinateChart, count: int, seed: int = 0) -> list:
     """Deterministic interior sample, shrinking each bounded interval by
-    the given relative margin."""
+    the relative margin SAMPLE_MARGIN."""
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
@@ -376,7 +374,7 @@ def sample_interior_points(chart: CoordinateChart, count: int, seed: int = 0, ma
                 coords.append(float(rng.uniform(0.0, 2.0 * math.pi)))
             else:
                 lo, hi = bounds
-                pad = margin * (hi - lo)
+                pad = SAMPLE_MARGIN * (hi - lo)
                 coords.append(float(rng.uniform(lo + pad, hi - pad)))
         points.append(tuple(coords))
     return points

@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 A_MIN = Fraction(-1, 108)
+# rational_reconstruct's relative tolerance, and the denominator bound of
+# the float ratios and C that classify_A reconstructs
+RECONSTRUCT_REL_TOL = 1e-13
+DENOMINATOR_BOUND = 10**6
 
 ROUND_SPHERE_BRANCH = "RoundSphereBranch"
 YPQ_BRANCH = "YpqBranch"
@@ -153,7 +157,7 @@ def ratio_from_root(delta, C, m: int):
     return (6 * delta / denom) / w
 
 
-def rational_reconstruct(x: float, max_den: int, rel_tol: float = 1e-13) -> Optional[Fraction]:
+def rational_reconstruct(x: float, max_den: int) -> Optional[Fraction]:
     """Best continued-fraction approximation with bounded denominator,
     or None when nothing within tolerance exists.
 
@@ -165,7 +169,7 @@ def rational_reconstruct(x: float, max_den: int, rel_tol: float = 1e-13) -> Opti
     if isinstance(x, Fraction):
         return x if x.denominator <= max_den else None
     frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) <= rel_tol * max(1.0, abs(x)):
+    if abs(float(frac) - x) <= RECONSTRUCT_REL_TOL * max(1.0, abs(x)):
         return frac
     return None
 
@@ -479,7 +483,7 @@ class ClassificationVerdict:
         }
 
 
-def classify_A(A, C, m: int, denominator_bound: int = 10**6) -> ClassificationVerdict:
+def classify_A(A, C, m: int) -> ClassificationVerdict:
     """Decide whether (A, C, m) admits a compact extension.
 
     Returns the branch (round sphere for A = 0, the two-root branch for
@@ -501,13 +505,13 @@ def classify_A(A, C, m: int, denominator_bound: int = 10**6) -> ClassificationVe
             return ClassificationVerdict(NO_COMPACT_EXTENSION, "C + m = 0 degenerates the coframe", roots)
         quarter = Fraction(1, 4) if exact else 0.25
         ratio = ratio_from_root(quarter, C if exact else float(C), m)
-        ratio_frac = rational_reconstruct(ratio, denominator_bound)
+        ratio_frac = rational_reconstruct(ratio, DENOMINATOR_BOUND)
         if ratio_frac is None:
             return ClassificationVerdict(
                 NO_COMPACT_EXTENSION, "irrational orbit ratio at the circle end", roots
             )
         try:
-            end_plus = integer_witness(ratio_frac, _as_fraction(C, denominator_bound), m, quarter)
+            end_plus = integer_witness(ratio_frac, _as_fraction(C), m, quarter)
         except ValueError as exc:
             return ClassificationVerdict(NO_COMPACT_EXTENSION, str(exc), roots)
         if gcd(abs(end_plus.q), end_plus.sigma) != 1:
@@ -526,7 +530,7 @@ def classify_A(A, C, m: int, denominator_bound: int = 10**6) -> ClassificationVe
             delta_plus=quarter,
             minus=None,
             plus=end_plus,
-            quasi_regular=_is_rational(C, denominator_bound),
+            quasi_regular=_as_fraction(C) is not None,
             simply_connected=True,
             branch=ROUND_SPHERE_BRANCH,
         )
@@ -561,11 +565,11 @@ def classify_A(A, C, m: int, denominator_bound: int = 10**6) -> ClassificationVe
     if w == 0:
         return ClassificationVerdict(NO_COMPACT_EXTENSION, "C + m = 0 degenerates the coframe", roots)
     ends = []
-    c_frac = _as_fraction(C, denominator_bound)
+    c_frac = _as_fraction(C)
     for delta in (d_minus, d_plus):
         c_arg = float(C) if isinstance(delta, float) else Fraction(C)
         ratio = ratio_from_root(delta, c_arg, m)
-        ratio_frac = rational_reconstruct(ratio, denominator_bound)
+        ratio_frac = rational_reconstruct(ratio, DENOMINATOR_BOUND)
         if ratio_frac is None or c_frac is None:
             return ClassificationVerdict(
                 NO_COMPACT_EXTENSION,
@@ -585,7 +589,7 @@ def classify_A(A, C, m: int, denominator_bound: int = 10**6) -> ClassificationVe
         delta_plus=d_plus,
         minus=ends[0],
         plus=ends[1],
-        quasi_regular=_is_rational(C, denominator_bound),
+        quasi_regular=_as_fraction(C) is not None,
         simply_connected=gcd(abs(ends[0].q), abs(ends[1].q)) == 1,
     )
     return ClassificationVerdict(
@@ -593,13 +597,9 @@ def classify_A(A, C, m: int, denominator_bound: int = 10**6) -> ClassificationVe
     )
 
 
-def _as_fraction(C, bound) -> Optional[Fraction]:
+def _as_fraction(C) -> Optional[Fraction]:
     if isinstance(C, Fraction):
         return C
     if isinstance(C, int):
         return Fraction(C)
-    return rational_reconstruct(float(C), bound)
-
-
-def _is_rational(C, bound) -> bool:
-    return _as_fraction(C, bound) is not None
+    return rational_reconstruct(float(C), DENOMINATOR_BOUND)

@@ -47,6 +47,8 @@ __all__ = [
 
 VARIANT_NOTHING = "GoGivingNothing"
 VARIANT_YPQ = "GoGivingYpq"
+# Su2StructureForms.validate: wedge products below this count as vanishing
+VALIDATE_TOL = 1e-9
 
 
 class DegenerateCoframeError(ValueError):
@@ -195,7 +197,7 @@ class Su2StructureForms:
     omega3: InvariantForm
     m: int = 0
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check the orthonormal-coframe compatibility conditions.
 
         alpha ^ omega1 ^ omega1 must be a volume form and the omegas must
@@ -203,7 +205,7 @@ class Su2StructureForms:
         """
         omegas = (self.omega1, self.omega2, self.omega3)
         vol = wedge(self.alpha, wedge(self.omega1, self.omega1))
-        if vol.norm() <= tol:
+        if vol.norm() <= VALIDATE_TOL:
             raise NotASolutionError("alpha ^ omega1^2 vanishes")
         diag = []
         for i in range(3):
@@ -211,11 +213,11 @@ class Su2StructureForms:
                 prod = wedge(self.alpha, wedge(omegas[i], omegas[j]))
                 if i == j:
                     diag.append(prod)
-                elif prod.norm() > tol * max(1.0, vol.norm()):
+                elif prod.norm() > VALIDATE_TOL * max(1.0, vol.norm()):
                     raise NotASolutionError(f"omega{i+1} ^ omega{j+1} does not vanish")
         ref = diag[0]
         for other in diag[1:]:
-            if not ref.allclose(other, tol * max(1.0, ref.norm())):
+            if not ref.allclose(other, VALIDATE_TOL * max(1.0, ref.norm())):
                 raise NotASolutionError("omega_i ^ omega_i volumes disagree")
 
 

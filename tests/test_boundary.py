@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esasaki.boundary import (
+    FIT_NODES,
     ConditionCheck,
     ExtensionReport,
     TaylorData,
@@ -36,6 +39,26 @@ def series_profile(series):
         return CaseIIIState(h, h, 0.0, 0.0, 0.0)  # a is not read
 
     return profile
+
+
+def counted(profile):
+    """``profile`` with a list of the radii it was called at."""
+    radii = []
+
+    def wrapped(r):
+        radii.append(r)
+        return profile(r)
+
+    return wrapped, radii
+
+
+def model_obstructed_end(r):
+    """Criterion 8's model of an obstructed end: Delta = r^2/4, U
+    matching, V = c r^-3, so r (dV/dr)/V = -3 exactly."""
+    v = 1e-4 * r**-3
+    u = math.sqrt(r * r / 4.0 + v * v)
+    # the simplest representative: h + k = 2U, h - k = 2V, b = c = 0
+    return CaseIIIState(u + v, u - v, 0.0, 0.0, 0.0)  # a is not read
 
 
 def monomial_taylor(j, order=10):
@@ -102,9 +125,48 @@ def test_kw_errors():
 # parity and limits
 
 
+def fit_samples(profile, rmax):
+    return [profile(j / FIT_NODES * rmax) for j in range(1, FIT_NODES + 1)]
+
+
+def solve_exact_reference(matrix, rhs):
+    """Gaussian elimination over exact rationals."""
+    n = len(rhs)
+    M = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(M[r][col]))
+        if M[pivot][col] == 0:
+            raise ZeroDivisionError("singular fit system")
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col]
+                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
+def parity_fit_reference(profile: Callable, rmax: float, npts: int = 9):
+    """The parity fit that solved its Vandermonde system anew on each
+    call; returns (coeffs, even_defect, odd_defect)."""
+    nodes = [Fraction(j, npts) for j in range(1, npts + 1)]
+    samples = [Fraction(float(profile(float(s) * rmax))) for s in nodes]
+    vmax = max(abs(float(v)) for v in samples)
+    if vmax == 0.0:
+        zeros = tuple(0.0 for _ in range(npts))
+        return zeros, 0.0, 0.0
+    vander = [[s**j for j in range(npts)] for s in nodes]
+    coeffs = solve_exact_reference(vander, samples)
+    coeffs = tuple(float(c) for c in coeffs)
+    even_defect = max(abs(c) for j, c in enumerate(coeffs) if j % 2 == 0) / vmax
+    odd_defect = max(abs(c) for j, c in enumerate(coeffs) if j % 2 == 1) / vmax
+    return coeffs, even_defect, odd_defect
+
+
 def test_parity_detector_resolves_monomials():
     for j in range(9):
-        _, even_defect, odd_defect = parity_fit(lambda r, j=j: r**j, 0.4)
+        even_defect, odd_defect = parity_fit(fit_samples(lambda r, j=j: r**j, 0.4))
         if j % 2 == 0:
             assert odd_defect <= 1e-9, j
             assert even_defect > 0.1
@@ -116,8 +178,35 @@ def test_parity_detector_resolves_monomials():
 def test_richardson_limit_on_smooth_even_function():
     radii = geometric_radii()
     values = [math.sin(r) ** 2 / r**2 for r in radii]
-    limit, err = richardson_limit(radii, values)
+    limit = richardson_limit(radii, values)
     assert limit == pytest.approx(1.0, abs=1e-12)
+
+
+# random analytic profiles, and with freq = 0 the monomials r^j, j < 9
+_COEFFS = st.one_of(
+    st.integers(0, 8).map(lambda j: [0.0] * j + [1.0]),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=14),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_COEFFS, rmax=st.floats(1e-3, 1.0), freq=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+def test_parity_fit_matches_reference(coeffs, rmax, freq):
+    def profile(r):
+        return sum(c * r**k for k, c in enumerate(coeffs)) * math.cos(freq * r)
+
+    assert parity_fit(fit_samples(profile, rmax)) == parity_fit_reference(profile, rmax)[1:]
+
+
+def test_round_branch_evaluates_profile_once_per_radius():
+    # nine limit radii and nine fit radii; the model's V adds the three
+    # points of one central difference
+    profile, radii = counted(round_end)
+    check_round_branch(profile)
+    assert len(radii) == 18
+    profile, radii = counted(model_obstructed_end)
+    check_round_branch(profile, tol_ratio=0.5)
+    assert len(radii) == 21
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +230,7 @@ def test_round_branch_inapplicable_away_from_zero():
 
 
 def test_round_branch_detects_minus_three_obstruction():
-    # model profile of an obstructed end: Delta = r^2/4, U matching,
-    # V = c r^-3, so r (dV/dr)/V = -3 exactly
-    def profile(r):
-        v = 1e-4 * r**-3
-        u = math.sqrt(r * r / 4.0 + v * v)
-        # the simplest representative: h + k = 2U, h - k = 2V, b = c = 0
-        return CaseIIIState(u + v, u - v, 0.0, 0.0, 0.0)  # a is not read
-
-    rep = check_round_branch(profile, tol_ratio=0.5)
+    rep = check_round_branch(model_obstructed_end, tol_ratio=0.5)
     cond = next(c for c in rep.conditions if c.name == "v_log_derivative_nonnegative")
     assert cond.measured == pytest.approx(-3.0, abs=1e-4)
     assert not cond.passed

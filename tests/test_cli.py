@@ -413,13 +413,39 @@ def _enumerate_argv(draw):
     return argv + _flags(draw, {"--m": _mixed(["0", "1", "3"], ["6", "-2", "x"])}) + draw(_ARITH)
 
 
+# --config files: flag defaults of every JSON type, and files that hold
+# no JSON object
+_CONFIGS = {
+    "config-ok": {"seed": 3, "tol": 1e-3, "bound": 13, "points": 1, "m": 0},
+    "config-strings": {"seed": "2", "step": "4e-3", "fd-step": "2e-4", "C": "1/2"},
+    "config-switch": {"case_iii": True, "step": 4e-3},
+    "config-no-switch": {"case-iii": False},
+    "config-points": {"points": 2.5},
+    "config-bound": {"bound": 3.5},
+    "config-seed": {"seed": 1.5},
+    "config-m": {"m": 0.5},
+    "config-tol": {"tol": [1]},
+    "config-inf": {"step": 1e400},
+    "config-null": {"out": None},
+    "config-bool": {"out": True},
+    "config-switch-number": {"case_iii": 1},
+    "config-list": [1, 2],
+    "config-string": "enumerate",
+}
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=st.one_of(_evolve_argv(), _NORMAL_FORM_ARGV, _verify_argv(), _extend_check_argv(), _enumerate_argv()))
-def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, argv):
+@given(
+    argv=st.one_of(_evolve_argv(), _NORMAL_FORM_ARGV, _verify_argv(), _extend_check_argv(), _enumerate_argv()),
+    config=st.one_of(st.none(), st.sampled_from(sorted(_CONFIGS))),
+)
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, argv, config):
     tmp = tmp_path_factory.mktemp("fuzz")
-    paths = {name: tmp / f"{name}.json" for name in _COFRAMES}
-    for name, data in _COFRAMES.items():
+    paths = {name: tmp / f"{name}.json" for name in (*_COFRAMES, *_CONFIGS)}
+    for name, data in (*_COFRAMES.items(), *_CONFIGS.items()):
         paths[name].write_text(json.dumps(data))
+    if config is not None:
+        argv = ["--config", f"{{{config}}}"] + argv
     paths["missing"] = tmp / "missing.json"
     paths["garbage"] = tmp / "garbage.json"
     paths["garbage"].write_text("{not json")
@@ -483,6 +509,35 @@ def test_normal_form_rejects_non_solution(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # config file and rational parsing
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("config-list", ["enumerate", "--bound", "3"]),
+        ("config-string", ["enumerate", "--bound", "3"]),
+        ("config-points", ["verify", "--A", "0"]),
+        ("config-bound", ["enumerate"]),
+        ("config-seed", ["enumerate", "--bound", "3"]),
+        ("config-m", ["enumerate", "--bound", "3"]),
+        ("config-tol", ["enumerate", "--bound", "3"]),
+        ("config-inf", ["enumerate", "--bound", "3"]),
+        ("config-null", ["enumerate", "--bound", "3"]),
+        ("config-bool", ["enumerate", "--bound", "3"]),
+        ("config-switch-number", ["extend-check"]),
+    ],
+)
+def test_malformed_config_files_exit_2(tmp_path, capsys, name, argv):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_CONFIGS[name]))
+    try:
+        code = run(["--config", path] + argv + ["--out", tmp_path])
+    except SystemExit as exc:  # a value the flag's type rejects is a usage error
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "families.csv").exists()
 
 
 def test_config_file_defaults(tmp_path):

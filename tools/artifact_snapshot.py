@@ -8,12 +8,13 @@ own directory under DIR, next to a ``run.txt`` holding its argv, exit
 code, stdout and stderr.  The commands are the README examples (with an
 ``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
 group K has 10366 elements, a 500-point ``verify`` (eight batches of
-curvature stencils), the seed-1 ``flows`` jobs, the ``verify`` jobs of
-the seed-1 ``curvature`` round, the conformal ``extend-check`` jobs of
-the seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
+curvature stencils), a five-parameter flow with a round-type end (its
+limits and parity fits), the seed-1 ``flows`` jobs, the ``verify`` jobs
+of the seed-1 ``curvature`` round, the ``extend-check`` jobs of the
+seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
 seed-1 ``classify`` round, as ``perfbench/run.py --list-jobs`` prints
-them.  Two snapshots
-compare with ``diff -r``; to compare a change against another checkout:
+them.  Two snapshots compare with ``diff -r``; to compare a change
+against another checkout:
 
     python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
     python3 tools/artifact_snapshot.py --out /tmp/b
@@ -48,6 +49,12 @@ LARGE_K = "extend-check --A=-47610000/5168743489 --C 6 --m 0 --arith rational"
 
 MANY_POINTS = "verify --A=-9/2197 --C 6 --points 500"
 
+# the lower end of this flow is round-type: check_round_branch decides it
+ROUND_TYPE_END = (
+    "extend-check --case-iii --step 2e-3 --h0 0.16888014917517297 --k0 0.407892864503532"
+    " --b0 0.12613615814277324 --c0 0.14661975665727922 --a0 0.46499963829121627"
+)
+
 
 def benchmark_jobs(workload: str, kinds: tuple) -> list:
     out = subprocess.run(
@@ -72,10 +79,11 @@ def main(argv=None) -> int:
     eta = out / "eta.json"
     eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
 
-    commands = [("readme", c.format(eta=eta)) for c in README] + [("large-k", LARGE_K), ("many-points", MANY_POINTS)]
+    commands = [("readme", c.format(eta=eta)) for c in README]
+    commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-type-end", ROUND_TYPE_END)]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
-    commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round"))]
+    commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
     commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",))]
     for n, (group, command) in enumerate(commands):
         workdir = out / f"{group}-{n:02d}"
