@@ -17,7 +17,7 @@ from esasaki.geometry import (
 )
 
 A = -9 / 2197
-chart = ypq_chart(A, C=6.0)
+chart = ypq_chart(A)
 print("admissible y-interval:", chart.box[2])
 print("wq at the endpoints:", wq(A, 1 - 6 / 13), wq(A, 1 - 18 / 13))
 
@@ -27,7 +27,7 @@ for point in sample_interior_points(chart, 5, seed=0):
     print(f"  y = {point[2]:+.3f}, theta = {point[0]:.3f}:  {report.einstein_residual:.3e}")
 
 # the level A = 0 is the round five-sphere: constant curvature 1
-sphere = ypq_chart(0.0, C=6.0)
+sphere = ypq_chart(0.0)
 report = ricci_fd(sphere, (1.3, 0.7, 0.1, 0.4, 0.9), fd_step=1e-3)
 print(f"\nA = 0 sectional curvatures: mean {np.mean(report.sectional_values):.9f}, "
       f"spread {report.sectional_spread:.2e}")
@@ -44,5 +44,5 @@ print(f"flat diagnostic |Ric| = {np.abs(flat.ricci).max():.2e}")
 
 # frame/chart consistency at one matched point
 push = case_ii_frame_metric_in_chart(A, 6.0, point)
-direct = ypq_chart_metric(A, 6.0, point)
+direct = ypq_chart_metric(A, point)
 print(f"\nframe metric vs chart metric, entrywise: {np.abs(push - direct).max():.2e}")

@@ -7,13 +7,14 @@ ray satisfies a divisibility-and-vanishing pattern
 round orbit, one-dimensional circle orbit) reduce to concrete parity and
 limit conditions on the flow profiles of the coframe coefficients.
 
-Circle ends of the conformal family are decided from the exact Taylor
-series of Delta at the turning value
-(:func:`esasaki.evolution.turning_series`): limits and the curvature
-identity are read off its coefficients and evenness goes through
-:func:`kw_extends`.  Round-type ends and the ends of the non-conformal
-family have no series; there a profile maps a radius to a
-:class:`~esasaki.evolution.CaseIIIState`, limits at the origin are
+Both ends of the conformal family are decided from exact Taylor series
+of Delta: a circle end from the series at its turning value
+(:func:`esasaki.evolution.turning_series`), the round end of A = 0 from
+that of Delta = sin(r)^2/4 (:func:`esasaki.evolution.round_series`).
+Limits and the curvature identity are read off the coefficients, and
+evenness goes through :func:`kw_extends`.  The ends of the
+non-conformal family have no series; there a profile maps a radius to
+a :class:`~esasaki.evolution.CaseIIIState`, limits at the origin are
 obtained by polynomial extrapolation over a geometric radius grid (r,
 r/2, r/4, ...), and parity is decided by a full-degree polynomial fit on
 one fixed grid, the nodes j/9 (j = 1..9) of the fit window, sampled
@@ -22,7 +23,7 @@ the Vandermonde matrix on those nodes, a constant built once from the
 Lagrange basis, so monomial inputs are resolved to machine accuracy;
 odd-order coefficients must vanish to tolerance for an even verdict.
 Each end of a non-conformal flow is found by one march, and its profile
-states are short legs off that march.
+states are short legs off that march, each integrated once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,9 +46,9 @@ __all__ = [
     "ConditionCheck",
     "ExtensionReport",
     "check_round_branch",
+    "check_round_series",
     "check_circle_branch",
     "reject_case_iii",
-    "geometric_radii",
 ]
 
 ROUND_BRANCH = "RoundSU2"
@@ -56,17 +57,19 @@ REJECT = "Reject"
 
 # kw_extends: a coefficient larger than this in magnitude does not vanish
 KW_TOL = 0.0
-# the limit grid (GRID_R0, GRID_R0/2, ...) bottoms out at 1e-3
-GRID_R0 = 0.256
-GRID_LEVELS = 9
 # parity fits sample their window (0, rmax] at j rmax / FIT_NODES, j = 1..FIT_NODES
 FIT_NODES = 9
 # relative radius step of the central difference in _v_log_derivative
 LOG_DERIVATIVE_REL = 1e-3
-# check_circle_branch tolerances: origin values, series parity, turning identity
-CIRCLE_TOL_LIMIT = 1e-5
-CIRCLE_TOL_PARITY = 1e-4
+# series check tolerances: origin values, parity, and the turning identity
+# of a circle end
+SERIES_TOL_LIMIT = 1e-5
+SERIES_TOL_PARITY = 1e-4
 CIRCLE_TOL_IDENTITY = 1e-6
+# check_round_branch tolerances at a round-type end of a non-conformal flow
+ROUND_TOL_LIMIT = 5e-2
+ROUND_TOL_PARITY = 5e-2
+ROUND_TOL_RATIO = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +117,6 @@ def kw_extends(data: TaylorData):
 
 # ---------------------------------------------------------------------------
 # limit and parity machinery
-
-
-def geometric_radii() -> list:
-    """The grid (GRID_R0, GRID_R0/2, GRID_R0/4, ...) of GRID_LEVELS radii."""
-    return [GRID_R0 * 0.5**i for i in range(GRID_LEVELS)]
 
 
 def richardson_limit(radii: Sequence[float], values: Sequence[float]) -> float:
@@ -251,31 +249,25 @@ def _v_log_derivative(profile, r: float) -> float:
     return r * (profile(r + dr).V - profile(r - dr).V) / (2.0 * dr) / v0
 
 
-def check_round_branch(
-    profile: Callable,
-    radii: Optional[Sequence[float]] = None,
-    *,
-    tol_limit: float = 2e-3,
-    tol_parity: float = 1e-4,
-    tol_ratio: float = 0.2,
-) -> ExtensionReport:
-    """Extension test across a three-dimensional special orbit.
+def check_round_branch(profile: Callable, radii: Sequence[float]) -> ExtensionReport:
+    """Extension test across a three-dimensional special orbit of a
+    non-conformal flow, from sampled profile states.
 
     ``profile`` maps a radius r > 0 to the :class:`CaseIIIState` at
-    distance r from the orbit; only its ``h, k, b, c`` are read.
+    distance r from the orbit; only its ``h, k, b, c`` are read.  Limits
+    extrapolate over ``radii`` and parity fits sample (0, max(radii)/4].
     Checks that Delta/r^2, (h^2+c^2)/r^2 and (k^2+b^2)/r^2 are even with
     common limit 1/4, that (hb+ck)/r^4 is even, and, when the profile has
     a nonvanishing V component, that the radial logarithmic derivative
     r (dV/dr)/V stays nonnegative (a smooth vanishing V forces this; the
-    obstructed flows measure -3 here).
+    obstructed flows measure -3 here).  The conformal round end has a
+    series and goes through :func:`check_round_series`.
     """
-    radii = sorted(radii if radii is not None else geometric_radii(), reverse=True)
-    if len(radii) < 4:
-        raise ValueError("need at least four radii for extrapolation")
+    radii = sorted(radii, reverse=True)
     states = [profile(r) for r in radii]
 
     delta_limit = richardson_limit(radii, [s.delta for s in states])
-    conditions = [_cond("delta_vanishes_at_origin", delta_limit, 0.0, tol_limit)]
+    conditions = [_cond("delta_vanishes_at_origin", delta_limit, 0.0, ROUND_TOL_LIMIT)]
     if not conditions[0].passed:
         return ExtensionReport(
             branch=ROUND_BRANCH,
@@ -296,16 +288,39 @@ def check_round_branch(
     ]
     for name, fn, target in ratio_specs:
         limit = richardson_limit(radii, [fn(s, r) for s, r in zip(states, radii)])
-        conditions.append(_cond(f"{name}_limit", limit, target, tol_limit))
+        conditions.append(_cond(f"{name}_limit", limit, target, ROUND_TOL_LIMIT))
         _, odd = parity_fit([fn(s, r) for s, r in zip(fit_states, fit_radii)])
-        conditions.append(_cond(f"{name}_even", odd, 0.0, tol_parity))
+        conditions.append(_cond(f"{name}_even", odd, 0.0, ROUND_TOL_PARITY))
 
     _, odd4 = parity_fit([(s.h * s.b + s.c * s.k) / r**4 for s, r in zip(fit_states, fit_radii)])
-    conditions.append(_cond("hbck_over_r4_even", odd4, 0.0, tol_parity))
+    conditions.append(_cond("hbck_over_r4_even", odd4, 0.0, ROUND_TOL_PARITY))
 
     if max(s.V for s in states) > 1e-12:
         q_small = _v_log_derivative(profile, radii[-1])
-        conditions.append(_cond_ge("v_log_derivative_nonnegative", q_small, 0.0, tol_ratio))
+        conditions.append(_cond_ge("v_log_derivative_nonnegative", q_small, 0.0, ROUND_TOL_RATIO))
+    return ExtensionReport(branch=ROUND_BRANCH, conditions=conditions)
+
+
+def check_round_series(series: Sequence) -> ExtensionReport:
+    """Extension test across the three-dimensional special orbit of the
+    conformal family, the round end of A = 0.
+
+    ``series`` holds the Taylor coefficients c_0..c_N of Delta in the
+    distance from the orbit (:func:`esasaki.evolution.round_series`).
+    The conditions are those of :func:`check_round_branch`: c_0 = 0,
+    the limit c_2 = 1/4 of Delta/r^2, and evenness of Delta/r^2, decided
+    by :func:`kw_extends` at weight 2.  On the conformal profile
+    (h, h, 0, 0) the ratios (h^2+c^2)/r^2 and (k^2+b^2)/r^2 equal
+    Delta/r^2 and hb + ck vanishes identically.
+    """
+    conditions = [_cond("delta_vanishes_at_origin", series[0], 0.0, SERIES_TOL_LIMIT)]
+    even, _ = kw_extends(TaylorData(series, 1, 2))
+    # the odd part of Delta/r^2 relative to its limit, r^-1 included
+    odd = max(abs(c) for c in series[1::2]) / max(abs(series[2]), 1e-12)
+    for name in ("delta_over_r2", "h2c2_over_r2", "k2b2_over_r2"):
+        conditions.append(_cond(f"{name}_limit", series[2], 0.25, SERIES_TOL_LIMIT))
+        conditions.append(ConditionCheck(f"{name}_even", float(odd), 0.0, SERIES_TOL_PARITY, even))
+    conditions.append(_cond("hbck_over_r4_even", 0.0, 0.0, SERIES_TOL_PARITY))
     return ExtensionReport(branch=ROUND_BRANCH, conditions=conditions)
 
 
@@ -339,17 +354,17 @@ def check_circle_branch(
     odd = max(abs(c) for c in series[1::2]) / max(abs(delta0), 1e-12)
 
     conditions = [
-        _cond("delta_origin_value", delta0, q * (C + m) / (6.0 * pqc), CIRCLE_TOL_LIMIT),
+        _cond("delta_origin_value", delta0, q * (C + m) / (6.0 * pqc), SERIES_TOL_LIMIT),
         ConditionCheck(
-            "delta_origin_nonzero", float(delta0), 0.0, CIRCLE_TOL_LIMIT, bool(abs(delta0) > CIRCLE_TOL_LIMIT)
+            "delta_origin_nonzero", float(delta0), 0.0, SERIES_TOL_LIMIT, bool(abs(delta0) > SERIES_TOL_LIMIT)
         ),
-        ConditionCheck("delta_even", float(odd), 0.0, CIRCLE_TOL_PARITY, even),
-        _cond("curvature_matches_sigma", abs(1 - 6 * delta0), abs(sigma) / pqc, 10 * CIRCLE_TOL_LIMIT),
+        ConditionCheck("delta_even", float(odd), 0.0, SERIES_TOL_PARITY, even),
+        _cond("curvature_matches_sigma", abs(1 - 6 * delta0), abs(sigma) / pqc, 10 * SERIES_TOL_LIMIT),
         _cond("delta_pp_fd_matches_identity", 2 * series[2], 1 - 6 * delta0, CIRCLE_TOL_IDENTITY),
     ]
     if p != 0:
-        conditions.append(_cond("hb_ck_vanishes", 0.0, 0.0, 10 * CIRCLE_TOL_LIMIT))
-        conditions.append(_cond("h2c2_minus_b2k2_vanishes", 0.0, 0.0, 10 * CIRCLE_TOL_LIMIT))
+        conditions.append(_cond("hb_ck_vanishes", 0.0, 0.0, 10 * SERIES_TOL_LIMIT))
+        conditions.append(_cond("h2c2_minus_b2k2_vanishes", 0.0, 0.0, 10 * SERIES_TOL_LIMIT))
 
     return ExtensionReport(branch=CIRCLE_BRANCH, conditions=conditions)
 
@@ -406,11 +421,13 @@ def _end_profile(times, ys, direction: float, step: float) -> Callable:
 
     Each state is one ``rk4_path`` leg, no longer than ``step``, from the
     last march state that is not past t* - direction r.  A radius beyond
-    the start (r > |t*|) gets a leg from the start state.
+    the start (r > |t*|) gets a leg from the start state.  States are
+    kept per radius, so no radius is integrated twice.
     """
     t_star = times[-1]
     progress = direction * np.asarray(times)
 
+    @functools.cache
     def profile(r):
         target = t_star - direction * r
         i = max(0, int(np.searchsorted(progress, direction * target, side="right")) - 1)
@@ -462,7 +479,7 @@ def reject_case_iii(state0: CaseIIIState, step: float) -> ExtensionReport:
 
         end = states[-1]
         if abs(end.delta) < ROUND_DELTA_TOL:
-            rep = check_round_branch(profile, radii, tol_limit=5e-2, tol_parity=5e-2, tol_ratio=0.5)
+            rep = check_round_branch(profile, radii)
             rep.notes = f"{tag} end ({reason}): round-type analysis at t* = {t_star:.6f}"
         else:
             conditions = [

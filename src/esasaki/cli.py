@@ -90,6 +90,11 @@ def _global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--config", default=d(None), help="JSON file with flag defaults")
 
 
+# argparse applies choices to command-line values only: cmd_evolve checks
+# a value from a config file
+_CASES = ("i", "ii", "iii", "general")
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esasaki",
@@ -101,7 +106,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_evolve = sub.add_parser("evolve", help="integrate one of the invariant flows", parents=[common])
-    p_evolve.add_argument("--case", choices=("i", "ii", "iii", "general"), required=True)
+    p_evolve.add_argument("--case", choices=_CASES)
     p_evolve.add_argument("--k", default=None, help="case i amplitude / case iii k0")
     p_evolve.add_argument("--m", type=int, default=0)
     p_evolve.add_argument("--h0", default=None)
@@ -120,7 +125,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_enum.add_argument("--m", type=int, default=0)
 
     p_verify = sub.add_parser("verify", help="finite-difference Einstein verification", parents=[common])
-    p_verify.add_argument("--A", required=True)
+    p_verify.add_argument("--A", default=None)
     p_verify.add_argument("--C", default="0")
     p_verify.add_argument("--points", type=int, default=10)
     p_verify.add_argument("--fd-step", type=finite_float, default=None,
@@ -138,7 +143,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_ext.add_argument("--a0", default="0.2")
 
     p_norm = sub.add_parser("normal-form", help="canonical parameters of a solution", parents=[common])
-    p_norm.add_argument("--input", required=True, help="coframe JSON file")
+    p_norm.add_argument("--input", default=None, help="coframe JSON file")
     p_norm.add_argument("--output", default=None)
 
     if config:
@@ -194,6 +199,8 @@ def _meta(args, **extra) -> dict:
 
 
 def cmd_evolve(args) -> int:
+    if args.case not in _CASES:
+        raise ValueError(f"need --case in {{{', '.join(_CASES)}}} (flag or config file), got {args.case!r}")
     out = _outdir(args)
     m = args.m
     if args.t1 <= args.t0:
@@ -271,12 +278,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.A is None:
+        raise ValueError("need --A (flag or config file)")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     out = _outdir(args)
     a_float = float(_parse_number(args.A, args.arith))
     C = float(_parse_number(args.C, args.arith))
-    chart = geometry.ypq_chart(a_float, C)
+    chart = geometry.ypq_chart(a_float)
     fd_step = args.fd_step
     if fd_step is None:
         # a fixed step loses the fourth-order accuracy on narrow y-bands
@@ -302,13 +311,6 @@ def cmd_verify(args) -> int:
         )
         return 1
     return 0
-
-
-def _round_end(r) -> evolution.CaseIIIState:
-    """The h -> 0 end of A = 0 in closed form: h = sin(r)/2, and
-    a = sin(2r)/4 from a^2 = h^2 (1 - 4 h^2)."""
-    h = 0.5 * math.sin(r)
-    return evolution.CaseIIIState(h, h, 0.0, 0.0, 0.25 * math.sin(2.0 * r))
 
 
 def cmd_extend_check(args) -> int:
@@ -352,7 +354,7 @@ def cmd_extend_check(args) -> int:
         ends = {}
         for tag, end, delta_star in (("lower", fam.minus, fam.delta_minus), ("upper", fam.plus, fam.delta_plus)):
             if end is None:
-                ends[tag] = boundary.check_round_branch(_round_end)
+                ends[tag] = boundary.check_round_series(evolution.round_series())
             else:
                 ends[tag] = boundary.check_circle_branch(
                     evolution.turning_series(fam.A, delta_star), end.q, end.sigma_signed, float(C), args.m
@@ -369,6 +371,8 @@ def cmd_extend_check(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    if args.input is None:
+        raise ValueError("need --input (flag or config file)")
     out = _outdir(args)
     with open(args.input) as fh:
         eta = structures.IdStructure.from_json_dict(json.load(fh))

@@ -30,6 +30,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "evolve_case_iii",
     "turning_points",
     "turning_series",
+    "round_series",
     "rk4_path",
 ]
 
@@ -574,6 +576,17 @@ def turning_series(A, delta_star) -> tuple:
         dd.append(rhs / (2 * sq[0]))
         c.append(dd[n] / ((n + 2) * (n + 1)))
     return tuple(c)
+
+
+def round_series() -> tuple:
+    """Taylor coefficients c_0..c_N (N = ``TURNING_SERIES_ORDER``) of
+    Delta = sin(r)^2/4 = (1 - cos 2r)/8 in the distance r from the round
+    end of A = 0, where h = k = sin(r)/2 and b = c = 0 vanish, as exact
+    Fractions: c_k = -(-4)^(k/2) / (8 k!) for even k > 0."""
+    return tuple(
+        Fraction(-((-4) ** (k // 2)), 8 * math.factorial(k)) if k and k % 2 == 0 else Fraction(0)
+        for k in range(TURNING_SERIES_ORDER + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

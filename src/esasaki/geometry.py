@@ -90,15 +90,13 @@ def wq(A: float, y: float) -> float:
     return 2.0 * (108.0 * A + 1.0 - 3.0 * y * y + 2.0 * y**3) / (1.0 - y)
 
 
-def ypq_chart_metric(A: float, C: float, point: Sequence[float]) -> np.ndarray:
+def ypq_chart_metric(A: float, point: Sequence[float]) -> np.ndarray:
     """Chart metric at (theta, phi, y, beta, psi); errors outside the box.
 
     A one-off evaluation through :func:`ypq_chart`, which solves the
     turning cubic: loops should build the chart once and call its metric.
-    The components do not involve C (it is absorbed into the beta
-    coordinate); C is kept in the signature as part of the chart data.
     """
-    chart = ypq_chart(A, C)
+    chart = ypq_chart(A)
     if not chart.contains(point):
         raise ChartDomainError(f"point {tuple(point)} outside the chart box {chart.box}")
     return chart.metric(point)
@@ -149,11 +147,12 @@ class CoordinateChart:
         return True
 
 
-def ypq_chart(A: float, C: float = 0.0) -> CoordinateChart:
-    """Chart record for the explicit metric with parameters (A, C).
+def ypq_chart(A: float) -> CoordinateChart:
+    """Chart record for the explicit metric at level A.
 
     y = 1 - 6 Delta ranges over the open interval between the turning
-    values; A outside (-1/108, 0] has no such band.
+    values; A outside (-1/108, 0] has no such band.  The metric does not
+    involve C: it is absorbed into the beta coordinate.
     """
     if A == 0:
         lo_delta, hi_delta = 0.0, 0.25

@@ -2,13 +2,16 @@
 
 The turning values Delta of the conformal flow are the nonnegative roots
 of the cubic A + Delta^2 - 4 Delta^3 = 0.  A compact extension exists for
-A = 0 (the round branch) or for -1/108 < A < 0 with both roots carrying
-integer orbit data (q, sigma) obtained from the exact ratio
+A = 0 (the round branch: Delta runs from the round end 0 to the circle
+end 1/4) or for -1/108 < A < 0 (two circle ends at the positive roots)
+when every circle end carries integer orbit data (q, sigma) obtained
+from the exact ratio
 
     q / sigma = (1 / (C + m)) * 6 Delta / (1 - 6 Delta),
 
 cleared of denominators subject to the two integrality conditions
-(half-slope (q m + sigma)/2 integral and coprime to q).  sigma is kept
+(half-slope (q m + sigma)/2 integral and coprime to q); the round branch
+also needs gcd(q, sigma) = 1.  sigma is kept
 signed internally -- its absolute value is the order of the intersection
 with the principal stabilizer, and the sign normalization makes the
 slope functional p + qC positive.
@@ -487,114 +490,69 @@ def classify_A(A, C, m: int) -> ClassificationVerdict:
     """Decide whether (A, C, m) admits a compact extension.
 
     Returns the branch (round sphere for A = 0, the two-root branch for
-    -1/108 < A < 0 with integer witnesses within the denominator bound,
-    otherwise no compact extension) together with the witness data.
+    -1/108 < A < 0, otherwise no compact extension) together with the
+    witness data.  Both compact branches take integer orbit data at each
+    circle end the same way: the root 1/4 of A = 0, or both positive
+    roots, must give a ratio and a C that are rational within the
+    denominator bound.
     """
     exact = isinstance(A, (Fraction, int)) and isinstance(C, (Fraction, int))
     w = (C + m) if exact else float(C) + m
-    if exact:
-        try:
-            roots = tuple(cubic_roots(Fraction(A)))
-        except ExactRootsUnavailable:
-            roots = tuple(cubic_roots(float(A)))
-    else:
+    try:
+        roots = tuple(cubic_roots(Fraction(A) if exact else float(A)))
+    except ExactRootsUnavailable:
         roots = tuple(cubic_roots(float(A)))
 
-    if A == 0:
-        if w == 0:
-            return ClassificationVerdict(NO_COMPACT_EXTENSION, "C + m = 0 degenerates the coframe", roots)
-        quarter = Fraction(1, 4) if exact else 0.25
-        ratio = ratio_from_root(quarter, C if exact else float(C), m)
-        ratio_frac = rational_reconstruct(ratio, DENOMINATOR_BOUND)
-        if ratio_frac is None:
-            return ClassificationVerdict(
-                NO_COMPACT_EXTENSION, "irrational orbit ratio at the circle end", roots
-            )
-        try:
-            end_plus = integer_witness(ratio_frac, _as_fraction(C), m, quarter)
-        except ValueError as exc:
-            return ClassificationVerdict(NO_COMPACT_EXTENSION, str(exc), roots)
-        if gcd(abs(end_plus.q), end_plus.sigma) != 1:
-            # the order-sigma subgroup of the circle end would then meet
-            # SU(2) x {1}, spoiling the sphere slice of the round end
-            return ClassificationVerdict(
-                NO_COMPACT_EXTENSION,
-                f"round branch needs gcd(q, sigma) = 1, got q={end_plus.q}, sigma={end_plus.sigma}",
-                roots,
-            )
-        family = YpqFamily(
-            A=A,
-            C=C,
-            m=m,
-            delta_minus=0 if exact else 0.0,
-            delta_plus=quarter,
-            minus=None,
-            plus=end_plus,
-            quasi_regular=_as_fraction(C) is not None,
-            simply_connected=True,
-            branch=ROUND_SPHERE_BRANCH,
-        )
-        return ClassificationVerdict(
-            ROUND_SPHERE_BRANCH,
-            "A = 0: round branch with integer orbit data at the circle end",
-            roots,
-            family,
-        )
+    def reject(reason: str) -> ClassificationVerdict:
+        return ClassificationVerdict(NO_COMPACT_EXTENSION, reason, roots)
 
-    a_cmp = A if exact else float(A)
-    if a_cmp < (A_MIN if exact else float(A_MIN)) or a_cmp == A_MIN or a_cmp == float(A_MIN):
-        return ClassificationVerdict(
-            NO_COMPACT_EXTENSION,
-            "turning cubic lacks two distinct positive roots (A <= -1/108)",
-            roots,
-        )
-    if a_cmp > 0:
-        return ClassificationVerdict(
-            NO_COMPACT_EXTENSION,
-            "A > 0: single turning point, no compact interval",
-            roots,
-        )
-
-    positive = [r for r, mult in roots for _ in range(mult) if r > 0]
-    if len(positive) != 2 or positive[0] == positive[1]:
-        return ClassificationVerdict(
-            NO_COMPACT_EXTENSION, "turning cubic lacks two distinct positive roots", roots
-        )
-    d_minus, d_plus = positive
+    # the circle ends: 1/4 when A = 0, whose root 0 is the round end
+    circle_ends = [r for r, mult in roots for _ in range(mult) if r > 0]
+    round_branch = A == 0
+    if not round_branch:
+        a_cmp = A if exact else float(A)
+        if a_cmp < (A_MIN if exact else float(A_MIN)) or a_cmp == A_MIN or a_cmp == float(A_MIN):
+            return reject("turning cubic lacks two distinct positive roots (A <= -1/108)")
+        if a_cmp > 0:
+            return reject("A > 0: single turning point, no compact interval")
+        if len(circle_ends) != 2 or circle_ends[0] == circle_ends[1]:
+            return reject("turning cubic lacks two distinct positive roots")
 
     if w == 0:
-        return ClassificationVerdict(NO_COMPACT_EXTENSION, "C + m = 0 degenerates the coframe", roots)
+        return reject("C + m = 0 degenerates the coframe")
     ends = []
     c_frac = _as_fraction(C)
-    for delta in (d_minus, d_plus):
+    for delta in circle_ends:
         c_arg = float(C) if isinstance(delta, float) else Fraction(C)
-        ratio = ratio_from_root(delta, c_arg, m)
-        ratio_frac = rational_reconstruct(ratio, DENOMINATOR_BOUND)
-        if ratio_frac is None or c_frac is None:
-            return ClassificationVerdict(
-                NO_COMPACT_EXTENSION,
-                "no rational orbit ratio within the denominator bound",
-                roots,
-            )
+        ratio = rational_reconstruct(ratio_from_root(delta, c_arg, m), DENOMINATOR_BOUND)
+        if ratio is None or c_frac is None:
+            return reject("no rational orbit ratio within the denominator bound")
         try:
-            ends.append(integer_witness(ratio_frac, c_frac, m, delta))
+            ends.append(integer_witness(ratio, c_frac, m, delta))
         except ValueError as exc:
-            return ClassificationVerdict(NO_COMPACT_EXTENSION, str(exc), roots)
+            return reject(str(exc))
 
+    if round_branch and gcd(abs(ends[0].q), ends[0].sigma) != 1:
+        # the order-sigma subgroup of the circle end would then meet
+        # SU(2) x {1}, spoiling the sphere slice of the round end
+        return reject(f"round branch needs gcd(q, sigma) = 1, got q={ends[0].q}, sigma={ends[0].sigma}")
     family = YpqFamily(
         A=A,
         C=C,
         m=m,
-        delta_minus=d_minus,
-        delta_plus=d_plus,
-        minus=ends[0],
-        plus=ends[1],
-        quasi_regular=_as_fraction(C) is not None,
-        simply_connected=gcd(abs(ends[0].q), abs(ends[1].q)) == 1,
+        delta_minus=0.0 if round_branch else circle_ends[0],
+        delta_plus=circle_ends[-1],
+        minus=None if round_branch else ends[0],
+        plus=ends[-1],
+        quasi_regular=True,
+        simply_connected=round_branch or gcd(abs(ends[0].q), abs(ends[1].q)) == 1,
+        branch=ROUND_SPHERE_BRANCH if round_branch else YPQ_BRANCH,
     )
-    return ClassificationVerdict(
-        YPQ_BRANCH, "two distinct positive roots with integer orbit data", roots, family
-    )
+    if round_branch:
+        reason = "A = 0: round branch with integer orbit data at the circle end"
+    else:
+        reason = "two distinct positive roots with integer orbit data"
+    return ClassificationVerdict(family.branch, reason, roots, family)
 
 
 def _as_fraction(C) -> Optional[Fraction]:

@@ -13,21 +13,24 @@ from esasaki.boundary import (
     TaylorData,
     check_circle_branch,
     check_round_branch,
-    geometric_radii,
+    check_round_series,
     kw_extends,
     parity_fit,
     reject_case_iii,
     richardson_limit,
 )
-from esasaki.evolution import CaseIIIState, turning_series
+from esasaki.evolution import CaseIIIState, round_series, turning_series
 from esasaki.moduli import enumerate_rational_families
 
 A_EX = Fraction(-9, 2197)
 LOWER_EX, UPPER_EX = Fraction(1, 13), Fraction(3, 13)
+# the radius grid reject_case_iii uses when an end is far from the start
+CASE_III_RADII = [0.128 * 0.5**i for i in range(5)]
 
 
 def round_end(r):
-    """The h -> 0 end of the A = 0 flow in closed form, h = sin(r)/2."""
+    """The h -> 0 end of the A = 0 flow in closed form, h = sin(r)/2: the
+    sampled reference for the series check of that end."""
     h = 0.5 * math.sin(r)
     return CaseIIIState(h, h, 0.0, 0.0, 0.25 * math.sin(2 * r))
 
@@ -176,7 +179,7 @@ def test_parity_detector_resolves_monomials():
 
 
 def test_richardson_limit_on_smooth_even_function():
-    radii = geometric_radii()
+    radii = [0.256 * 0.5**i for i in range(9)]
     values = [math.sin(r) ** 2 / r**2 for r in radii]
     limit = richardson_limit(radii, values)
     assert limit == pytest.approx(1.0, abs=1e-12)
@@ -199,14 +202,14 @@ def test_parity_fit_matches_reference(coeffs, rmax, freq):
 
 
 def test_round_branch_evaluates_profile_once_per_radius():
-    # nine limit radii and nine fit radii; the model's V adds the three
+    # five limit radii and nine fit radii; the model's V adds the three
     # points of one central difference
     profile, radii = counted(round_end)
-    check_round_branch(profile)
-    assert len(radii) == 18
+    check_round_branch(profile, CASE_III_RADII)
+    assert len(radii) == 14
     profile, radii = counted(model_obstructed_end)
-    check_round_branch(profile, tol_ratio=0.5)
-    assert len(radii) == 21
+    check_round_branch(profile, CASE_III_RADII)
+    assert len(radii) == 17
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,7 @@ def test_round_branch_evaluates_profile_once_per_radius():
 
 
 def test_round_branch_passes_on_sphere_end():
-    rep = check_round_branch(round_end)
+    rep = check_round_branch(round_end, CASE_III_RADII)
     assert rep.passed
     names = [c.name for c in rep.conditions]
     assert "delta_over_r2_limit" in names
@@ -223,17 +226,40 @@ def test_round_branch_passes_on_sphere_end():
 
 
 def test_round_branch_inapplicable_away_from_zero():
-    rep = check_round_branch(series_profile(turning_series(A_EX, LOWER_EX)))
+    rep = check_round_branch(series_profile(turning_series(A_EX, LOWER_EX)), CASE_III_RADII)
     assert not rep.applicable
     assert not rep.passed
     assert "bounded away" in rep.notes
 
 
 def test_round_branch_detects_minus_three_obstruction():
-    rep = check_round_branch(model_obstructed_end, tol_ratio=0.5)
+    rep = check_round_branch(model_obstructed_end, CASE_III_RADII)
     cond = next(c for c in rep.conditions if c.name == "v_log_derivative_nonnegative")
     assert cond.measured == pytest.approx(-3.0, abs=1e-4)
     assert not cond.passed
+    assert not rep.passed
+
+
+def test_round_series_matches_the_sampled_check_on_the_sphere_end():
+    series = check_round_series(round_series())
+    sampled = check_round_branch(round_end, CASE_III_RADII)
+    assert [(c.name, c.passed) for c in series.conditions] == [(c.name, c.passed) for c in sampled.conditions]
+    assert series.passed and series.branch == sampled.branch == "RoundSU2"
+    # the exact series measures exact values
+    measured = {c.name: c.measured for c in series.conditions}
+    assert measured["delta_vanishes_at_origin"] == 0.0
+    assert measured["delta_over_r2_limit"] == 0.25
+    assert measured["delta_over_r2_even"] == 0.0
+
+
+def test_round_series_rejects_odd_and_misplaced_terms():
+    series = list(round_series())
+    series[5] = Fraction(1, 10**9)  # an r^3 term of Delta/r^2
+    rep = check_round_series(series)
+    assert rep.failing() == ["delta_over_r2_even", "h2c2_over_r2_even", "k2b2_over_r2_even"]
+    # a circle end: Delta does not vanish there
+    rep = check_round_series(turning_series(A_EX, LOWER_EX))
+    assert "delta_vanishes_at_origin" in rep.failing()
     assert not rep.passed
 
 
@@ -343,6 +369,27 @@ def test_reject_skips_the_log_derivative_where_v_has_cancelled():
     assert not report.passed
 
 
+def test_reject_round_type_end_integrates_each_radius_once(monkeypatch):
+    # one RK4 leg per profile radius.  Round-type lower end: five limit
+    # radii, nine fit radii (the largest is the third limit radius) and
+    # two central-difference neighbours, 15.  Circle-type upper end: five
+    # radii and the neighbours of the two smallest, 9.
+    import esasaki.boundary as boundary
+
+    legs = []
+    real = boundary.rk4_path
+
+    def counted(*args):
+        legs.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(boundary, "rk4_path", counted)
+    st = CaseIIIState(0.16888014917517297, 0.407892864503532, 0.12613615814277324,
+                      0.14661975665727922, 0.46499963829121627)
+    reject_case_iii(st, 2e-3)
+    assert len(legs) == 24
+
+
 def test_reject_round_type_end():
     st = CaseIIIState(0.16888014917517297, 0.407892864503532, 0.12613615814277324,
                       0.14661975665727922, 0.46499963829121627)
@@ -393,7 +440,7 @@ def test_soundness_hook_round_branch_level():
     from esasaki.moduli import classify_A
 
     verdict = classify_A(Fraction(0), Fraction(6), 0)
-    assert check_round_branch(round_end).passed
+    assert check_round_series(round_series()).passed
     end = verdict.family.plus
     rep = check_circle_branch(
         turning_series(Fraction(0), verdict.family.delta_plus), q=end.q, sigma=end.sigma_signed, C=6.0, m=0

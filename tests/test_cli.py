@@ -119,7 +119,7 @@ def test_verify_step_scales_with_a_narrow_band(tmp_path):
     argv = ["verify", "--A=-63504/7189057", "--C", "1", "--points", "3", "--seed", "335484"]
     assert run(argv + ["--out", tmp_path]) == 0
     meta = json.loads((tmp_path / "curvature.json").read_text())["meta"]
-    y_lo, y_hi = geometry.ypq_chart(-63504 / 7189057, 1.0).box[2]
+    y_lo, y_hi = geometry.ypq_chart(-63504 / 7189057).box[2]
     assert meta["fd_step"] == (y_hi - y_lo) / 400 < 1e-3
     # a wide band keeps 1e-3, and an explicit step is used as given
     assert run(["verify", "--A=-9/2197", "--C", "6", "--points", "1", "--out", tmp_path]) == 0
@@ -181,6 +181,17 @@ def test_extend_check_no_extension_exits_1(tmp_path, capsys):
     code = run(["extend-check", "--A=-1/108", "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path])
     assert code == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_extend_check_round_branch_with_unreconstructed_C_exits_1(tmp_path, capsys):
+    # repr(3/1234567): the circle-end ratio is rational, C is not within
+    # the denominator bound
+    code = run(["extend-check", "--A", "0", "--C", "2.4300017010070126e-06", "--out", tmp_path])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("FAIL: no rational orbit ratio")
+    verdict = json.loads((tmp_path / "verdict.json").read_text())["verdict"]
+    assert verdict["branch"] == "NoCompactExtension"
 
 
 def test_extend_check_case_iii_always_rejects(tmp_path):
@@ -377,7 +388,8 @@ def _mixed(good: list, bad: list):
 # rational (denominator <= 50), so no example builds a large K.
 _LEVELS = _mixed(["-9/2197", "0", "-9/1372", "-25/9261", "-79/81143", "-0.004"],
                  ["-1/108", "6/20027", "0.1", "nan", "inf", "1/0", "abc", ""])
-_SMALL_C = st.one_of(st.fractions(-3, 12, max_denominator=50).map(str), st.sampled_from(["0", "nan", "1/0", "x"]))
+_SMALL_C = st.one_of(st.fractions(-3, 12, max_denominator=50).map(str),
+                     st.sampled_from(["0", "nan", "1/0", "x", repr(3 / 1234567)]))
 _ARITH = st.sampled_from([[], ["--arith", "rational"]])
 
 
@@ -545,6 +557,28 @@ def test_config_file_defaults(tmp_path):
     config.write_text(json.dumps({"out": str(tmp_path / "cfg_out"), "bound": 13}))
     assert run(["--config", config, "enumerate"]) == 0
     assert (tmp_path / "cfg_out" / "families.csv").exists()
+
+
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    eta = tmp_path / "eta.json"
+    eta.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    cases = [
+        ("A", {"A": "0"}, ["verify", "--points", "1"], 0),
+        ("case", {"case": "i", "t1": 0.1, "step": 0.05}, ["evolve"], 0),
+        ("input", {"input": str(eta)}, ["normal-form"], 0),
+        # argparse checks choices on command-line values only
+        ("case-iv", {"case": "iv"}, ["evolve"], 2),
+    ]
+    for name, data, argv, code in cases:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(data))
+        assert run(["--config", config] + argv + ["--out", tmp_path / name]) == code, name
+    assert "got 'iv'" in capsys.readouterr().err
+    # with neither flag nor config value, each command names its flag
+    for argv, flag in ((["verify"], "--A"), (["evolve"], "--case"), (["normal-form"], "--input")):
+        assert run(argv + ["--out", tmp_path / "missing"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: need {flag}") and "Traceback" not in err
 
 
 def test_consecutive_runs_share_no_flags_or_defaults(tmp_path, capsys):

@@ -18,6 +18,7 @@ from esasaki.evolution import (
     fit_case_i,
     general_rhs,
     rk4_path,
+    round_series,
     turning_points,
     turning_series,
 )
@@ -126,6 +127,16 @@ def test_round_end_series_is_quarter_cos_squared():
     series = turning_series(F(0), F(1, 4))
     assert list(series) == expected
     assert series[:7] == (F(1, 4), 0, F(-1, 4), 0, F(1, 12), 0, F(-1, 90))
+
+
+def test_round_series_is_the_upper_end_series_seen_from_the_round_end():
+    # the A = 0 interval has length pi/2: sin(r)^2/4 = 1/4 - cos(r)^2/4,
+    # so the closed form at the round end is 1/4 minus the recursion's
+    # series at the upper turning value
+    upper = turning_series(F(0), F(1, 4))
+    expected = [F(1, 4) - upper[0]] + [-c for c in upper[1:]]
+    assert list(round_series()) == expected
+    assert all(isinstance(c, F) for c in round_series())
 
 
 def test_case_ii_residuals_along_flow():

@@ -55,16 +55,16 @@ def test_wq_pole():
 
 
 def test_chart_point_values():
-    g = ypq_chart_metric(0.0, 6.0, (math.pi / 2, 0.0, 0.0, 0.0, 0.0))
+    g = ypq_chart_metric(0.0, (math.pi / 2, 0.0, 0.0, 0.0, 0.0))
     assert np.diag(g) == pytest.approx([1 / 6, 1 / 6, 1 / 2, 1 / 18, 1 / 9])
     assert g[3, 4] == pytest.approx(0.0)  # beta-psi coupling vanishes at y = 0
 
 
 def test_chart_metric_symmetric_positive_definite():
     rng = np.random.default_rng(1)
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     for p in sample_interior_points(chart, 10, seed=3):
-        g = ypq_chart_metric(A_EX, 6.0, p)
+        g = ypq_chart_metric(A_EX, p)
         assert np.allclose(g, g.T)
         assert np.linalg.eigvalsh(g).min() > 0
 
@@ -78,12 +78,12 @@ def test_chart_degenerates_at_y_endpoints():
         eigs = []
         for eps in (1e-2, 1e-3, 1e-4):
             y = y_end + eps if y_end < 0.5 else y_end - eps
-            g = ypq_chart_metric(A, 6.0, (theta, 0.0, y, 0.0, 0.0))
+            g = ypq_chart_metric(A, (theta, 0.0, y, 0.0, 0.0))
             eigs.append(np.linalg.eigvalsh(g).min())
         assert eigs[2] < eigs[0]
         assert eigs[2] < 1e-3
     dets = [
-        np.linalg.det(ypq_chart_metric(0.0, 6.0, (theta, 0.0, 1.0 - eps, 0.0, 0.0)))
+        np.linalg.det(ypq_chart_metric(0.0, (theta, 0.0, 1.0 - eps, 0.0, 0.0)))
         for eps in (1e-2, 1e-3, 1e-4)
     ]
     assert dets[2] < dets[1] < dets[0]
@@ -101,7 +101,7 @@ def test_chart_degenerates_at_y_endpoints():
 def test_ypq_metric_ignores_its_cyclic_coordinates(A, theta, u, angles, shifts):
     # the curvature stencils skip the declared coordinates, so shifting
     # any of them must leave the metric bitwise unchanged
-    chart = ypq_chart(A, 6.0)
+    chart = ypq_chart(A)
     assert [chart.coords[k] for k in chart.cyclic] == ["phi", "beta", "psi"]
     lo, hi = chart.box[2]
     point = list(angles)
@@ -114,11 +114,11 @@ def test_ypq_metric_ignores_its_cyclic_coordinates(A, theta, u, angles, shifts):
 
 def test_chart_domain_errors():
     with pytest.raises(ChartDomainError):
-        ypq_chart_metric(A_EX, 6.0, (0.0, 0.0, 0.0, 0.0, 0.0))  # theta = 0
+        ypq_chart_metric(A_EX, (0.0, 0.0, 0.0, 0.0, 0.0))  # theta = 0
     with pytest.raises(ChartDomainError):
-        ypq_chart_metric(A_EX, 6.0, (1.0, 0.0, 0.9, 0.0, 0.0))  # y too large
+        ypq_chart_metric(A_EX, (1.0, 0.0, 0.9, 0.0, 0.0))  # y too large
     with pytest.raises(ChartDomainError):
-        ypq_chart(-0.02, 6.0)  # A below the admissible interval
+        ypq_chart(-0.02)  # A below the admissible interval
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_flat_torus_ricci_vanishes():
 
 
 def test_sphere_chart_is_einstein_and_constant_curvature():
-    chart = ypq_chart(0.0, 6.0)
+    chart = ypq_chart(0.0)
     rep = ricci_fd(chart, (1.3, 0.7, 0.1, 0.4, 0.9), 1e-3)
     assert rep.einstein_residual < 1e-4
     assert rep.sectional_spread < 1e-3
@@ -173,21 +173,21 @@ def test_sphere_chart_is_einstein_and_constant_curvature():
 
 
 def test_ypq_chart_is_einstein_at_random_points():
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     for p in sample_interior_points(chart, 10, seed=7):
         rep = ricci_fd(chart, p, 1e-3)
         assert rep.einstein_residual < 1e-4
 
 
 def test_ricci_symmetry_within_tolerance():
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     rep = ricci_fd(chart, (1.2, 0.5, 0.05, 0.3, 0.8), 1e-3)
     asym = np.abs(rep.ricci - rep.ricci.T).max()
     assert asym <= 10 * max(rep.einstein_residual, 1e-12)
 
 
 def test_convergence_order_on_halving():
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     point = (1.2, 0.5, 0.05, 0.3, 0.8)
     res_coarse = ricci_fd(chart, point, 2e-3).einstein_residual
     res_fine = ricci_fd(chart, point, 1e-3).einstein_residual
@@ -196,7 +196,7 @@ def test_convergence_order_on_halving():
 
 @pytest.mark.parametrize("A", [0.0, A_EX, -0.008])
 def test_skipping_cyclic_stencils_matches_the_full_stencil(A):
-    chart = ypq_chart(A, 6.0)
+    chart = ypq_chart(A)
     full = dataclasses.replace(chart, cyclic=())
     for p in sample_interior_points(chart, 5, seed=13):
         skipped, stenciled = ricci_fd(chart, p), ricci_fd(full, p)
@@ -205,7 +205,7 @@ def test_skipping_cyclic_stencils_matches_the_full_stencil(A):
 
 
 def test_metric_evaluations_per_point():
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     rows = []
 
     def counted(points, dtype=float):
@@ -225,7 +225,7 @@ def test_metric_evaluations_per_point():
 
 def test_chart_metrics_take_stacked_points():
     rng = np.random.default_rng(4)
-    for chart in (ypq_chart(A_EX, 6.0), flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4))):
+    for chart in (ypq_chart(A_EX), flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4))):
         points = np.array(sample_interior_points(chart, 6, seed=2)).reshape(2, 3, 5)
         for dtype in (float, np.longdouble):
             stacked = chart.metric(points, dtype=dtype)
@@ -245,7 +245,7 @@ def test_chart_metrics_take_stacked_points():
 def test_ricci_fd_many_equals_ricci_fd_bit_for_bit(A, cyclic, seed, count, repeats):
     # batching and blocking change no bit of any report, duplicates and
     # block boundaries included
-    chart = ypq_chart(A, 6.0)
+    chart = ypq_chart(A)
     if not cyclic:
         chart = dataclasses.replace(chart, cyclic=())
     lo, hi = chart.box[2]
@@ -264,7 +264,7 @@ def test_ricci_fd_many_equals_ricci_fd_bit_for_bit(A, cyclic, seed, count, repea
 
 
 def test_christoffel_fd_takes_stacked_points():
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     points = np.array(sample_interior_points(chart, 6, seed=8)).reshape(3, 2, 5)
     gamma = christoffel_fd(chart, points, 1e-3)
     assert gamma.shape == (3, 2, 5, 5, 5)
@@ -319,7 +319,7 @@ def _pointwise_ricci(chart, point, h):
 
 @pytest.mark.parametrize("A, cyclic", [(0.0, True), (A_EX, True), (-0.008, False)])
 def test_ricci_fd_many_matches_the_pointwise_reference_bit_for_bit(A, cyclic):
-    chart = ypq_chart(A, 6.0)
+    chart = ypq_chart(A)
     if not cyclic:
         chart = dataclasses.replace(chart, cyclic=())
     points = sample_interior_points(chart, 3, seed=21)
@@ -332,7 +332,7 @@ def test_ricci_fd_many_matches_the_pointwise_reference_bit_for_bit(A, cyclic):
 
 
 def test_ricci_fd_many_rejects_any_point_near_the_boundary():
-    chart = ypq_chart(0.0, 6.0)
+    chart = ypq_chart(0.0)
     inside = (1.3, 0.7, 0.1, 0.4, 0.9)
     assert ricci_fd_many(chart, [], 1e-3) == []
     with pytest.raises(ChartDomainError):
@@ -343,7 +343,7 @@ def test_ricci_fd_many_rejects_any_point_near_the_boundary():
 
 
 def test_ricci_fd_near_boundary_error():
-    chart = ypq_chart(0.0, 6.0)
+    chart = ypq_chart(0.0)
     with pytest.raises(ChartDomainError):
         ricci_fd(chart, (1e-4, 0.5, 0.1, 0.3, 0.8), 1e-3)
 
@@ -410,7 +410,7 @@ def test_symbolic_curvature_oracle_single_point():
     ric_sym = np.array([[ricci_entry(i, j) for j in range(n)] for i in range(n)])
     assert np.abs(ric_sym - EINSTEIN_CONSTANT * g_num).max() < 1e-9
 
-    chart = ypq_chart(float(A), 6.0)
+    chart = ypq_chart(float(A))
     ric_fd_point = ricci_fd(chart, (1.1, 0.0, 0.05, 0.0, 0.0), 1e-3).ricci
     assert np.abs(ric_fd_point - ric_sym).max() < 1e-6
 
@@ -421,10 +421,10 @@ def test_symbolic_curvature_oracle_single_point():
 
 def test_frame_metric_matches_chart_metric():
     rng = np.random.default_rng(9)
-    chart = ypq_chart(A_EX, 6.0)
+    chart = ypq_chart(A_EX)
     for p in sample_interior_points(chart, 10, seed=11):
         push = case_ii_frame_metric_in_chart(A_EX, 6.0, p)
-        direct = ypq_chart_metric(A_EX, 6.0, p)
+        direct = ypq_chart_metric(A_EX, p)
         assert np.abs(push - direct).max() < 1e-9
 
 

@@ -436,6 +436,15 @@ def test_classify_irrational_C_is_irregular():
     assert verdict.branch == NO_COMPACT_EXTENSION
 
 
+def test_classify_round_branch_with_irrational_looking_C():
+    # 3/1234567 has a denominator above the bound, so C is not
+    # reconstructed, while the ratio -1234567 at the circle end 1/4 is
+    verdict = classify_A(0.0, 3 / 1234567, 0)
+    assert verdict.branch == NO_COMPACT_EXTENSION
+    assert verdict.family is None
+    assert verdict.reason == "no rational orbit ratio within the denominator bound"
+
+
 def test_rational_reconstruct():
     assert rational_reconstruct(1 / 7, 100) == F(1, 7)
     assert rational_reconstruct(math.sqrt(2), 50) is None

@@ -8,8 +8,9 @@ own directory under DIR, next to a ``run.txt`` holding its argv, exit
 code, stdout and stderr.  The commands are the README examples (with an
 ``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
 group K has 10366 elements, a 500-point ``verify`` (eight batches of
-curvature stencils), a five-parameter flow with a round-type end (its
-limits and parity fits), the seed-1 ``flows`` jobs, the ``verify`` jobs
+curvature stencils), a float-mode A = 0 check (the round branch's
+orbit data from float roots), a five-parameter flow with a round-type
+end (its limits and parity fits), the seed-1 ``flows`` jobs, the ``verify`` jobs
 of the seed-1 ``curvature`` round, the ``extend-check`` jobs of the
 seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
 seed-1 ``classify`` round, as ``perfbench/run.py --list-jobs`` prints
@@ -49,6 +50,9 @@ LARGE_K = "extend-check --A=-47610000/5168743489 --C 6 --m 0 --arith rational"
 
 MANY_POINTS = "verify --A=-9/2197 --C 6 --points 500"
 
+# the benchmark's A = 0 jobs run with --arith rational only
+ROUND_FLOAT = "extend-check --A 0 --C 6"
+
 # the lower end of this flow is round-type: check_round_branch decides it
 ROUND_TYPE_END = (
     "extend-check --case-iii --step 2e-3 --h0 0.16888014917517297 --k0 0.407892864503532"
@@ -80,7 +84,8 @@ def main(argv=None) -> int:
     eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
 
     commands = [("readme", c.format(eta=eta)) for c in README]
-    commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-type-end", ROUND_TYPE_END)]
+    commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-float", ROUND_FLOAT),
+                 ("round-type-end", ROUND_TYPE_END)]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
