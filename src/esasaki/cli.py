@@ -93,6 +93,8 @@ def _global_flags(parser, suppress: bool) -> None:
 # argparse applies choices to command-line values only: cmd_evolve checks
 # a value from a config file
 _CASES = ("i", "ii", "iii", "general")
+# evolve --case i samples its closed form at most this many times
+CASE_I_MAX_SAMPLES = 10**6
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -210,16 +212,18 @@ def cmd_evolve(args) -> int:
     t_span = (args.t0, args.t1)
     if args.case == "i":
         k = float(_parse_number(args.k or "1", args.arith))
-        times = np.linspace(args.t0, args.t1, max(2, int(round((args.t1 - args.t0) / max(args.step, 1e-6))) + 1))
+        steps = (args.t1 - args.t0) / max(args.step, 1e-6)
+        # the grid has round(steps) + 1 points, counted before it is
+        # allocated; an overflowing span is inf
+        if not steps < CASE_I_MAX_SAMPLES - 0.5:
+            raise ValueError(
+                f"case i: a span of {steps:.4g} steps exceeds the limit of {CASE_I_MAX_SAMPLES} samples; "
+                "raise --step or shorten the span"
+            )
+        times = np.linspace(args.t0, args.t1, max(2, int(round(steps)) + 1))
         states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
-        residuals = structures.residual_hypo_batch([s.matrix for s in states], m)
-        flow = evolution.FlowResult(
-            times=times,
-            states=states,
-            residuals=residuals,
-            drift={},
-            meta=_meta(args, family="case_i", k=k, m=m),
-        )
+        flow = evolution.FlowResult.of_coframes(times, states, states, m, drift={},
+                                                meta=_meta(args, family="case_i", k=k, m=m))
     elif args.case == "ii":
         if args.h0 is None:
             raise ValueError("case ii needs --h0")
@@ -253,8 +257,7 @@ def cmd_evolve(args) -> int:
         flow = evolution.evolve_general(eta0, t_span, args.step, record_every=args.record_every)
         flow.meta.update(_meta(args))
 
-    flow.to_csv(out / "flow.csv")
-    flow.to_json(out / "flow.json")
+    flow.write(out / "flow.csv", out / "flow.json")
     print(f"wrote {out / 'flow.csv'} ({len(flow.times)} samples)")
     return 0
 

@@ -26,11 +26,15 @@ bisected crossing of its domain's boundary.
 
 from __future__ import annotations
 
-import csv
+import contextlib
+import functools
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -216,20 +220,54 @@ def fit_case_i(structure: IdStructure) -> tuple:
 # flow results
 
 
+# rows of a flow that FlowResult.write formats at a time
+WRITE_BLOCK_ROWS = 512
+# characters of one JSON array that FlowResult.write holds in memory;
+# the rest waits in a temporary file
+JSON_SPOOL_CHARS = 1 << 22
+# json's text for the non-finite floats, whose repr is csv's text
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _format_block(block: np.ndarray) -> tuple:
+    """The repr of every float of a C-contiguous 2-d block, as CSV and
+    JSON rows of strings.  Each distinct bit pattern is formatted once
+    (0.0 and -0.0 differ in theirs)."""
+    bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+    text = list(map(float.__repr__, bits.view(float).tolist()))
+    csv_rows = np.array(text, dtype=object)[inverse.reshape(block.shape)].tolist()
+    if np.isfinite(block).all():
+        return csv_rows, csv_rows
+    json_text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return csv_rows, np.array(json_text, dtype=object)[inverse.reshape(block.shape)].tolist()
+
+
+def _dumps(obj, depth: int) -> str:
+    """json.dump(indent=1) text of obj nested ``depth`` levels deep."""
+    # encoded JSON has no raw newlines inside strings
+    return json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
+
+
 @dataclass
 class FlowResult:
-    """Sampled flow data: states, constraint residuals, conserved drift.
+    """Sampled flow data: states, coefficients, constraint residuals,
+    conserved drift.
 
-    A flow that reaches the edge of its domain ends at the located
-    crossing: ``boundary_time`` is its time and ``stopped_reason`` names
-    it (``"coframe degenerate"``, ``"h_zero"``, ``"turning_point"``,
-    ``"u_or_v_vanishes"``, ``"delta_nonpositive"`` or ``"divergence"``);
-    both are None when the flow reached the end of its span.  Case-iii
-    states embed into coframes with the weight ``meta["m"]``.
+    ``coefficients`` holds the n recorded coframes as one (n, 16) float
+    array, row i the 4x4 matrix of eta0..eta3 over e1..e4 at
+    ``times[i]``; the residuals and both artifacts read it.  ``states``
+    holds the same samples in the family's own variables (coframes for
+    case i and the general flow).  A flow that reaches the edge of its
+    domain ends at the located crossing: ``boundary_time`` is its time
+    and ``stopped_reason`` names it (``"coframe degenerate"``,
+    ``"h_zero"``, ``"turning_point"``, ``"u_or_v_vanishes"``,
+    ``"delta_nonpositive"`` or ``"divergence"``); both are None when the
+    flow reached the end of its span.
     """
 
     times: np.ndarray
     states: list
+    coefficients: np.ndarray
     residuals: np.ndarray
     drift: dict
     consistency: Optional[np.ndarray] = None
@@ -237,56 +275,101 @@ class FlowResult:
     stopped_reason: Optional[str] = None
     meta: dict = field(default_factory=dict)
 
-    def id_structures(self) -> list:
-        out = []
-        for state in self.states:
-            if isinstance(state, IdStructure):
-                out.append(state)
-            elif isinstance(state, CaseIIIState):
-                out.append(state.to_id_structure(self.meta["m"]))
-            else:
-                out.append(state.to_id_structure())
-        return out
+    @classmethod
+    def of_coframes(cls, times, states, coframes: Sequence[IdStructure], m: int, **fields) -> "FlowResult":
+        """A flow recording ``coframes`` (one per time, weight m): their
+        coefficients fill the array, whose residuals are computed once."""
+        coefficients = np.array([s.eta for s in coframes], dtype=float).reshape(-1, 16)
+        residuals = residual_hypo_batch(coefficients.reshape(-1, 4, 4), m)
+        return cls(times=times, states=states, coefficients=coefficients, residuals=residuals, **fields)
 
-    def coefficient_rows(self) -> np.ndarray:
-        return np.array([s.matrix.reshape(-1) for s in self.id_structures()])
+    def write(self, csv_path, json_path) -> None:
+        """Write the flow as CSV and as JSON.
 
-    def to_csv(self, path) -> None:
+        The CSV has a header and one row per sample: t, the 16
+        coefficients, the three residuals, the least-squares residual
+        when there is one, and the drifts in the order of their sorted
+        names.  The JSON is an object of the arrays times, coefficients
+        (one array per sample), residuals and drift (keyed in the dict's
+        order), then boundary_time, stopped_reason, meta and, when there
+        is one, consistency, indented as ``json.dump(..., indent=1)``
+        indents.  Both files hold each float as its repr, but JSON
+        spells nan, inf and -inf as NaN, Infinity and -Infinity.
+
+        The table is formatted once, ``WRITE_BLOCK_ROWS`` samples at a
+        time.  CSV rows stream to their file.  The JSON lists each array
+        over all samples, so each array's text waits in a spool (in
+        memory up to ``JSON_SPOOL_CHARS``, on disk beyond) until the
+        JSON file is joined from them.
+        """
+        n = len(self.times)
         drift_names = sorted(self.drift)
         header = ["t"]
         header += [f"eta{i}_{j+1}" for i in range(4) for j in range(4)]
         header += ["res_go_1", "res_go_2", "res_go_3"]
-        columns = [self.times, self.coefficient_rows(), self.residuals]
+        columns = [self.times, self.coefficients, self.residuals]
         if self.consistency is not None:
             header += ["lsq_residual"]
             columns.append(self.consistency)
+        drift_column = {name: len(header) + k for k, name in enumerate(drift_names)}
         header += [f"drift_{name}" for name in drift_names]
         columns += [self.drift[name] for name in drift_names]
-        # csv writes each Python float as its repr
-        n = len(self.times)
-        table = np.hstack([np.asarray(c, dtype=float).reshape(n, -1) for c in columns])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(table.tolist())
+        columns = [np.asarray(c, dtype=float).reshape(n, -1) for c in columns]
 
-    def to_json_dict(self) -> dict:
-        data = {
-            "times": [float(t) for t in self.times],
-            "coefficients": self.coefficient_rows().tolist(),
-            "residuals": self.residuals.tolist(),
-            "drift": {k: np.asarray(v).tolist() for k, v in self.drift.items()},
-            "boundary_time": self.boundary_time,
-            "stopped_reason": self.stopped_reason,
-            "meta": self.meta,
-        }
+        # the JSON arrays: the table columns they hold (an int for an
+        # array of numbers, a slice for an array of rows) and the indent
+        # of their elements
+        arrays = {"times": (0, 2), "coefficients": (slice(1, 17), 2), "residuals": (slice(17, 20), 2)}
+        arrays.update({("drift", name): (drift_column[name], 3) for name in self.drift})
         if self.consistency is not None:
-            data["consistency"] = self.consistency.tolist()
-        return data
+            arrays["consistency"] = (20, 2)
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+        with contextlib.ExitStack() as stack:
+            spool_dir = Path(json_path).parent
+            spools = {
+                key: stack.enter_context(tempfile.SpooledTemporaryFile(JSON_SPOOL_CHARS, "w+", dir=spool_dir))
+                for key in arrays
+            }
+            with open(csv_path, "w", newline="") as fh:
+                fh.write(",".join(header) + "\r\n")
+                for start in range(0, n, WRITE_BLOCK_ROWS):
+                    rows = slice(start, start + WRITE_BLOCK_ROWS)
+                    csv_rows, json_rows = _format_block(np.hstack([c[rows] for c in columns]))
+                    fh.write("".join(",".join(row) + "\r\n" for row in csv_rows))
+                    for key, (cols, indent) in arrays.items():
+                        sep = ",\n" + " " * indent
+                        if isinstance(cols, slice):
+                            inner = ",\n" + " " * (indent + 1)
+                            opening, closing = "[\n" + " " * (indent + 1), "\n" + " " * indent + "]"
+                            items = (opening + inner.join(row[cols]) + closing for row in json_rows)
+                        else:
+                            items = (row[cols] for row in json_rows)
+                        spools[key].write((sep if start else "") + sep.join(items))
+
+            with open(json_path, "w") as fh:
+
+                def array(key) -> None:
+                    indent = arrays[key][1]
+                    fh.write("[\n" + " " * indent)
+                    spools[key].seek(0)
+                    shutil.copyfileobj(spools[key], fh)
+                    fh.write("\n" + " " * (indent - 1) + "]")
+
+                for key in ("times", "coefficients", "residuals"):
+                    fh.write(("{" if key == "times" else ",") + f'\n "{key}": ')
+                    array(key)
+                fh.write(',\n "drift": {')
+                for k, name in enumerate(self.drift):
+                    fh.write(("," if k else "") + f"\n  {json.dumps(name)}: ")
+                    array(("drift", name))
+                fh.write("\n }" if self.drift else "}")
+                fh.write(f',\n "boundary_time": {_dumps(self.boundary_time, 1)}')
+                fh.write(f',\n "stopped_reason": {_dumps(self.stopped_reason, 1)}')
+                fh.write(f',\n "meta": {_dumps(self.meta, 1)}')
+                if self.consistency is not None:
+                    fh.write(',\n "consistency": ')
+                    array("consistency")
+                fh.write("\n}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +445,49 @@ def rk4_path(
 _A_BLOCKS = ((0, 3, -2), (-3, 0, 1), (2, -1, 0))
 
 
-def _rate_matrix_gather() -> tuple:
-    """Flat positions in the rate matrix, the entries of the (3, 4, 6)
-    array of the maps x -> x ^ eta_v (v = 1, 2, 3, then the component of
-    x, then the pair) they hold, and signs."""
-    flat, source, sign = [], [], []
+def _rate_system_gather() -> tuple:
+    """Positions in the 32-vector (eta0..eta3, e1..e4) of the factors of
+    every wedge the rate system needs, and the signs of the rate matrix.
+
+    Entry n of the system is v[i0] v[i1] - v[i2] v[i3], the two terms of
+    a wedge of one-forms in the order :func:`exterior.wedge_coefficients`
+    takes them (``exterior.WEDGE_1_1``), times a factor
+    (:func:`_system_scale`).  The first 216 entries are the rate matrix,
+    row-major: column k of a block +-L_v wedges e_{k+1} with eta_v.  The
+    next 18 are six zeros and then eta0 ^ eta3 and eta0 ^ eta2, the last
+    18 six zeros and then e4 ^ eta3 and e4 ^ eta2.  A zero is
+    0 * 0 - 0 * 0 from the first coefficient of e2.
+    """
+    (l0, r0), (l1, r1) = exterior.WEDGE_1_1
+
+    def wedges(left: int, right: int) -> np.ndarray:
+        return np.array([4 * left + l0, 4 * right + r0, 4 * left + l1, 4 * right + r1])
+
+    zeros = np.full((4, 6), 17)
+    matrix = np.full((4, 18, 12), 17)
+    sign = np.ones((18, 12))
     for eq, blocks in enumerate(_A_BLOCKS):
         for unknown, v in enumerate(blocks):
-            for pair in range(6) if v else ():
-                for k in range(4):
-                    flat.append((6 * eq + pair) * 12 + 4 * unknown + k)
-                    source.append((4 * (abs(v) - 1) + k) * 6 + pair)
-                    sign.append(math.copysign(1.0, v))
-    return np.array(flat), np.array(source), np.array(sign)
+            for k in range(4) if v else ():
+                matrix[:, 6 * eq:6 * eq + 6, 4 * unknown + k] = wedges(4 + k, abs(v))
+                sign[6 * eq:6 * eq + 6, 4 * unknown + k] = math.copysign(1.0, v)
+    rhs = (zeros, wedges(0, 3), wedges(0, 2), zeros, wedges(7, 3), wedges(7, 2))
+    return np.concatenate((matrix.reshape(4, 216), *rhs), axis=1), sign.reshape(-1)
 
 
-_A_FLAT, _A_SOURCE, _A_SIGN = _rate_matrix_gather()
+_GATHER, _A_SIGN = _rate_system_gather()
 _UNITS = np.eye(4).reshape(-1)
-# wedged rows of (eta0..eta3, e1..e4): e_k ^ eta_v for v = 1, 2, 3 and
-# k = 1..4 (the maps x -> x ^ eta_v), then the right-hand side's
-# eta0 ^ eta3, eta0 ^ eta2, e4 ^ eta3 and e4 ^ eta2
-_LEFT = np.array([4, 5, 6, 7] * 3 + [0, 0, 7, 7])
-_RIGHT = np.array([1] * 4 + [2] * 4 + [3] * 4 + [3, 2, 3, 2])
 # signs of the right-hand side's wedges in the second and third equations
 _B_SIGNS = np.array([[1.0], [-1.0]])
+
+
+@functools.lru_cache(maxsize=16)
+def _system_scale(m: int) -> np.ndarray:
+    """Factors of the gathered wedges: the signs of the rate matrix, then
+    -1 for the zeros (their -0.0 leaves -d eta1 as it is), 3 (+-1) and
+    m (+-1)."""
+    zeros = np.full(6, -1.0)
+    return np.concatenate((_A_SIGN, zeros, np.repeat(3.0 * _B_SIGNS, 6), zeros, np.repeat(m * _B_SIGNS, 6)))
 
 
 def _general_system(y: np.ndarray, m: int):
@@ -398,16 +500,13 @@ def _general_system(y: np.ndarray, m: int):
         x3 ^ eta1 + eta3 ^ x1 = 3 eta0 ^ eta3 - d eta2 + m e4 ^ eta3
         x1 ^ eta2 + eta1 ^ x2 = -3 eta0 ^ eta2 - m e4 ^ eta2 - d eta3
 
-    Every wedge comes from one stacked call of the exterior kernel.
+    Every wedge comes from one gather of (y, e1..e4).
     """
-    rows = np.concatenate((y, _UNITS)).reshape(8, 4)
-    w = exterior.wedge_coefficients(rows[_LEFT], rows[_RIGHT], exterior.WEDGE_1_1)
-    A = np.zeros(216)
-    A[_A_FLAT] = _A_SIGN * w.reshape(-1)[_A_SOURCE]
-    d = rows[1:4] @ exterior.D_1.T
+    g = np.concatenate((y, _UNITS))[_GATHER]
+    w = (g[0] * g[1] - g[2] * g[3]) * _system_scale(m)
+    d = y[4:].reshape(3, 4) @ exterior.D_1.T
     # d and e4 ^ . never meet in one monomial, so the order of the sums is free
-    b = np.concatenate((-d[0], (3.0 * _B_SIGNS * w[12:14] - d[1:] + m * _B_SIGNS * w[14:]).reshape(-1)))
-    return A.reshape(18, 12), b
+    return w[:216].reshape(18, 12), w[216:234] - d.reshape(-1) + w[234:]
 
 
 def _general_rates(y: np.ndarray, m: int):
@@ -472,6 +571,7 @@ def evolve_general(
     return FlowResult(
         times=times,
         states=states,
+        coefficients=ys,
         residuals=residual_hypo_batch(ys.reshape(-1, 4, 4), m),
         drift={},
         consistency=np.array(consistency),
@@ -528,10 +628,11 @@ def evolve_case_ii(
         h = math.sqrt(p)
         states.append(CaseIIState(h, s / h, state0.C, state0.m))
 
-    return FlowResult(
-        times=times,
-        states=states,
-        residuals=residual_hypo_batch([st.to_id_structure().matrix for st in states], state0.m),
+    return FlowResult.of_coframes(
+        times,
+        states,
+        [st.to_id_structure() for st in states],
+        state0.m,
         drift={"A": np.array([abs(st.A - A0) / drift_scale for st in states])},
         boundary_time=float(times[-1]) if stopped else None,
         stopped_reason=stopped,
@@ -654,10 +755,11 @@ def evolve_case_iii(
     )
     states = [CaseIIIState(*[float(x) for x in y]) for y in ys]
 
-    return FlowResult(
-        times=times,
-        states=states,
-        residuals=residual_hypo_batch([st.to_id_structure(m).matrix for st in states], m),
+    return FlowResult.of_coframes(
+        times,
+        states,
+        [st.to_id_structure(m) for st in states],
+        m,
         drift={
             "lambda": np.array([abs(st.lam - lam0) for st in states]),
             "mu": np.array([abs(st.mu - mu0) if st.v != 0 else float("nan") for st in states]),

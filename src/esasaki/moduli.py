@@ -167,12 +167,15 @@ def rational_reconstruct(x: float, max_den: int) -> Optional[Fraction]:
     The tolerance is tight by design: a genuinely rational value carries
     only rounding error (~1e-16 relative), while convergents of an
     irrational at denominators within the bound sit at distance of order
-    1/q^2 >~ 1e-12 and must be refused.
+    1/q^2 >~ 1e-12 and must be refused.  So the relative tolerance is
+    capped at 1/(4 max_den^2), below the spacing 1/max_den^2 of
+    fractions with bounded denominators; where that is less than an
+    ulp of x, only the float nearest a fraction reconstructs.
     """
     if isinstance(x, Fraction):
         return x if x.denominator <= max_den else None
     frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) <= RECONSTRUCT_REL_TOL * max(1.0, abs(x)):
+    if abs(float(frac) - x) <= min(RECONSTRUCT_REL_TOL * max(1.0, abs(x)), 0.25 / max_den**2):
         return frac
     return None
 

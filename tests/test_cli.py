@@ -309,12 +309,15 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "iii", "--h0", "0.4"],
         ["evolve", "--case", "i", "--k", "1/0"],
         ["evolve", "--case", "ii", "--h0", "1e308", "--a0", "0.3"],
+        ["evolve", "--case", "i", "--t1", "1e9"],
+        ["evolve", "--case", "i", "--t0=-1e308", "--t1", "1e308"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
         "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
         "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
+        "case-i-too-many-samples", "case-i-span-overflows",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -328,6 +331,17 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "flow.csv").exists()
     assert not list(tmp_path.glob("curvature.*"))
+
+
+def test_evolve_case_i_sample_bound(tmp_path, capsys, monkeypatch):
+    # at the default step, t1 = 0.01 takes 11 samples and t1 = 0.011 takes 12
+    monkeypatch.setattr(cli, "CASE_I_MAX_SAMPLES", 11)
+    assert run(["evolve", "--case", "i", "--t1", "0.01", "--out", tmp_path / "a"]) == 0
+    assert len((tmp_path / "a" / "flow.csv").read_text().splitlines()) == 1 + 11
+    assert run(["evolve", "--case", "i", "--t1", "0.011", "--out", tmp_path / "b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limit of 11 samples" in err
+    assert not (tmp_path / "b" / "flow.csv").exists()
 
 
 # number-like flag values: valid, boundary, non-finite and malformed

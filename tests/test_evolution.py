@@ -362,8 +362,7 @@ def test_flow_result_serialization(tmp_path):
     flow = evolve_case_ii(CaseIIState(0.3, 0.11, 6.0, 0), (0, 0.2), 1e-3, record_every=20)
     csv_path = tmp_path / "flow.csv"
     json_path = tmp_path / "flow.json"
-    flow.to_csv(csv_path)
-    flow.to_json(json_path)
+    flow.write(csv_path, json_path)
     header = csv_path.read_text().splitlines()[0].split(",")
     assert header[0] == "t"
     assert len([c for c in header if c.startswith("eta")]) == 16
@@ -378,10 +377,10 @@ def test_flow_result_serialization(tmp_path):
 def test_flow_csv_writes_every_value_as_its_float_repr(tmp_path):
     flow = evolve_case_ii(CaseIIState(0.3, 0.11, 6.0, 0), (0, 0.2), 1e-3, record_every=20)
     flow = dataclasses.replace(flow, consistency=np.linspace(0.0, 1e-13, len(flow.times)))
-    flow.to_csv(tmp_path / "flow.csv")
+    flow.write(tmp_path / "flow.csv", tmp_path / "flow.json")
     lines = (tmp_path / "flow.csv").read_text().splitlines()
     assert lines[0].split(",")[-2:] == ["lsq_residual", "drift_A"]
-    coeff = flow.coefficient_rows()
+    coeff = flow.coefficients
     for i, line in enumerate(lines[1:]):
         values = [flow.times[i], *coeff[i], *flow.residuals[i], flow.consistency[i], flow.drift["A"][i]]
         assert line == ",".join(repr(float(v)) for v in values)

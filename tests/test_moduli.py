@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from esasaki.moduli import (
     A_MIN,
+    DENOMINATOR_BOUND,
     NO_COMPACT_EXTENSION,
     ROUND_SPHERE_BRANCH,
     YPQ_BRANCH,
@@ -448,3 +449,15 @@ def test_classify_round_branch_with_irrational_looking_C():
 def test_rational_reconstruct():
     assert rational_reconstruct(1 / 7, 100) == F(1, 7)
     assert rational_reconstruct(math.sqrt(2), 50) is None
+
+
+@pytest.mark.parametrize("x", [100 * math.sqrt(2), 1000 * math.pi, 50 * math.e, 10 * math.sqrt(3), 30 * math.sqrt(5)])
+def test_rational_reconstruct_refuses_large_irrationals(x):
+    # a tolerance growing with |x| accepted convergents such as
+    # 97574089/689953 for 100 sqrt(2), 21 ulps away
+    assert rational_reconstruct(x, DENOMINATOR_BOUND) is None
+
+
+@pytest.mark.parametrize("frac", [F(1234567, 3), F(-1234567), F(35500, 113), F(199999, 2), F(-3, 5), F(17, 3)])
+def test_rational_reconstruct_keeps_large_rationals(frac):
+    assert rational_reconstruct(float(frac), DENOMINATOR_BOUND) == frac

@@ -10,7 +10,10 @@ code, stdout and stderr.  The commands are the README examples (with an
 group K has 10366 elements, a 500-point ``verify`` (eight batches of
 curvature stencils), a float-mode A = 0 check (the round branch's
 orbit data from float roots), a five-parameter flow with a round-type
-end (its limits and parity fits), the seed-1 ``flows`` jobs, the ``verify`` jobs
+end (its limits and parity fits), three flows that stop early (a
+five-parameter flow whose mu drift is NaN, a conformal flow at its
+turning point, a general flow whose coframe degenerates), the seed-1
+``flows`` jobs, the ``verify`` jobs
 of the seed-1 ``curvature`` round, the ``extend-check`` jobs of the
 seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
 seed-1 ``classify`` round, as ``perfbench/run.py --list-jobs`` prints
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import shlex
 import subprocess
 import sys
@@ -38,6 +42,7 @@ README = [
     "enumerate --bound 31",
     "evolve --case ii --h0 0.3 --A=-9/2197 --C 6",
     "evolve --case i --k 1 --m 0",
+    "evolve --case iii --h0 0.4 --k 0.3 --c0 0.1 --a0 0.2",
     "evolve --case general --input {eta}",
     "verify --A=-9/2197 --C 6 --points 10",
     "extend-check --A=-9/2197 --C 6 --m 0 --arith rational",
@@ -58,6 +63,16 @@ ROUND_TYPE_END = (
     "extend-check --case-iii --step 2e-3 --h0 0.16888014917517297 --k0 0.407892864503532"
     " --b0 0.12613615814277324 --c0 0.14661975665727922 --a0 0.46499963829121627"
 )
+
+
+# h = k: u or v vanishes at once, and the drift of mu is NaN
+NAN_DRIFT = "evolve --case iii --h0 0.4 --k 0.4 --b0 0.05 --c0 0.05 --a0 0.3 --m 1 --t1 0.05"
+
+TURNING_POINT = "evolve --case ii --h0 0.3 --A=-9/2197 --C 6 --m 1 --t1 2"
+
+# {degenerate} holds a conformal coframe just above the lower turning
+# value of A = -0.9/108, where eta1 -> 0
+COFRAME_DEGENERATES = "evolve --case general --input {degenerate} --t1 3"
 
 
 def benchmark_jobs(workload: str, kinds: tuple) -> list:
@@ -82,10 +97,15 @@ def main(argv=None) -> int:
     out.mkdir(parents=True)
     eta = out / "eta.json"
     eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    A = -0.9 / 108
+    h0 = math.sqrt(float(evolution.turning_points(A)[0] ** 2)) + 1e-3
+    degenerate = out / "degenerate.json"
+    degenerate.write_text(evolution.CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure().dumps())
 
     commands = [("readme", c.format(eta=eta)) for c in README]
     commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-float", ROUND_FLOAT),
-                 ("round-type-end", ROUND_TYPE_END)]
+                 ("round-type-end", ROUND_TYPE_END), ("nan-drift", NAN_DRIFT), ("turning-point", TURNING_POINT),
+                 ("coframe-degenerates", COFRAME_DEGENERATES.format(degenerate=degenerate))]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
