@@ -6,12 +6,8 @@ import math
 
 import numpy as np
 
-from esasaki.evolution import closed_form_case_i, evolve_general, fit_case_i
-from esasaki.structures import (
-    IdStructure,
-    assemble_su2_forms,
-    residual_hypo,
-)
+from esasaki.evolution import closed_form_case_i, evolve_general, fit_case_i, general_rhs
+from esasaki.structures import IdStructure, residual_es, residual_hypo
 
 s6 = 1.0 / math.sqrt(6.0)
 eta = IdStructure(
@@ -20,11 +16,15 @@ eta = IdStructure(
 )
 print("structure-equation residuals:", residual_hypo(eta))
 
-forms = assemble_su2_forms(eta)
-print("alpha  =", forms.alpha)
-print("omega1 =", forms.omega1)
-forms.validate()
-print("orthonormal-coframe compatibility: ok")
+print("coframe determinant:", eta.det())
+
+# with its rate from the flow equations, the data gives the structure
+# forms alpha = eta0, omega1 = eta23 + eta1 ^ dt, ... of the 5-manifold;
+# residual_es measures dalpha = -2 omega1, domega2 = 3 alpha ^ omega3 and
+# domega3 = -3 alpha ^ omega2 there
+y = eta.matrix.reshape(-1)
+rate, _ = general_rhs(y, eta.m)
+print("Einstein-Sasaki residuals:", residual_es(eta.matrix[None], rate.reshape(1, 4, 4), eta.m)[0])
 
 # the flow through this data is the rotating closed form with amplitude
 # k and a phase; both are fixed by the conserved combination
@@ -38,3 +38,6 @@ for t, state in zip(flow.times, flow.states):
     worst = max(worst, float(np.abs(state.matrix - reference.matrix).max()))
 print(f"integrated flow vs closed form over unit time: max deviation {worst:.2e}")
 print(f"least-squares consistency along the flow: {flow.consistency.max():.2e}")
+rates = np.array([general_rhs(y, 0)[0] for y in flow.coefficients]).reshape(-1, 4, 4)
+es = residual_es(flow.coefficients.reshape(-1, 4, 4), rates, 0)
+print(f"Einstein-Sasaki residuals along the flow: max {es.max():.2e}")

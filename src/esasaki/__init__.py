@@ -2,8 +2,9 @@
 
 Subpackages by concern:
 
-- ``exterior``   exact wedge/derivative algebra of invariant forms
-- ``structures`` coframe structures, constraint residuals, normal form
+- ``exterior``   wedge and derivative index tables of invariant forms
+- ``structures`` coframe structures, hypo and Einstein-Sasaki residuals,
+                 normal form
 - ``evolution``  the general coframe flow and the three closed families
 - ``geometry``   invariant metrics, the explicit coordinate chart,
                  finite-difference curvature verification

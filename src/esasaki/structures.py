@@ -10,11 +10,15 @@ phase one-form (d gamma = m e4).  The structure equations
     d eta12 = -3 eta031 - m e4 ^ eta31
 
 are the hypersurface constraints; their residual norms are computed by
-:func:`residual_hypo`.  A one-parameter family of solutions assembles
-into the five-dimensional structure forms (alpha, omega1, omega2,
-omega3) whose Einstein-Sasaki residuals are computed by
-:func:`residual_es`.  :func:`normal_form` reduces any solution to one of
-the two canonical families of the classification.
+:func:`residual_hypo`.  A one-parameter family of solutions eta(t) with
+rates eta'(t) gives the five-dimensional structure forms
+
+    alpha = eta0,   omega1 = eta23 + eta1 ^ dt,
+    omega2 = eta31 + eta2 ^ dt,   omega3 = eta12 + eta3 ^ dt,
+
+and :func:`residual_es` computes the norms of their Einstein-Sasaki
+residuals.  :func:`normal_form` reduces any solution to one of the two
+canonical families of the classification.
 """
 
 from __future__ import annotations
@@ -23,32 +27,25 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from esasaki.exterior import D_1, D_2, DT, E4, WEDGE_1_1, WEDGE_1_2, InvariantForm, d_invariant, wedge
-from esasaki.exterior import wedge_coefficients
+from esasaki.exterior import D_1, D_2, WEDGE_1_1, WEDGE_1_2, wedge_coefficients
 
 __all__ = [
     "IdStructure",
-    "Su2StructureForms",
     "FamilyTag",
     "FrameTransform",
     "DegenerateCoframeError",
     "NotASolutionError",
     "residual_hypo",
     "residual_hypo_batch",
-    "assemble_su2_forms",
-    "assemble_su2_rates",
     "residual_es",
     "normal_form",
 ]
 
 VARIANT_NOTHING = "GoGivingNothing"
 VARIANT_YPQ = "GoGivingYpq"
-# Su2StructureForms.validate: wedge products below this count as vanishing
-VALIDATE_TOL = 1e-9
 
 
 class DegenerateCoframeError(ValueError):
@@ -57,10 +54,6 @@ class DegenerateCoframeError(ValueError):
 
 class NotASolutionError(ValueError):
     """Input does not satisfy the structure equations within tolerance."""
-
-
-def _row_form(row: Sequence) -> InvariantForm:
-    return InvariantForm(1, {(j + 1,): c for j, c in enumerate(row) if c != 0})
 
 
 @dataclass(frozen=True)
@@ -92,9 +85,6 @@ class IdStructure:
     def require_coframe(self, threshold: float = 1e-12) -> None:
         if abs(self.det()) <= threshold:
             raise DegenerateCoframeError(f"coframe determinant {self.det():.3e} below {threshold:.1e}")
-
-    def one_forms(self):
-        return tuple(_row_form(row) for row in self.eta)
 
     # -- group actions on solutions -----------------------------------
 
@@ -143,9 +133,11 @@ class IdStructure:
             return c
         try:
             rows = tuple(tuple(dec(c) for c in row) for row in data["eta"])
-            m = int(data.get("m", 0))
+            m = data.get("m", 0)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed coframe data: {exc}") from None
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"coframe weight m must be an integer, got {m!r}")
         return cls(rows, m)
 
     def dumps(self) -> str:
@@ -156,14 +148,9 @@ class IdStructure:
         return cls.from_json_dict(json.loads(text))
 
 
-def residual_hypo_batch(etas, m: int) -> np.ndarray:
-    """Norms of the three structure-equation residuals of each coframe
-    in an (N, 4, 4) stack with weight m, as an (N, 3) array.
-
-    Works on the float coefficient arrays with the index tables of
-    :mod:`esasaki.exterior`; exact coframes are converted to float.
-    """
-    eta = np.asarray(etas, dtype=float)
+def _hypo_terms(eta: np.ndarray, m: int) -> tuple:
+    """Coefficients of the three structure-equation residuals of an
+    (N, 4, 4) float stack: a two-form and two three-forms per coframe."""
     # eta23, eta31, eta12
     two = wedge_coefficients(eta[:, [2, 3, 1]], eta[:, [3, 1, 2]], WEDGE_1_1)
     # eta0 ^ eta12, eta0 ^ eta31, e4 ^ eta12, e4 ^ eta31
@@ -174,114 +161,60 @@ def residual_hypo_batch(etas, m: int) -> np.ndarray:
     r1 = eta[:, 0] @ D_1.T + 2.0 * two[:, 0]
     r2 = d_two[:, 0] - 3.0 * three[:, 0] - m * three[:, 2]
     r3 = d_two[:, 1] + 3.0 * three[:, 1] + m * three[:, 3]
-    return np.sqrt(np.stack([(r * r).sum(axis=-1) for r in (r1, r2, r3)], axis=-1))
+    return r1, r2, r3
+
+
+def residual_hypo_batch(etas, m: int) -> np.ndarray:
+    """Norms of the three structure-equation residuals of each coframe
+    in an (N, 4, 4) stack with weight m, as an (N, 3) array.
+
+    Works on the float coefficient arrays with the index tables of
+    :mod:`esasaki.exterior`; exact coframes are converted to float.
+    """
+    terms = _hypo_terms(np.asarray(etas, dtype=float), m)
+    return np.sqrt(np.stack([(r * r).sum(axis=-1) for r in terms], axis=-1))
+
+
+def residual_es(etas, rates, m: int) -> np.ndarray:
+    """Norms of the three Einstein-Sasaki residuals
+
+        d alpha + 2 omega1,   d omega2 - 3 alpha ^ omega3 - m e4 ^ omega3,
+        d omega3 + 3 alpha ^ omega2 + m e4 ^ omega2
+
+    of the structure forms of each coframe in an (N, 4, 4) stack with
+    its (N, 4, 4) rates, as an (N, 3) array.  The derivative on the
+    five-manifold is d + dt ^ d/dt, with the phase correction m e4 ^ .
+    (phase evaluated at zero).  Each residual is R0 + R1 ^ dt: R0 is the
+    structure-equation residual of :func:`residual_hypo_batch` and R1
+    the evolution equation
+
+        2 eta1 - eta0',
+        d eta2 + eta3' ^ eta1 + eta3 ^ eta1' - 3 eta0 ^ eta3 - m e4 ^ eta3,
+        d eta3 + eta1' ^ eta2 + eta1 ^ eta2' + 3 eta0 ^ eta2 + m e4 ^ eta2,
+
+    so that each norm is the hypot of the two parts.
+    """
+    eta = np.asarray(etas, dtype=float)
+    dot = np.asarray(rates, dtype=float)
+    # eta3' ^ eta1, eta3 ^ eta1', eta1' ^ eta2, eta1 ^ eta2',
+    # eta0 ^ eta3, eta0 ^ eta2, e4 ^ eta3, e4 ^ eta2
+    left = np.stack([dot[:, 3], eta[:, 3], dot[:, 1], eta[:, 1], eta[:, 0], eta[:, 0], eta[:, 0], eta[:, 0]], axis=1)
+    left[:, 6:] = (0.0, 0.0, 0.0, 1.0)
+    right = np.stack([eta[:, 1], dot[:, 1], eta[:, 2], dot[:, 2], eta[:, 3], eta[:, 2], eta[:, 3], eta[:, 2]], axis=1)
+    w = wedge_coefficients(left, right, WEDGE_1_1)
+    d = eta[:, 2:] @ D_1.T
+    along = (
+        2.0 * eta[:, 1] - dot[:, 0],
+        d[:, 0] + (w[:, 0] + w[:, 1]) - 3.0 * w[:, 4] - m * w[:, 6],
+        d[:, 1] + (w[:, 2] + w[:, 3]) + 3.0 * w[:, 5] + m * w[:, 7],
+    )
+    terms = zip(_hypo_terms(eta, m), along)
+    return np.sqrt(np.stack([(r * r).sum(axis=-1) + (s * s).sum(axis=-1) for r, s in terms], axis=-1))
 
 
 def residual_hypo(structure: IdStructure) -> tuple:
     """Norms of the three structure-equation residuals of a coframe."""
     return tuple(float(r) for r in residual_hypo_batch(structure.matrix[None], structure.m)[0])
-
-
-@dataclass(frozen=True)
-class Su2StructureForms:
-    """The five-dimensional structure forms (alpha, omega1, omega2, omega3).
-
-    ``m`` is the rotation weight of the phase; the forms are evaluated at
-    phase zero and the derivative operator used in :func:`residual_es`
-    carries the corresponding e4-correction.
-    """
-
-    alpha: InvariantForm
-    omega1: InvariantForm
-    omega2: InvariantForm
-    omega3: InvariantForm
-    m: int = 0
-
-    def validate(self) -> None:
-        """Check the orthonormal-coframe compatibility conditions.
-
-        alpha ^ omega1 ^ omega1 must be a volume form and the omegas must
-        wedge to a common positive multiple of the volume on ker(alpha).
-        """
-        omegas = (self.omega1, self.omega2, self.omega3)
-        vol = wedge(self.alpha, wedge(self.omega1, self.omega1))
-        if vol.norm() <= VALIDATE_TOL:
-            raise NotASolutionError("alpha ^ omega1^2 vanishes")
-        diag = []
-        for i in range(3):
-            for j in range(i, 3):
-                prod = wedge(self.alpha, wedge(omegas[i], omegas[j]))
-                if i == j:
-                    diag.append(prod)
-                elif prod.norm() > VALIDATE_TOL * max(1.0, vol.norm()):
-                    raise NotASolutionError(f"omega{i+1} ^ omega{j+1} does not vanish")
-        ref = diag[0]
-        for other in diag[1:]:
-            if not ref.allclose(other, VALIDATE_TOL * max(1.0, ref.norm())):
-                raise NotASolutionError("omega_i ^ omega_i volumes disagree")
-
-
-def assemble_su2_forms(family, t: float | None = None) -> Su2StructureForms:
-    """Structure forms of the product structure at one instant.
-
-    ``family`` is either an :class:`IdStructure` or a callable
-    ``t -> IdStructure``; in the latter case ``t`` selects the instant.
-    Raises :class:`DegenerateCoframeError` when the coframe condition
-    fails at the evaluation point.
-    """
-    structure = family(t) if callable(family) else family
-    structure.require_coframe()
-    eta0, eta1, eta2, eta3 = structure.one_forms()
-    return Su2StructureForms(
-        alpha=eta0,
-        omega1=wedge(eta2, eta3) + wedge(eta1, DT),
-        omega2=wedge(eta3, eta1) + wedge(eta2, DT),
-        omega3=wedge(eta1, eta2) + wedge(eta3, DT),
-        m=structure.m,
-    )
-
-
-def assemble_su2_rates(structure: IdStructure, eta_dot: Sequence) -> Su2StructureForms:
-    """Time derivatives of the structure forms, from the coframe rate.
-
-    ``eta_dot`` is the 4x4 array of row derivatives.  The product rule
-    gives the omega rates; no coframe condition is needed.
-    """
-    eta = structure.one_forms()
-    dot = tuple(_row_form(row) for row in eta_dot)
-    return Su2StructureForms(
-        alpha=dot[0],
-        omega1=wedge(dot[2], eta[3]) + wedge(eta[2], dot[3]) + wedge(dot[1], DT),
-        omega2=wedge(dot[3], eta[1]) + wedge(eta[3], dot[1]) + wedge(dot[2], DT),
-        omega3=wedge(dot[1], eta[2]) + wedge(eta[1], dot[2]) + wedge(dot[3], DT),
-        m=structure.m,
-    )
-
-
-def residual_es(forms: Su2StructureForms, rates: Su2StructureForms) -> tuple:
-    """Norms of the three Einstein-Sasaki residuals.
-
-    The derivative on the product is d_total = d_invariant + dt ^ d/dt,
-    with the phase correction m e4 ^ . applied to omega2/omega3 (phase
-    evaluated at zero).
-    """
-    m = forms.m
-
-    def d_total(form, rate):
-        return d_invariant(form) + wedge(DT, rate)
-
-    r1 = d_total(forms.alpha, rates.alpha) + 2 * forms.omega1
-    r2 = (
-        d_total(forms.omega2, rates.omega2)
-        - m * wedge(E4, forms.omega3)
-        - 3 * wedge(forms.alpha, forms.omega3)
-    )
-    r3 = (
-        d_total(forms.omega3, rates.omega3)
-        + m * wedge(E4, forms.omega2)
-        + 3 * wedge(forms.alpha, forms.omega2)
-    )
-    return (r1.norm(), r2.norm(), r3.norm())
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,9 @@ _COFRAMES = {
     "list": [1, 2, 3],
     "null-entry": {"eta": [[None, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
     "bad-m": {"eta": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": "x"},
+    # solutions for m = 0 and m = 1 were m truncated to an integer
+    "fractional-m": {**CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure().to_json_dict(), "m": 0.5},
+    "bool-m": {**CaseIIState(0.38, 0.1, 6.0, 1).to_id_structure().to_json_dict(), "m": True},
     "nan-entry": {"eta": [[math.nan, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
     "zero-denominator": {"eta": [["1/0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
 }
@@ -484,7 +487,10 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, 
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["short-row", "no-eta", "list", "null-entry", "bad-m", "nan-entry", "zero-denominator"])
+@pytest.mark.parametrize(
+    "name",
+    ["short-row", "no-eta", "list", "null-entry", "bad-m", "fractional-m", "bool-m", "nan-entry", "zero-denominator"],
+)
 def test_malformed_coframe_files_exit_2(tmp_path, capsys, name):
     path = tmp_path / "eta.json"
     path.write_text(json.dumps(_COFRAMES[name]))
@@ -492,6 +498,8 @@ def test_malformed_coframe_files_exit_2(tmp_path, capsys, name):
         assert run(argv + ["--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if name.endswith("-m"):
+            assert f"m must be an integer, got {_COFRAMES[name]['m']!r}" in err
 
 
 def test_verify_nan_residual_fails(tmp_path, capsys, monkeypatch):

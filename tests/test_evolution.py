@@ -6,7 +6,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from esasaki.exterior import E4, InvariantForm, d_invariant, wedge
 from esasaki.evolution import (
     CaseIIState,
     CaseIIIState,
@@ -24,7 +23,9 @@ from esasaki.evolution import (
 )
 from esasaki.evolution import _case_ii_rhs, _general_system
 from esasaki.moduli import enumerate_rational_families
-from esasaki.structures import IdStructure, residual_hypo
+from esasaki.structures import IdStructure, residual_es, residual_hypo, residual_hypo_batch
+
+from exact_forms import add, basis, d, one_form, scale, wedge
 
 S6 = 1.0 / math.sqrt(6.0)
 
@@ -281,9 +282,7 @@ def test_general_system_matches_exact_product_rule():
     # equations in the exact exterior algebra, at random rational data
     rng = np.random.default_rng(23)
     pairs = list(combinations(range(1, 5), 2))
-
-    def one_form(row):
-        return InvariantForm(1, {(j + 1,): c for j, c in enumerate(row)})
+    e4 = basis(4)
 
     for _ in range(50):
         eta = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(4)] for _ in range(4)]
@@ -292,14 +291,43 @@ def test_general_system_matches_exact_product_rule():
         e0, e1, e2, e3 = map(one_form, eta)
         x1, x2, x3 = map(one_form, rates)
         equations = (
-            wedge(x2, e3) + wedge(e2, x3) + d_invariant(e1),
-            wedge(x3, e1) + wedge(e3, x1) - (3 * wedge(e0, e3) - d_invariant(e2) + m * wedge(E4, e3)),
-            wedge(x1, e2) + wedge(e1, x2) - (-3 * wedge(e0, e2) - m * wedge(E4, e2) - d_invariant(e3)),
+            add(wedge(x2, e3), wedge(e2, x3), d(e1)),
+            add(wedge(x3, e1), wedge(e3, x1), scale(-3, wedge(e0, e3)), d(e2), scale(-m, wedge(e4, e3))),
+            add(wedge(x1, e2), wedge(e1, x2), scale(3, wedge(e0, e2)), scale(m, wedge(e4, e2)), d(e3)),
         )
-        expected = [float(eq.coefficient(pair)) for eq in equations for pair in pairs]
+        expected = [float(eq.get(pair, 0)) for eq in equations for pair in pairs]
         A, b = _general_system(np.array(eta, dtype=float).reshape(-1), m)
         x = np.array(rates, dtype=float).reshape(-1)
         assert np.allclose(A @ x - b, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [CaseIIState(0.3, 0.4, 2.0, 1).to_id_structure(), closed_form_case_i(1.2, 3, 0.35)],
+    ids=["case-ii-m1", "case-i-m3"],
+)
+def test_five_dimensional_equations_hold_along_the_general_flow(start):
+    # alpha, omega_i built from the flow's states and its own rates solve
+    # d alpha = -2 omega1, d omega2 = 3 alpha ^ omega3, d omega3 = -3 alpha ^ omega2
+    m = start.m
+    flow = evolve_general(start, (0.0, 0.5), 1e-3, record_every=25)
+    ys = flow.coefficients
+    rates, consistency = map(np.array, zip(*(general_rhs(y, m) for y in ys)))
+    etas, dots = ys.reshape(-1, 4, 4), rates.reshape(-1, 4, 4)
+    es, hypo = residual_es(etas, dots, m), residual_hypo_batch(etas, m)
+    # the dt part of the first residual, 2 eta1 - eta0', is exactly zero
+    assert (np.abs(es[:, 0] - hypo[:, 0]) <= 4 * np.spacing(hypo[:, 0])).all()
+    # the dt parts of the other two are six of the equations whose
+    # least-squares residual is the consistency; both are evaluated in
+    # float, each of their coefficients a sum of at most 16 products
+    # bounded by `size`, hence 2 * 6 * 16 * 16 eps * size for rounding
+    size = (1 + abs(m)) * max(1.0, np.abs(ys).max(), np.abs(rates).max()) ** 2
+    bound = np.hypot(hypo[:, 1:], consistency[:, None]) + 2 * 6 * 16 * 16 * np.finfo(float).eps * size
+    assert (es[:, 1:] <= bound).all()
+    # control: a rate of eta0 off by 1% leaves 0.02 eta1 in the first residual
+    wrong = dots.copy()
+    wrong[:, 0] *= 1.01
+    assert residual_es(etas, wrong, m)[:, 0].min() > 1e-3
 
 
 def test_general_flow_stops_at_coframe_degeneration():

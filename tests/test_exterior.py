@@ -1,205 +1,139 @@
-import json
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations
 
-import pytest
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from esasaki.exterior import (
-    D_1,
-    D_2,
-    DT,
-    DT_INDEX,
-    E1,
-    E2,
-    E3,
-    E4,
-    GROUP_KEYS,
-    WEDGE_1_1,
-    WEDGE_1_2,
-    InvariantForm,
-    basis_one_form,
-    d_invariant,
-    monomial,
-    wedge,
-    wedge_coefficients,
-)
+from esasaki.exterior import D_1, D_2, GROUP_KEYS, WEDGE_1_1, WEDGE_1_2, wedge_coefficients
+
+from exact_forms import DT, basis, brute_force_wedge_sign, d, group_form, wedge
+
+exact_numbers = st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+one_forms = st.lists(exact_numbers, min_size=4, max_size=4).map(lambda xs: np.array(xs, dtype=object))
+two_forms = st.lists(exact_numbers, min_size=6, max_size=6).map(lambda xs: np.array(xs, dtype=object))
+D1, D2 = D_1.T.astype(int), D_2.T.astype(int)
 
 
-def brute_force_wedge_sign(left, right):
-    """Oracle: sign of sorting the concatenated index tuple, by explicit
-    permutation parity; None on a repeated index."""
-    combined = list(left) + list(right)
-    if len(set(combined)) != len(combined):
-        return None, None
-    target = tuple(sorted(combined))
-    for perm in permutations(range(len(combined))):
-        if tuple(combined[i] for i in perm) == target:
-            swaps = 0
-            perm = list(perm)
-            for i in range(len(perm)):
-                while perm[i] != i:
-                    j = perm[i]
-                    perm[i], perm[j] = perm[j], perm[i]
-                    swaps += 1
-            return target, (-1) ** swaps
-    raise AssertionError("unreachable")
+def test_structure_equations():
+    rows = [group_form(2, column) for column in D1]
+    assert rows == [{(2, 3): -1}, {(1, 3): 1}, {(1, 2): -1}, {}]  # de2 = -e31 = e13
+    assert rows == [d(basis(i)) for i in range(1, 5)]
+    assert d(basis(DT)) == {}
+
+
+def basis_form(*indices):
+    """The monomial e^indices over e1..e4 as a coefficient array."""
+    form = np.zeros(len(GROUP_KEYS[len(indices)]), dtype=object)
+    form[GROUP_KEYS[len(indices)].index(indices)] = 1
+    return form
+
+
+def table_wedge(x, y):
+    return wedge_coefficients(x, y, WEDGE_1_1 if len(y) == 4 else WEDGE_1_2)
 
 
 def test_basis_products():
-    assert wedge(E1, E2) == monomial(1, 2)
-    assert wedge(E1, E1) == InvariantForm.zero(2)
-    assert wedge(E2, E1) == -1 * monomial(1, 2)
+    e1, e2 = basis_form(1), basis_form(2)
+    assert (table_wedge(e1, e2) == basis_form(1, 2)).all()
+    assert not table_wedge(e1, e1).any()
+    assert (table_wedge(e2, e1) == -basis_form(1, 2)).all()
 
 
 def test_bilinearity_against_permutation_oracle():
     # (e1 + e4) ^ e23 expands to e123 + e234
-    lhs = wedge(E1 + E4, monomial(2, 3))
-    expected = InvariantForm.zero(3)
+    lhs = table_wedge(basis_form(1) + basis_form(4), basis_form(2, 3))
+    expected = np.zeros(4, dtype=object)
     for idx in [(1,), (4,)]:
         key, sign = brute_force_wedge_sign(idx, (2, 3))
-        expected = expected + InvariantForm(3, {key: sign})
-    assert lhs == expected
-    assert lhs == monomial(1, 2, 3) + monomial(2, 3, 4)
+        expected = expected + sign * basis_form(*key)
+    assert (lhs == expected).all()
+    assert (lhs == basis_form(1, 2, 3) + basis_form(2, 3, 4)).all()
 
 
 @pytest.mark.parametrize(
     "left, right",
-    [((1,), (2, 3)), ((2,), (1, 3)), ((1, 4), (2, 3)), ((3,), (1, 2, 4)), ((5,), (1, 4)), ((2, 5), (1, 3))],
+    [((1,), (2, 3)), ((2,), (1, 3)), ((4,), (1, 2)), ((3,), (1, 4)), ((2,), (3,)), ((4,), (1,))],
 )
 def test_monomial_signs_match_oracle(left, right):
     key, sign = brute_force_wedge_sign(left, right)
-    prod = wedge(monomial(*left), monomial(*right))
-    assert prod == InvariantForm(len(key), {key: sign})
+    assert (table_wedge(basis_form(*left), basis_form(*right)) == sign * basis_form(*key)).all()
 
 
-def test_wedge_degree_overflow():
-    with pytest.raises(ValueError, match="degree overflow"):
-        wedge(monomial(1, 2, 3), monomial(1, 2, 3))
-
-
-def test_structure_equations():
-    assert d_invariant(E1) == -1 * monomial(2, 3)
-    assert d_invariant(E2) == monomial(1, 3)  # -e31
-    assert d_invariant(E3) == -1 * monomial(1, 2)
-    assert d_invariant(E4) == InvariantForm.zero(2)
-    assert d_invariant(DT) == InvariantForm.zero(2)
+def test_wedge_terms_follow_increasing_one_form_index():
+    # term n of each output monomial takes the n-th smallest one-form index
+    for table in (WEDGE_1_1, WEDGE_1_2):
+        lefts = np.array([left for left, _ in table])
+        assert (np.diff(lefts, axis=0) > 0).all()
 
 
 def test_d_examples():
-    assert d_invariant(monomial(2, 3)) == InvariantForm.zero(3)
-    assert d_invariant(F(1, 3) * E1 + E4) == F(-1, 3) * monomial(2, 3)
-    # linearity cross-check by symbolic expansion
+    assert not (basis_form(2, 3) @ D2).any()
+    x = np.array([F(1, 3), 0, 0, 1], dtype=object)  # e1 / 3 + e4
+    assert list(x @ D1) == list(F(-1, 3) * basis_form(2, 3))
+    # linearity cross-check by expansion
     a, b = F(2, 7), F(-3, 5)
-    combo = a * E1 + b * monomial(3)
-    assert d_invariant(combo) == a * d_invariant(E1) + b * d_invariant(E3)
-
-
-coefficients = st.fractions(
-    min_value=-4, max_value=4, max_denominator=12
-)
-
-
-@st.composite
-def invariant_forms(draw, degree=None):
-    deg = degree if degree is not None else draw(st.integers(min_value=0, max_value=3))
-    form = InvariantForm.zero(deg)
-    keys = list(form.monomials())
-    for key in draw(st.lists(st.sampled_from(keys), max_size=4)) if keys else []:
-        form = form + InvariantForm(deg, {key: draw(coefficients)})
-    return form
-
-
-@settings(max_examples=60, deadline=None)
-@given(invariant_forms(), invariant_forms())
-def test_leibniz_rule(a, b):
-    if a.degree + b.degree >= 5:
-        return
-    lhs = d_invariant(wedge(a, b))
-    sign = (-1) ** a.degree
-    rhs = wedge(d_invariant(a), b) + sign * wedge(a, d_invariant(b))
-    assert lhs == rhs
-
-
-@settings(max_examples=60, deadline=None)
-@given(invariant_forms())
-def test_d_squared_is_zero_exactly(a):
-    if a.degree >= 4:
-        return
-    assert d_invariant(d_invariant(a)) == InvariantForm.zero(a.degree + 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(invariant_forms(), invariant_forms())
-def test_graded_antisymmetry(a, b):
-    if a.degree + b.degree > 5:
-        return
-    sign = (-1) ** (a.degree * b.degree)
-    assert wedge(a, b) == sign * wedge(b, a)
-
-
-# ---------------------------------------------------------------------------
-# index tables over e1..e4
-
-exact_numbers = st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=12))
-
-
-def group_form(degree, coefficients):
-    return InvariantForm(degree, dict(zip(GROUP_KEYS[degree], coefficients)))
+    combo = a * basis_form(1) + b * basis_form(3)
+    assert list(combo @ D1) == list(a * (basis_form(1) @ D1) + b * (basis_form(3) @ D1))
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.lists(exact_numbers, min_size=4, max_size=4), min_size=2, max_size=2),
-    st.lists(exact_numbers, min_size=6, max_size=6),
-)
-def test_tables_equal_the_exact_algebra(ones, two):
-    (x, y), z = np.array(ones, dtype=object), np.array(two, dtype=object)
-    fx, fy, fz = group_form(1, ones[0]), group_form(1, ones[1]), group_form(2, two)
+@given(st.lists(one_forms, min_size=2, max_size=2), two_forms)
+def test_tables_equal_the_exact_algebra(ones, z):
+    x, y = ones
+    fx, fy, fz = group_form(1, x), group_form(1, y), group_form(2, z)
     assert group_form(2, wedge_coefficients(x, y, WEDGE_1_1)) == wedge(fx, fy)
     assert group_form(3, wedge_coefficients(x, z, WEDGE_1_2)) == wedge(fx, fz)
-    assert group_form(2, x @ D_1.T.astype(int)) == d_invariant(fx)
-    assert group_form(3, z @ D_2.T.astype(int)) == d_invariant(fz)
+    assert group_form(2, x @ D1) == d(fx)
+    assert group_form(3, z @ D2) == d(fz)
     # leading axes broadcast: a stack of one-forms against one two-form
-    stacked = wedge_coefficients(np.array(ones, dtype=object), z, WEDGE_1_2)
+    stacked = wedge_coefficients(np.array(ones), z, WEDGE_1_2)
     assert [group_form(3, row) for row in stacked] == [wedge(fx, fz), wedge(fy, fz)]
 
 
-def test_associativity():
-    a = E1 + 2 * E2
-    b = F(1, 3) * E3 + E4
-    c = monomial(2, 5) + monomial(3, 4)
-    assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+def test_d_squared_is_zero_exactly():
+    assert not (D_2 @ D_1).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_forms, one_forms)
+def test_leibniz_rule(x, y):
+    # d(x ^ y) = dx ^ y - x ^ dy, where the two-form dx commutes with y
+    lhs = wedge_coefficients(x, y, WEDGE_1_1) @ D2
+    rhs = wedge_coefficients(y, x @ D1, WEDGE_1_2) - wedge_coefficients(x, y @ D1, WEDGE_1_2)
+    assert (lhs == rhs).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_forms, one_forms, two_forms)
+def test_graded_antisymmetry(x, y, z):
+    assert (wedge_coefficients(x, y, WEDGE_1_1) == -wedge_coefficients(y, x, WEDGE_1_1)).all()
+    assert not wedge_coefficients(x, x, WEDGE_1_1).any()
+    # a two-form commutes with a one-form, in the reference over 1..5 as well
+    fx, fz = group_form(1, x), group_form(2, z)
+    assert wedge(fz, fx) == wedge(fx, fz) == group_form(3, wedge_coefficients(x, z, WEDGE_1_2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_forms, one_forms, one_forms)
+def test_associativity(x, y, z):
+    # x ^ (y ^ z) = (x ^ y) ^ z = z ^ (x ^ y)
+    lhs = wedge_coefficients(x, wedge_coefficients(y, z, WEDGE_1_1), WEDGE_1_2)
+    rhs = wedge_coefficients(z, wedge_coefficients(x, y, WEDGE_1_1), WEDGE_1_2)
+    assert (lhs == rhs).all()
 
 
 def test_exactness_preserved():
-    a = F(1, 3) * E1 + F(2, 5) * E4
-    b = wedge(a, monomial(2, 3))
-    assert b.is_exact()
-    assert d_invariant(b).is_exact()
+    x = np.array([F(1, 3), 0, 0, F(2, 5)], dtype=object)
+    z = np.array([0, 0, 0, 0, 0, 1], dtype=object)  # e34
+    w, dx = wedge_coefficients(x, z, WEDGE_1_2), x @ D1
+    assert all(isinstance(c, (int, F)) for c in (*w, *dx))
+    assert list(w) == [0, 0, F(1, 3), 0]  # e134
+    assert list(dx) == [0, 0, 0, F(-1, 3), 0, 0]  # -e23 / 3
 
 
-def test_serialization_roundtrip():
-    form = F(1, 3) * monomial(2, 3) + 2 * monomial(4, DT_INDEX) + (-0.5) * monomial(1, 5)
-    data = json.loads(form.dumps())
-    assert data["degree"] == 2
-    keys = [entry[0] for entry in data["entries"]]
-    assert keys == sorted(keys)  # lexicographic monomial order, dt last
-    back = InvariantForm.loads(form.dumps())
-    assert back.allclose(form, 0.0)
-    assert back.coefficient((2, 3)) == F(1, 3)
-
-
-def test_serialization_monomial_strings():
-    form = monomial(2, 3)
-    assert json.loads(form.dumps())["entries"] == [["23", 1]]
-
-
-def test_basis_index_validation():
-    with pytest.raises(ValueError):
-        basis_one_form(6)
-    with pytest.raises(ValueError):
-        InvariantForm(2, {(2, 1): 1})
-    with pytest.raises(ValueError):
-        InvariantForm(1, {(1, 2): 1})
+def test_reference_is_a_complex_over_five_indices():
+    # the reference d, dt included, squares to zero on every monomial
+    for degree in range(4):
+        for key in combinations(range(1, 6), degree):
+            assert d(d({key: 1})) == {}

@@ -1,24 +1,24 @@
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esasaki.exterior import DT, E1, E2, E3, E4, InvariantForm, d_invariant, monomial, wedge
 from esasaki.structures import (
     DegenerateCoframeError,
     FamilyTag,
     IdStructure,
     NotASolutionError,
-    assemble_su2_forms,
-    assemble_su2_rates,
     normal_form,
     residual_es,
     residual_hypo,
     residual_hypo_batch,
 )
 from esasaki.evolution import CaseIIState, closed_form_case_i
+
+import exact_forms
 
 S6 = 1.0 / math.sqrt(6.0)
 
@@ -50,17 +50,6 @@ def case_i_rates(k, m, t):
 
 
 
-def exact_algebra_residuals(eta, m):
-    """The three residual norms written out in the exact algebra."""
-    e0, e1, e2, e3 = (InvariantForm(1, {(j + 1,): c for j, c in enumerate(row) if c != 0}) for row in eta)
-    e23, e31, e12 = wedge(e2, e3), wedge(e3, e1), wedge(e1, e2)
-    return (
-        (d_invariant(e0) + 2 * e23).norm(),
-        (d_invariant(e31) - 3 * wedge(e0, e12) - m * wedge(E4, e12)).norm(),
-        (d_invariant(e12) + 3 * wedge(e0, e31) + m * wedge(E4, e31)).norm(),
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.lists(st.floats(-4, 4), min_size=16, max_size=16), min_size=1, max_size=6),
@@ -71,7 +60,7 @@ def test_batched_residual_matches_exact_algebra(rows, m):
     batch = residual_hypo_batch(etas, m)
     assert batch.shape == (len(etas), 3)
     for row, eta in zip(batch, etas):
-        for value, reference in zip(row, exact_algebra_residuals(eta, m)):
+        for value, reference in zip(row, map(exact_forms.norm, exact_forms.hypo_residuals(eta, m))):
             assert abs(value - reference) <= 4 * math.ulp(reference)
         assert tuple(row) == residual_hypo(IdStructure(eta, m))
 
@@ -85,8 +74,7 @@ def test_doubled_eta2_breaks_first_equation():
     rows[2] = tuple(2 * c for c in rows[2])
     broken = IdStructure(tuple(rows), 0)
     r = residual_hypo(broken)
-    eta0, _, eta2, eta3 = broken.one_forms()
-    expected = (d_invariant(eta0) + 2 * wedge(eta2, eta3)).norm()
+    expected = exact_forms.norm(exact_forms.hypo_residuals(broken.eta, 0)[0])
     assert r[0] == pytest.approx(expected)
     assert r[0] > 0.1
 
@@ -121,82 +109,85 @@ def test_sign_change_invariance_of_residuals():
 
 
 # ---------------------------------------------------------------------------
-# assemble + residual_es
+# residual_es
 
 
-def test_assemble_homogeneous_values():
-    forms = assemble_su2_forms(homogeneous_structure())
-    assert forms.alpha.allclose(1 / 3 * E1 + E4)
-    assert forms.omega1.allclose(1 / 6 * monomial(2, 3) + wedge(E4, DT))
+def es_residual(structure, rates):
+    return residual_es(structure.matrix[None], np.array(rates, dtype=float)[None], structure.m)[0]
 
 
-def test_assemble_accepts_time_indexed_family():
-    family = lambda t: closed_form_case_i(1.0, 0, t)
-    forms = assemble_su2_forms(family, t=0.4)
-    assert forms.alpha.allclose(closed_form_case_i(1.0, 0, 0.4).one_forms()[0])
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.floats(-4, 4), min_size=32, max_size=32), min_size=1, max_size=6),
+    st.integers(-3, 3),
+)
+def test_residual_es_matches_exact_algebra(rows, m):
+    # the five-dimensional residuals, dt monomials included, in the reference
+    data = np.array(rows).reshape(-1, 2, 4, 4)
+    etas, rates = data[:, 0], data[:, 1]
+    batch = residual_es(etas, rates, m)
+    assert batch.shape == (len(etas), 3)
+    for row, eta, rate in zip(batch, etas, rates):
+        for value, reference in zip(row, map(exact_forms.norm, exact_forms.es_residuals(eta, rate, m))):
+            assert abs(value - reference) <= 4 * math.ulp(reference)
 
 
-def test_assemble_identity_rows_reference_pattern():
-    ident = IdStructure(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    forms = assemble_su2_forms(ident)
-    forms.validate()
-    assert forms.omega1.allclose(monomial(3, 4) + wedge(E2, DT))
-
-
-def test_assemble_case_ii_matches_explicit_shape():
-    h, a, C, m = 0.35, 0.22, 6.0, 0
-    forms = assemble_su2_forms(CaseIIState(h, a, C, m).to_id_structure())
-    e14 = E1 + C * E4
-    assert forms.omega1.allclose(h * h * monomial(2, 3) + a * wedge(e14, DT))
-    # omega2 = eta3 ^ eta1 + eta2 ^ dt with eta3 = h e3, eta1 = a(e1 + C e4)
-    expected2 = wedge(h * E3, a * e14) + wedge(h * E2, DT)
-    assert forms.omega2.allclose(expected2)
-    expected3 = wedge(a * e14, h * E2) + wedge(h * E3, DT)
-    assert forms.omega3.allclose(expected3)
-
-
-def test_assemble_degenerate_coframe_errors():
+def test_require_coframe_rejects_degenerate_rows():
     degenerate = IdStructure(((1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     with pytest.raises(DegenerateCoframeError):
-        assemble_su2_forms(degenerate)
+        degenerate.require_coframe()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=16, max_size=16))
+def test_structure_forms_are_compatible_exactly_when_eta_is_a_coframe(entries):
+    # alpha ^ omega_i ^ omega_j = 2 delta_ij det(eta) e1234 ^ dt for any
+    # coefficients, so the compatibility of the forms is det(eta) != 0
+    eta = [entries[4 * i:4 * i + 4] for i in range(4)]
+    (alpha, *omegas), _ = exact_forms.su2_forms(eta, [[0] * 4] * 4)
+    det = sum(
+        exact_forms.brute_force_wedge_sign(perm, ())[1] * math.prod(eta[i][j - 1] for i, j in enumerate(perm))
+        for perm in permutations(range(1, 5))
+    )
+    for i in range(3):
+        for j in range(3):
+            product = exact_forms.wedge(alpha, exact_forms.wedge(omegas[i], omegas[j]))
+            expected = {(1, 2, 3, 4, 5): 2 * det} if i == j and det else {}
+            assert product == expected
 
 
 def test_residual_es_exact_case_ii():
     h, a, C, m = 0.35, 0.22, 6.0, 0
     st = CaseIIState(h, a, C, m).to_id_structure()
-    forms = assemble_su2_forms(st)
-    rates = assemble_su2_rates(st, case_ii_rates(h, a, C, m))
-    assert max(residual_es(forms, rates)) < 1e-12
+    assert max(es_residual(st, case_ii_rates(h, a, C, m))) < 1e-12
 
 
 def test_residual_es_exact_case_ii_nonzero_m():
     h, a, C, m = 0.3, 0.15, 4.0, 3
     st = CaseIIState(h, a, C, m).to_id_structure()
-    forms = assemble_su2_forms(st)
-    rates = assemble_su2_rates(st, case_ii_rates(h, a, C, m))
-    assert max(residual_es(forms, rates)) < 1e-12
+    assert max(es_residual(st, case_ii_rates(h, a, C, m))) < 1e-12
 
 
 def test_residual_es_homogeneous_solution_any_t():
     for k, m, t in [(1.0, 0, 0.2), (1.0, 0, 1.0), (1.3, 2, 0.7)]:
         st = closed_form_case_i(k, m, t)
-        forms = assemble_su2_forms(st)
-        rates = assemble_su2_rates(st, case_i_rates(k, m, t))
-        assert max(residual_es(forms, rates)) < 1e-12
+        assert max(es_residual(st, case_i_rates(k, m, t))) < 1e-12
 
 
 def test_residual_es_scaled_alpha_offset():
-    from dataclasses import replace
-
+    # doubling alpha and its rate leaves d alpha + dt ^ alpha' as the first residual
     h, a, C, m = 0.35, 0.22, 6.0, 0
     st = CaseIIState(h, a, C, m).to_id_structure()
-    forms = assemble_su2_forms(st)
-    rates = assemble_su2_rates(st, case_ii_rates(h, a, C, m))
-    scaled_forms = replace(forms, alpha=2 * forms.alpha)
-    scaled_rates = replace(rates, alpha=2 * rates.alpha)
-    r = residual_es(scaled_forms, scaled_rates)
-    d_alpha = (d_invariant(forms.alpha) + wedge(DT, rates.alpha)).norm()
-    assert r[0] == pytest.approx(d_alpha)
+    rates = np.array(case_ii_rates(h, a, C, m), dtype=float)
+    eta = st.matrix
+    eta[0] *= 2
+    rates[0] *= 2
+    r = residual_es(eta[None], rates[None], m)[0]
+    alpha = exact_forms.one_form(st.matrix[0])
+    alpha_dot = exact_forms.one_form(rates[0] / 2)
+    dt = exact_forms.basis(exact_forms.DT)
+    d_alpha = exact_forms.add(exact_forms.d(alpha), exact_forms.wedge(dt, alpha_dot))
+    assert r[0] == pytest.approx(exact_forms.norm(d_alpha))
     assert r[0] > 0.0
 
 
