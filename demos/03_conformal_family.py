@@ -19,7 +19,8 @@ flow = evolve_case_ii(CaseIIState(h0, a0, C=6.0, m=0), (0.0, 2.0), 1e-4)
 
 print(f"\nflow from h0 = {h0}: {len(flow.times)} samples")
 print(f"  stopped: {flow.stopped_reason} at t = {flow.boundary_time:.6f}")
-print(f"  final h = {flow.states[-1].h:.10f}  (upper turning {math.sqrt(3/13):.10f})")
+# the coefficients hold h as the e2 coefficient of eta2 (column 9)
+print(f"  final h = {flow.coefficients[-1, 9]:.10f}  (upper turning {math.sqrt(3/13):.10f})")
 print(f"  conserved-quantity drift: {flow.drift['A'].max():.2e}")
 print(f"  structure-equation residuals along the flow: {flow.residuals.max():.2e}")
 
@@ -27,4 +28,4 @@ print(f"  structure-equation residuals along the flow: {flow.residuals.max():.2e
 st = CaseIIState(6**-0.5, 0.0)
 print(f"\nstationary point h = 6^-1/2: A = {st.A:.12f} = -1/108 = {-1/108:.12f}")
 still = evolve_case_ii(st, (0.0, 1.0), 1e-3)
-print("  height change over unit time:", abs(still.states[-1].h - st.h))
+print("  height change over unit time:", abs(still.coefficients[-1, 9] - st.h))

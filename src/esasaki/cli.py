@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from esasaki import boundary, evolution, geometry, moduli, structures
 
 __all__ = ["main", "build_parser", "RunConfig"]
@@ -77,6 +75,11 @@ def _parse_number(text: str, arith: str = "float"):
     return finite_float(text)
 
 
+def _floats(args, *texts) -> list:
+    """The numbers of ``texts`` as floats, parsed in ``--arith`` mode."""
+    return [float(_parse_number(text, args.arith)) for text in texts]
+
+
 def _global_flags(parser, suppress: bool) -> None:
     # registered on the main parser with real defaults and on every
     # subparser with suppressed defaults, so the flags work in either
@@ -93,8 +96,6 @@ def _global_flags(parser, suppress: bool) -> None:
 # argparse applies choices to command-line values only: cmd_evolve checks
 # a value from a config file
 _CASES = ("i", "ii", "iii", "general")
-# evolve --case i samples its closed form at most this many times
-CASE_I_MAX_SAMPLES = 10**6
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -203,7 +204,6 @@ def _meta(args, **extra) -> dict:
 def cmd_evolve(args) -> int:
     if args.case not in _CASES:
         raise ValueError(f"need --case in {{{', '.join(_CASES)}}} (flag or config file), got {args.case!r}")
-    out = _outdir(args)
     m = args.m
     if args.t1 <= args.t0:
         raise ValueError("t_span must be increasing")
@@ -211,52 +211,35 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--record-every must be at least 1, got {args.record_every}")
     t_span = (args.t0, args.t1)
     if args.case == "i":
-        k = float(_parse_number(args.k or "1", args.arith))
-        steps = (args.t1 - args.t0) / max(args.step, 1e-6)
-        # the grid has round(steps) + 1 points, counted before it is
-        # allocated; an overflowing span is inf
-        if not steps < CASE_I_MAX_SAMPLES - 0.5:
-            raise ValueError(
-                f"case i: a span of {steps:.4g} steps exceeds the limit of {CASE_I_MAX_SAMPLES} samples; "
-                "raise --step or shorten the span"
-            )
-        times = np.linspace(args.t0, args.t1, max(2, int(round(steps)) + 1))
-        states = [evolution.closed_form_case_i(k, m, float(t)) for t in times]
-        flow = evolution.FlowResult.of_coframes(times, states, states, m, drift={},
-                                                meta=_meta(args, family="case_i", k=k, m=m))
+        flow = evolution.evolve_case_i(*_floats(args, args.k or "1"), m, t_span, args.step)
     elif args.case == "ii":
         if args.h0 is None:
             raise ValueError("case ii needs --h0")
-        h0 = float(_parse_number(args.h0, args.arith))
-        C = float(_parse_number(args.C, args.arith))
+        h0, C = _floats(args, args.h0, args.C)
         if args.a0 is not None:
-            state0 = evolution.CaseIIState(h0, float(_parse_number(args.a0, args.arith)), C, m)
+            state0 = evolution.CaseIIState(h0, *_floats(args, args.a0), C, m)
         elif args.A is not None:
-            state0 = evolution.CaseIIState.from_A(h0, float(_parse_number(args.A, args.arith)), C, m)
+            state0 = evolution.CaseIIState.from_A(h0, *_floats(args, args.A), C, m)
         else:
             raise ValueError("case ii needs --a0 or --A")
         flow = evolution.evolve_case_ii(state0, t_span, args.step, record_every=args.record_every)
-        flow.meta.update(_meta(args))
     elif args.case == "iii":
         if args.h0 is None or args.a0 is None:
             raise ValueError("case iii needs --h0 and --a0")
-        state0 = evolution.CaseIIIState(
-            float(_parse_number(args.h0, args.arith)),
-            float(_parse_number(args.k or "0.3", args.arith)),
-            float(_parse_number(args.b0, args.arith)),
-            float(_parse_number(args.c0, args.arith)),
-            float(_parse_number(args.a0, args.arith)),
-        )
+        state0 = evolution.CaseIIIState(*_floats(args, args.h0, args.k or "0.3", args.b0, args.c0, args.a0))
         flow = evolution.evolve_case_iii(state0, t_span, args.step, record_every=args.record_every, m=m or 1)
-        flow.meta.update(_meta(args))
     else:
         if not args.input:
             raise ValueError("--case general requires --input")
         with open(args.input) as fh:
             eta0 = structures.IdStructure.from_json_dict(json.load(fh))
         flow = evolution.evolve_general(eta0, t_span, args.step, record_every=args.record_every)
-        flow.meta.update(_meta(args))
 
+    # flow.json keeps each case's meta key order: case i lists the run's
+    # keys before the family's, the other cases after
+    run = _meta(args)
+    flow.meta = {**run, **flow.meta} if args.case == "i" else {**flow.meta, **run}
+    out = _outdir(args)
     flow.write(out / "flow.csv", out / "flow.json")
     print(f"wrote {out / 'flow.csv'} ({len(flow.times)} samples)")
     return 0
@@ -286,8 +269,7 @@ def cmd_verify(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     out = _outdir(args)
-    a_float = float(_parse_number(args.A, args.arith))
-    C = float(_parse_number(args.C, args.arith))
+    a_float, C = _floats(args, args.A, args.C)
     chart = geometry.ypq_chart(a_float)
     fd_step = args.fd_step
     if fd_step is None:
@@ -319,13 +301,7 @@ def cmd_verify(args) -> int:
 def cmd_extend_check(args) -> int:
     out = _outdir(args)
     if args.case_iii:
-        state0 = evolution.CaseIIIState(
-            float(_parse_number(args.h0, args.arith)),
-            float(_parse_number(args.k0, args.arith)),
-            float(_parse_number(args.b0, args.arith)),
-            float(_parse_number(args.c0, args.arith)),
-            float(_parse_number(args.a0, args.arith)),
-        )
+        state0 = evolution.CaseIIIState(*_floats(args, args.h0, args.k0, args.b0, args.c0, args.a0))
         report = boundary.reject_case_iii(state0, args.step)
         verdict = {
             "branch": "Reject",
@@ -376,7 +352,6 @@ def cmd_extend_check(args) -> int:
 def cmd_normal_form(args) -> int:
     if args.input is None:
         raise ValueError("need --input (flag or config file)")
-    out = _outdir(args)
     with open(args.input) as fh:
         eta = structures.IdStructure.from_json_dict(json.load(fh))
     tag, transform = structures.normal_form(eta)

@@ -19,9 +19,10 @@ conformal family with conserved quantity A = 4h^6 - h^4 + (ah)^2
 (case ii), and the five-parameter family (case iii) whose ratios
 w/u and z/v are conserved.
 
-Every flow is stepped by one fixed-step RK4 driver, :func:`rk4_path`,
-which keeps every ``record_every``-th state and ends a flow at the
-bisected crossing of its domain's boundary.
+Case i is sampled from its closed form; every other flow is stepped by
+one fixed-step RK4 integrator, :func:`rk4_path`, which keeps every
+``record_every``-th state and ends a flow at the bisected crossing of
+its domain's boundary.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "ConstraintError",
     "closed_form_case_i",
     "fit_case_i",
+    "evolve_case_i",
     "evolve_general",
     "evolve_case_ii",
     "evolve_case_iii",
@@ -59,6 +61,8 @@ __all__ = [
 ]
 
 EPS_ROT = math.sqrt(6.0)
+# evolve_case_i samples its closed form at most this many times
+CASE_I_MAX_SAMPLES = 10**6
 # evolve_general's bound on initial residuals, relative to max(1, max |coefficient|)
 GENERAL_PRE_TOL = 1e-8
 # evolve_case_ii ends a flow once h falls to this
@@ -71,6 +75,41 @@ CASE_III_NORM_CAP = 1e7
 
 class ConstraintError(ValueError):
     """The overdetermined evolution system became inconsistent."""
+
+
+# ---------------------------------------------------------------------------
+# coframe layouts: each family's states as an (n, 16) coefficient array,
+# row i the 4x4 matrix of eta0..eta3 over e1..e4 of state i
+
+
+def _layout(n: int, entries: dict) -> np.ndarray:
+    """n coframes, zero but at the flat indices 4 i + j (eta_i, e_{j+1}) that ``entries`` maps."""
+    eta = np.zeros((n, 16))
+    for index, values in entries.items():
+        eta[:, index] = values
+    return eta
+
+
+def _case_i_coefficients(k: float, m: int, times: np.ndarray) -> np.ndarray:
+    phase = EPS_ROT * times
+    g = k * np.cos(phase) - m / 3.0
+    f = -0.5 * k * EPS_ROT * np.sin(phase)
+    return _layout(len(times), {0: 1.0 / 3.0, 3: g, 7: f, 9: 1.0 / EPS_ROT, 14: 1.0 / EPS_ROT})
+
+
+def _case_ii_coefficients(h: np.ndarray, a: np.ndarray, C: float, m: int) -> np.ndarray:
+    return _layout(len(h), {0: 2 * h * h, 3: 2 * C * h * h - (C + m) / 3.0, 4: a, 7: a * C, 9: h, 14: h})
+
+
+def _case_iii_coefficients(y: np.ndarray, m: int) -> np.ndarray:
+    """Coframes of the (n, 5) states (h, k, b, c, a)."""
+    h, k, b, c, a = y.T
+    return _layout(len(y), {0: 2 * (h * k - b * c), 3: -m / 3.0, 4: a, 9: h, 10: b, 13: c, 14: k})
+
+
+def _one(coefficients: np.ndarray, m: int) -> IdStructure:
+    """The structure of a one-row coefficient array, in Python floats."""
+    return IdStructure(coefficients.reshape(4, 4).tolist(), m)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +135,7 @@ class CaseIIState:
         return 4 * h**6 - h**4 + (a * h) ** 2
 
     def to_id_structure(self) -> IdStructure:
-        h, a, C, m = self.h, self.a, self.C, self.m
-        rows = (
-            (2 * h * h, 0.0, 0.0, 2 * C * h * h - (C + m) / 3.0),
-            (a, 0.0, 0.0, a * C),
-            (0.0, h, 0.0, 0.0),
-            (0.0, 0.0, h, 0.0),
-        )
-        return IdStructure(rows, m)
+        return _one(_case_ii_coefficients(np.array([self.h]), np.array([self.a]), self.C, self.m), self.m)
 
     @classmethod
     def from_A(cls, h: float, A: float, C: float = 0.0, m: int = 0) -> "CaseIIState":
@@ -173,13 +205,7 @@ class CaseIIIState:
             raise ValueError("(h - k, b + c) = (0, 0) reduces to case ii")
 
     def to_id_structure(self, m: int = 1) -> IdStructure:
-        rows = (
-            (2 * self.delta, 0.0, 0.0, -m / 3.0),
-            (self.a, 0.0, 0.0, 0.0),
-            (0.0, self.h, self.b, 0.0),
-            (0.0, self.c, self.k, 0.0),
-        )
-        return IdStructure(rows, m)
+        return _one(_case_iii_coefficients(np.array([[self.h, self.k, self.b, self.c, self.a]]), m), m)
 
 
 def closed_form_case_i(k: float, m: int, t: float) -> IdStructure:
@@ -189,15 +215,7 @@ def closed_form_case_i(k: float, m: int, t: float) -> IdStructure:
     eta2 = e2/eps, eta3 = e3/eps with eps = sqrt(6).  The coframe condition
     fails at the isolated instants where sin(eps t) = 0.
     """
-    g = k * math.cos(EPS_ROT * t) - m / 3.0
-    f = -0.5 * k * EPS_ROT * math.sin(EPS_ROT * t)
-    rows = (
-        (1.0 / 3.0, 0.0, 0.0, g),
-        (0.0, 0.0, 0.0, f),
-        (0.0, 1.0 / EPS_ROT, 0.0, 0.0),
-        (0.0, 0.0, 1.0 / EPS_ROT, 0.0),
-    )
-    return IdStructure(rows, m)
+    return _one(_case_i_coefficients(k, m, np.array([t], dtype=float)), m)
 
 
 def fit_case_i(structure: IdStructure) -> tuple:
@@ -250,23 +268,20 @@ def _dumps(obj, depth: int) -> str:
 
 @dataclass
 class FlowResult:
-    """Sampled flow data: states, coefficients, constraint residuals,
-    conserved drift.
+    """Sampled flow data: coefficients, constraint residuals, conserved
+    drift.
 
     ``coefficients`` holds the n recorded coframes as one (n, 16) float
     array, row i the 4x4 matrix of eta0..eta3 over e1..e4 at
-    ``times[i]``; the residuals and both artifacts read it.  ``states``
-    holds the same samples in the family's own variables (coframes for
-    case i and the general flow).  A flow that reaches the edge of its
-    domain ends at the located crossing: ``boundary_time`` is its time
-    and ``stopped_reason`` names it (``"coframe degenerate"``,
-    ``"h_zero"``, ``"turning_point"``, ``"u_or_v_vanishes"``,
-    ``"delta_nonpositive"`` or ``"divergence"``); both are None when the
-    flow reached the end of its span.
+    ``times[i]``; the residuals and both artifacts read it.  A flow that
+    reaches the edge of its domain ends at the located crossing:
+    ``boundary_time`` is its time and ``stopped_reason`` names it
+    (``"coframe degenerate"``, ``"h_zero"``, ``"turning_point"``,
+    ``"u_or_v_vanishes"``, ``"delta_nonpositive"`` or ``"divergence"``);
+    both are None when the flow reached the end of its span.
     """
 
     times: np.ndarray
-    states: list
     coefficients: np.ndarray
     residuals: np.ndarray
     drift: dict
@@ -276,12 +291,13 @@ class FlowResult:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def of_coframes(cls, times, states, coframes: Sequence[IdStructure], m: int, **fields) -> "FlowResult":
-        """A flow recording ``coframes`` (one per time, weight m): their
-        coefficients fill the array, whose residuals are computed once."""
-        coefficients = np.array([s.eta for s in coframes], dtype=float).reshape(-1, 16)
+    def of_coefficients(cls, times, coefficients: np.ndarray, m: int, stopped=None, **fields) -> "FlowResult":
+        """A flow recording the (n, 16) ``coefficients`` of weight m, one
+        row per time, scored by their structure-equation residuals; one
+        ``stopped`` at a boundary of that name ends at its crossing."""
         residuals = residual_hypo_batch(coefficients.reshape(-1, 4, 4), m)
-        return cls(times=times, states=states, coefficients=coefficients, residuals=residuals, **fields)
+        boundary_time = float(times[-1]) if stopped else None
+        return cls(times, coefficients, residuals, boundary_time=boundary_time, stopped_reason=stopped, **fields)
 
     def write(self, csv_path, json_path) -> None:
         """Write the flow as CSV and as JSON.
@@ -370,6 +386,31 @@ class FlowResult:
                     fh.write(',\n "consistency": ')
                     array("consistency")
                 fh.write("\n}")
+
+
+# ---------------------------------------------------------------------------
+# case i
+
+
+def evolve_case_i(k: float, m: int, t_span: Sequence[float], step: float) -> FlowResult:
+    """Sample the closed-form rotating solution (:func:`closed_form_case_i`)
+    at round(span / step) + 1 evenly spaced times of t_span: at least two,
+    and at most ``CASE_I_MAX_SAMPLES``."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t1 <= t0 or not step > 0:
+        raise ValueError("t_span must be increasing and step positive")
+    steps = (t1 - t0) / step
+    # the grid is counted before it is allocated; an overflowing span is inf
+    if not steps < CASE_I_MAX_SAMPLES - 0.5:
+        raise ValueError(
+            f"case i: a span of {steps:.4g} steps exceeds the limit of {CASE_I_MAX_SAMPLES} samples; "
+            "raise the step or shorten the span"
+        )
+    times = np.linspace(t0, t1, max(2, int(round(steps)) + 1))
+    return FlowResult.of_coefficients(
+        times, _case_i_coefficients(k, m, times), m, drift={},
+        meta={"step": step, "family": "case_i", "k": k, "m": m},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,23 +601,13 @@ def evolve_general(
         lambda t, y: _general_rates(y, m)[0], y0, float(t_span[0]), float(t_span[1]), step,
         every=record_every, exits=exits,
     )
-    states, consistency = [], []
-    for t, y in zip(times, ys):
-        _, res = general_rhs(y, m)
-        if res > abort_tol:
-            raise ConstraintError(f"constraints incompatible: least-squares residual {res:.3e} at t={t}")
-        states.append(IdStructure(tuple(map(tuple, y.reshape(4, 4))), m))
-        consistency.append(res)
+    consistency = np.array([general_rhs(y, m)[1] for y in ys])
+    if (consistency > abort_tol).any():
+        i = int(np.argmax(consistency > abort_tol))
+        raise ConstraintError(f"constraints incompatible: least-squares residual {consistency[i]:.3e} at t={times[i]}")
 
-    return FlowResult(
-        times=times,
-        states=states,
-        coefficients=ys,
-        residuals=residual_hypo_batch(ys.reshape(-1, 4, 4), m),
-        drift={},
-        consistency=np.array(consistency),
-        boundary_time=float(times[-1]) if stopped else None,
-        stopped_reason=stopped,
+    return FlowResult.of_coefficients(
+        times, ys, m, stopped, drift={}, consistency=consistency,
         meta={"step": step, "family": "general", "m": m},
     )
 
@@ -623,19 +654,14 @@ def evolve_case_ii(
 
     q0 = np.array([state0.h**2, state0.a * state0.h])
     times, qs, stopped = rk4_path(_case_ii_rhs, q0, t0, t1, step, every=record_every, exits=exits)
-    states = []
-    for p, s in qs:
-        h = math.sqrt(p)
-        states.append(CaseIIState(h, s / h, state0.C, state0.m))
+    h = np.sqrt(qs[:, 0])
+    a = qs[:, 1] / h
+    # CaseIIState.A in Python floats: numpy's ** rounds unlike libm's pow
+    A = np.array([4 * x**6 - x**4 + (y * x) ** 2 for x, y in zip(h.tolist(), a.tolist())])
 
-    return FlowResult.of_coframes(
-        times,
-        states,
-        [st.to_id_structure() for st in states],
-        state0.m,
-        drift={"A": np.array([abs(st.A - A0) / drift_scale for st in states])},
-        boundary_time=float(times[-1]) if stopped else None,
-        stopped_reason=stopped,
+    return FlowResult.of_coefficients(
+        times, _case_ii_coefficients(h, a, state0.C, state0.m), state0.m, stopped,
+        drift={"A": np.abs(A - A0) / drift_scale},
         meta={"step": step, "family": "case_ii", "C": state0.C, "m": state0.m, "A": A0},
     )
 
@@ -647,9 +673,10 @@ def turning_points(A: float) -> list:
     At the branch minimum A = -1/108 the single (double) value 1/sqrt(6)
     is returned; below it there are none and a ValueError is raised.
     """
-    if A < float(moduli.A_MIN) and A != moduli.A_MIN:
+    heights = [math.sqrt(float(root)) for root, _ in moduli.cubic_roots(A) if root > 0]
+    if not heights:
         raise ValueError("no turning points: A must be at least -1/108")
-    return [math.sqrt(float(root)) for root, _ in moduli.cubic_roots(A) if root > 0]
+    return heights
 
 
 TURNING_SERIES_ORDER = 12
@@ -740,34 +767,30 @@ def evolve_case_iii(
     resolvable range.
     """
     state0.require_flow_start()
-
+    if state0.u == 0:
+        raise ValueError("h + k = 0: the conserved ratio (b - c)/(h + k) is undefined")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
-    lam0, mu0 = state0.lam, (state0.mu if state0.v != 0 else float("nan"))
-    coef_u = 0.25 * (1.0 + lam0 * lam0)
-    coef_v = 0.25 * (1.0 + mu0 * mu0) if state0.v != 0 else float("nan")
 
     y0 = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
     times, ys, stopped = rk4_path(
         case_iii_rhs, y0, t0, t1, step, every=record_every,
         exits=lambda y: case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP),
     )
-    states = [CaseIIIState(*[float(x) for x in y]) for y in ys]
+    h, k, b, c, _ = ys.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (b - c) / (h + k)
+        mu = np.where(h - k != 0, (b + c) / (h - k), np.nan)
+    # the ratios at the start, the first sample; mu is NaN there when v is 0
+    coef_u, coef_v = (0.25 * (1.0 + x * x) for x in (float(lam[0]), float(mu[0])))
+    # Python floats: numpy's ** rounds unlike libm's pow
+    delta_relation = [
+        abs((h * k - b * c) - (coef_u * (h + k) ** 2 - coef_v * (h - k) ** 2)) for h, k, b, c, _ in ys.tolist()
+    ]
 
-    return FlowResult.of_coframes(
-        times,
-        states,
-        [st.to_id_structure(m) for st in states],
-        m,
-        drift={
-            "lambda": np.array([abs(st.lam - lam0) for st in states]),
-            "mu": np.array([abs(st.mu - mu0) if st.v != 0 else float("nan") for st in states]),
-            "delta_relation": np.array(
-                [abs(st.delta - (coef_u * st.u**2 - coef_v * st.v**2)) for st in states]
-            ),
-        },
-        boundary_time=float(times[-1]) if stopped else None,
-        stopped_reason=stopped,
+    return FlowResult.of_coefficients(
+        times, _case_iii_coefficients(ys, m), m, stopped,
+        drift={"lambda": np.abs(lam - lam[0]), "mu": np.abs(mu - mu[0]), "delta_relation": np.array(delta_relation)},
         meta={"step": step, "family": "case_iii", "m": m},
     )

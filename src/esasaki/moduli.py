@@ -514,7 +514,7 @@ def classify_A(A, C, m: int) -> ClassificationVerdict:
     round_branch = A == 0
     if not round_branch:
         a_cmp = A if exact else float(A)
-        if a_cmp < (A_MIN if exact else float(A_MIN)) or a_cmp == A_MIN or a_cmp == float(A_MIN):
+        if a_cmp <= (A_MIN if exact else float(A_MIN)):
             return reject("turning cubic lacks two distinct positive roots (A <= -1/108)")
         if a_cmp > 0:
             return reject("A > 0: single turning point, no compact interval")

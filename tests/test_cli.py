@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from esasaki import cli, geometry
+from esasaki import cli, evolution, geometry
 from esasaki.cli import main
 from esasaki.evolution import CaseIIState
 
@@ -311,13 +311,14 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "ii", "--h0", "1e308", "--a0", "0.3"],
         ["evolve", "--case", "i", "--t1", "1e9"],
         ["evolve", "--case", "i", "--t0=-1e308", "--t1", "1e308"],
+        ["evolve", "--case", "iii", "--h0", "0.1", "--k", "-0.1", "--b0", "0.5", "--c0", "-0.5", "--a0", "0.2"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
         "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
         "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
-        "case-i-too-many-samples", "case-i-span-overflows",
+        "case-i-too-many-samples", "case-i-span-overflows", "case-iii-u-zero",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -335,13 +336,30 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
 
 def test_evolve_case_i_sample_bound(tmp_path, capsys, monkeypatch):
     # at the default step, t1 = 0.01 takes 11 samples and t1 = 0.011 takes 12
-    monkeypatch.setattr(cli, "CASE_I_MAX_SAMPLES", 11)
+    monkeypatch.setattr(evolution, "CASE_I_MAX_SAMPLES", 11)
     assert run(["evolve", "--case", "i", "--t1", "0.01", "--out", tmp_path / "a"]) == 0
     assert len((tmp_path / "a" / "flow.csv").read_text().splitlines()) == 1 + 11
     assert run(["evolve", "--case", "i", "--t1", "0.011", "--out", tmp_path / "b"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "limit of 11 samples" in err
     assert not (tmp_path / "b" / "flow.csv").exists()
+
+
+def test_evolve_case_i_keeps_a_step_below_1e_6(tmp_path):
+    # 5e-5 / 5e-7 = 100 steps: 101 samples 5e-7 apart
+    assert run(["evolve", "--case", "i", "--t1", "5e-5", "--step", "5e-7", "--out", tmp_path]) == 0
+    data = json.loads((tmp_path / "flow.json").read_text())
+    assert len(data["times"]) == 101
+    assert max(abs(b - a - 5e-7) for a, b in zip(data["times"], data["times"][1:])) < 1e-18
+    assert data["meta"]["step"] == 5e-7
+
+
+def test_evolve_meta_keeps_each_case_key_order(tmp_path):
+    assert run(["evolve", "--case", "i", "--t1", "0.01", "--out", tmp_path / "i"]) == 0
+    assert run(["evolve", "--case", "ii", "--h0", "0.3", "--a0", "0.1", "--t1", "0.01", "--out", tmp_path / "ii"]) == 0
+    meta = {case: list(json.loads((tmp_path / case / "flow.json").read_text())["meta"]) for case in ("i", "ii")}
+    assert meta["i"] == ["seed", "arith", "tol", "step", "family", "k", "m"]
+    assert meta["ii"] == ["step", "family", "C", "m", "A", "seed", "arith", "tol"]
 
 
 # number-like flag values: valid, boundary, non-finite and malformed
@@ -538,7 +556,18 @@ def test_normal_form_subcommand(tmp_path):
 def test_normal_form_rejects_non_solution(tmp_path, capsys):
     path = tmp_path / "eta.json"
     path.write_text(json.dumps({"eta": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0}))
-    assert run(["normal-form", "--input", path, "--out", tmp_path]) == 2
+    assert run(["normal-form", "--input", path, "--out", tmp_path / "out"]) == 2
+    # a rejected input leaves no output directory behind
+    assert not (tmp_path / "out").exists()
+
+
+def test_normal_form_output_file_makes_no_out_directory(tmp_path):
+    path = tmp_path / "eta.json"
+    path.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    target = tmp_path / "nf.json"
+    assert run(["normal-form", "--input", path, "--output", target, "--out", tmp_path / "out"]) == 0
+    assert json.loads(target.read_text())["tag"]["variant"] == "GoGivingYpq"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

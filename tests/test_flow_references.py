@@ -2,8 +2,10 @@
 
 The references below are the former implementations, kept verbatim in
 substance: the CSV/JSON writers built on ``csv.writer`` and
-``json.dump(indent=1)``, and the rate system assembled from stacked
-``wedge_coefficients`` calls and a scatter into the matrix.
+``json.dump(indent=1)``, the rate system assembled from stacked
+``wedge_coefficients`` calls and a scatter into the matrix, and the
+recorded flows built one state object, one coframe and one drift value
+per sample.
 """
 
 import csv
@@ -14,19 +16,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from esasaki import evolution, exterior
 from esasaki.evolution import (
+    EPS_ROT,
     CaseIIIState,
     CaseIIState,
     FlowResult,
     _general_system,
+    evolve_case_i,
     evolve_case_ii,
     evolve_case_iii,
     evolve_general,
     turning_points,
 )
+from esasaki.structures import IdStructure, residual_hypo_batch
 
 # ---------------------------------------------------------------------------
 # reference writers
@@ -103,7 +108,6 @@ def flows(draw):
     names = draw(st.lists(st.sampled_from(_DRIFT_NAMES), unique=True, max_size=4))
     return FlowResult(
         times=column(),
-        states=[],
         coefficients=column(16),
         residuals=column(3),
         drift={name: column() for name in names},
@@ -128,29 +132,35 @@ def test_write_matches_csv_writer_and_json_dump(flow, block_rows, spool_chars):
         assert_writes_like_reference(flow)
 
 
-def _stopped_general_flow():
+def _degenerating_coframe():
     # the start of test_general_flow_stops_at_coframe_degeneration
     A = -0.9 / 108
     h0 = math.sqrt(float(turning_points(A)[0] ** 2)) + 1e-3
     a0 = math.sqrt(A + h0**4 - 4 * h0**6) / h0
-    return evolve_general(CaseIIState(h0, a0, 6.0, 0).to_id_structure(), (0, 3.0), 1e-3, det_threshold=1e-5)
+    return CaseIIState(h0, a0, 6.0, 0).to_id_structure()
 
 
+# evolve function, start, t_span and options of flows at step 1e-3
 _FLOWS = {
-    "case-ii": lambda: evolve_case_ii(CaseIIState.from_A(0.3, -9 / 2197, 6.0, 0), (0, 1.0), 1e-3),
-    "case-ii-turning-point": lambda: evolve_case_ii(CaseIIState.from_A(0.3, -9 / 2197, 6.0, 1), (0, 3.0), 1e-3),
-    "case-iii": lambda: evolve_case_iii(CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), (0, 0.5), 1e-3, record_every=1),
+    "case-ii": (evolve_case_ii, CaseIIState.from_A(0.3, -9 / 2197, 6.0, 0), (0, 1.0), {}),
+    "case-ii-turning-point": (evolve_case_ii, CaseIIState.from_A(0.3, -9 / 2197, 6.0, 1), (0, 3.0), {}),
+    "case-iii": (evolve_case_iii, CaseIIIState(0.4, 0.3, 0.0, 0.1, 0.2), (0, 0.5), {"record_every": 1}),
     # h = k: the drift of mu is NaN from the start
-    "case-iii-nan-drift": lambda: evolve_case_iii(CaseIIIState(0.4, 0.4, 0.05, 0.05, 0.3), (0, 0.05), 1e-3),
-    "general": lambda: evolve_general(CaseIIState(0.38, 0.1, 6.0, 2).to_id_structure(), (0, 0.3), 1e-3),
-    "general-stopped": _stopped_general_flow,
+    "case-iii-nan-drift": (evolve_case_iii, CaseIIIState(0.4, 0.4, 0.05, 0.05, 0.3), (0, 0.05), {}),
+    "general": (evolve_general, CaseIIState(0.38, 0.1, 6.0, 2).to_id_structure(), (0, 0.3), {}),
+    "general-stopped": (evolve_general, _degenerating_coframe(), (0, 3.0), {"det_threshold": 1e-5}),
 }
+
+
+def run_flow(name: str) -> FlowResult:
+    evolve, start, t_span, options = _FLOWS[name]
+    return evolve(start, t_span, 1e-3, **options)
 
 
 @SMALL_BLOCKS
 @pytest.mark.parametrize("name", sorted(_FLOWS))
 def test_write_matches_reference_on_flows(name, block_rows, spool_chars, monkeypatch):
-    flow = _FLOWS[name]()
+    flow = run_flow(name)
     if name.endswith(("stopped", "turning-point")):
         assert flow.boundary_time is not None
     if name == "case-iii-nan-drift":
@@ -213,3 +223,183 @@ def test_general_system_matches_the_table_driven_builder_bit_for_bit(y, scale, m
     A_ref, b_ref = reference_general_system(y, m)
     assert A.tobytes() == A_ref.tobytes()
     assert b.tobytes() == b_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reference recorded flows: one state object per sample
+
+
+def reference_of_coframes(coframes, m: int) -> tuple:
+    """Coefficients and residuals of a list of coframes, as the former
+    ``FlowResult.of_coframes`` built them."""
+    coefficients = np.array([s.eta for s in coframes], dtype=float).reshape(-1, 16)
+    return coefficients, residual_hypo_batch(coefficients.reshape(-1, 4, 4), m)
+
+
+def reference_case_i(k, m, t) -> IdStructure:
+    g = k * math.cos(EPS_ROT * t) - m / 3.0
+    f = -0.5 * k * EPS_ROT * math.sin(EPS_ROT * t)
+    rows = ((1.0 / 3.0, 0.0, 0.0, g), (0.0, 0.0, 0.0, f), (0.0, 1.0 / EPS_ROT, 0.0, 0.0), (0.0, 0.0, 1.0 / EPS_ROT, 0.0))
+    return IdStructure(rows, m)
+
+
+def reference_case_ii(h, a, C, m) -> IdStructure:
+    rows = ((2 * h * h, 0.0, 0.0, 2 * C * h * h - (C + m) / 3.0), (a, 0.0, 0.0, a * C), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0))
+    return IdStructure(rows, m)
+
+
+def reference_case_iii(h, k, b, c, a, m) -> IdStructure:
+    rows = ((2 * (h * k - b * c), 0.0, 0.0, -m / 3.0), (a, 0.0, 0.0, 0.0), (0.0, h, b, 0.0), (0.0, c, k, 0.0))
+    return IdStructure(rows, m)
+
+
+def reference_A(h, a):
+    return 4 * h**6 - h**4 + (a * h) ** 2
+
+
+def reference_flow(evolve, start, ys, options) -> tuple:
+    """(coefficients, residuals, drift) that the former per-sample code
+    recorded from the integrator's states ``ys``."""
+    if evolve is evolve_general:
+        coframes = [IdStructure(tuple(map(tuple, y.reshape(4, 4))), start.m) for y in ys]
+        return (*reference_of_coframes(coframes, start.m), {})
+    if evolve is evolve_case_ii:
+        A0 = reference_A(start.h, start.a)
+        states = []
+        for p, s in ys:
+            h = math.sqrt(p)
+            states.append((h, s / h))
+        coframes = [reference_case_ii(h, a, start.C, start.m) for h, a in states]
+        drift = {"A": np.array([abs(reference_A(h, a) - A0) / max(abs(A0), 1e-30) for h, a in states])}
+        return (*reference_of_coframes(coframes, start.m), drift)
+    m = options.get("m", 1)
+    h0, k0, b0, c0 = start.h, start.k, start.b, start.c
+    lam0 = (b0 - c0) / (h0 + k0)
+    mu0 = (b0 + c0) / (h0 - k0) if h0 - k0 != 0 else float("nan")
+    coef_u = 0.25 * (1.0 + lam0 * lam0)
+    coef_v = 0.25 * (1.0 + mu0 * mu0) if h0 - k0 != 0 else float("nan")
+    states = [[float(x) for x in y] for y in ys]
+    coframes = [reference_case_iii(*state, m) for state in states]
+    drift = {
+        "lambda": np.array([abs((b - c) / (h + k) - lam0) for h, k, b, c, _ in states]),
+        "mu": np.array([abs((b + c) / (h - k) - mu0) if h - k != 0 else float("nan") for h, k, b, c, _ in states]),
+        "delta_relation": np.array(
+            [abs((h * k - b * c) - (coef_u * (h + k) ** 2 - coef_v * (h - k) ** 2)) for h, k, b, c, _ in states]
+        ),
+    }
+    return (*reference_of_coframes(coframes, m), drift)
+
+
+def assert_same_floats(a, b) -> None:
+    """Equal bit for bit, except that any NaN equals any NaN (the
+    artifacts spell every NaN alike)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def assert_flow_matches(flow: FlowResult, reference: tuple) -> None:
+    coefficients, residuals, drift = reference
+    assert_same_floats(flow.coefficients, coefficients)
+    assert_same_floats(flow.residuals, residuals)
+    assert list(flow.drift) == list(drift)
+    for name in drift:
+        assert_same_floats(flow.drift[name], drift[name])
+
+
+_RK4_PATH = evolution.rk4_path
+
+
+def evolve_with_path(evolve, start, t_span, step, options) -> tuple:
+    """The flow, and the (times, ys, reason) that rk4_path returned to it."""
+    paths = []
+
+    def recorded(*args, **kwargs):
+        paths.append(_RK4_PATH(*args, **kwargs))
+        return paths[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "rk4_path", recorded)
+        flow = evolve(start, t_span, step, **options)
+    (path,) = paths
+    times, _, reason = path
+    assert flow.times is times
+    assert flow.stopped_reason == reason
+    assert flow.boundary_time == (float(times[-1]) if reason else None)
+    return flow, path
+
+
+@pytest.mark.parametrize("name", sorted(_FLOWS))
+def test_flows_match_the_per_sample_construction(name):
+    evolve, start, t_span, options = _FLOWS[name]
+    flow, (_, ys, _) = evolve_with_path(evolve, start, t_span, 1e-3, options)
+    assert_flow_matches(flow, reference_flow(evolve, start, ys, options))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.floats(-3.0, 3.0),
+    m=st.integers(-3, 3),
+    t0=st.floats(-10.0, 10.0),
+    t1=st.floats(-10.0, 10.0),
+    step=st.floats(1e-3, 0.1),
+)
+def test_case_i_matches_the_per_sample_closed_form(k, m, t0, t1, step):
+    assume(t0 < t1)
+    flow = evolve_case_i(k, m, (t0, t1), step)
+    times = np.linspace(t0, t1, max(2, int(round((t1 - t0) / step)) + 1))
+    assert flow.times.tobytes() == times.tobytes()
+    coframes = [reference_case_i(k, m, float(t)) for t in times]
+    assert_flow_matches(flow, (*reference_of_coframes(coframes, m), {}))
+    assert list(flow.meta.items()) == [("step", step), ("family", "case_i"), ("k", k), ("m", m)]
+
+
+_STEPS = st.sampled_from([1e-3, 2.5e-3, 1e-2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.floats(0.05, 0.55),
+    a=st.floats(0.0, 2.0),
+    C=st.floats(-6.0, 6.0),
+    m=st.integers(-3, 3),
+    t1=st.floats(0.01, 1.0),
+    step=_STEPS,
+    every=st.integers(1, 20),
+)
+def test_case_ii_matches_the_per_sample_construction(h, a, C, m, t1, step, every):
+    start, options = CaseIIState(h, a, C, m), {"record_every": every}
+    flow, (_, ys, _) = evolve_with_path(evolve_case_ii, start, (0.0, t1), step, options)
+    assert_flow_matches(flow, reference_flow(evolve_case_ii, start, ys, options))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.floats(0.05, 1.0),
+    k=st.one_of(st.none(), st.floats(0.05, 1.0)),
+    b=st.floats(-0.5, 0.5),
+    c=st.floats(-0.5, 0.5),
+    a=st.floats(0.05, 1.0),
+    m=st.integers(1, 3),
+    t1=st.floats(0.01, 0.5),
+    step=_STEPS,
+    every=st.integers(1, 20),
+)
+def test_case_iii_matches_the_per_sample_construction(h, k, b, c, a, m, t1, step, every):
+    # k = None draws h = k, where the drift of mu is NaN
+    start = CaseIIIState(h, h if k is None else k, b, c, a)
+    assume(start.delta > 0 and (start.v, start.z) != (0, 0))
+    options = {"record_every": every, "m": m}
+    flow, (_, ys, _) = evolve_with_path(evolve_case_iii, start, (0.0, t1), step, options)
+    assert_flow_matches(flow, reference_flow(evolve_case_iii, start, ys, options))
+
+
+def test_dense_case_iii_matches_the_per_sample_construction():
+    # 3,179 samples: numpy's x**2 and libm's pow differ in about one
+    # square of 1,200, eight times on this flow's u and v
+    start, options = CaseIIIState(0.5, 0.3, -0.05, 0.1, 0.3), {"record_every": 1, "m": 2}
+    flow, (_, ys, _) = evolve_with_path(evolve_case_iii, start, (0.0, 1.0), 2e-4, options)
+    assert len(flow.times) > 3000
+    assert_flow_matches(flow, reference_flow(evolve_case_iii, start, ys, options))

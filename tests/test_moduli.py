@@ -424,6 +424,20 @@ def test_classify_below_minimum_and_positive():
     assert classify_A(0.5, 6.0, 0).branch == NO_COMPACT_EXTENSION
 
 
+def test_classify_compares_A_with_the_minimum_of_its_own_arithmetic():
+    minimum = "(A <= -1/108)"
+    assert minimum in classify_A(A_MIN, F(6), 0).reason
+    assert minimum in classify_A(float(A_MIN), 6.0, 0).reason
+    assert minimum in classify_A(A_MIN - F(1, 10**30), F(6), 0).reason
+    # the exact value of float(-1/108) lies above -1/108; its float roots
+    # collapse to the double root 1/6
+    above = F(float(A_MIN))
+    assert above > A_MIN
+    verdict = classify_A(above, F(6), 0)
+    assert verdict.branch == NO_COMPACT_EXTENSION
+    assert minimum not in verdict.reason and "distinct" in verdict.reason
+
+
 def test_classify_float_inputs_reconstruct():
     verdict = classify_A(-9 / 2197, 6.0, 0)
     assert verdict.branch == YPQ_BRANCH

@@ -269,7 +269,7 @@ def test_normal_form_of_flowed_state():
 
     st0 = CaseIIState(0.38, 0.1, 6.0, 0)
     flow = evolve_general(st0.to_id_structure(), (0, 0.4), 1e-3, record_every=100)
-    final = flow.states[-1]
+    final = IdStructure(flow.coefficients[-1].reshape(4, 4).tolist(), 0)
     tag, _ = normal_form(final, tol=1e-8)
     assert tag.variant == "GoGivingYpq"
     w = final.matrix

@@ -12,8 +12,10 @@ curvature stencils), a float-mode A = 0 check (the round branch's
 orbit data from float roots), a five-parameter flow with a round-type
 end (its limits and parity fits), three flows that stop early (a
 five-parameter flow whose mu drift is NaN, a conformal flow at its
-turning point, a general flow whose coframe degenerates), the seed-1
-``flows`` jobs, the ``verify`` jobs
+turning point, a general flow whose coframe degenerates), three flows
+that record every sample (a 4,001-sample case-i closed form over several
+write blocks, a conformal and a five-parameter flow at
+``--record-every 1``), the seed-1 ``flows`` jobs, the ``verify`` jobs
 of the seed-1 ``curvature`` round, the ``extend-check`` jobs of the
 seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
 seed-1 ``classify`` round, as ``perfbench/run.py --list-jobs`` prints
@@ -74,6 +76,12 @@ TURNING_POINT = "evolve --case ii --h0 0.3 --A=-9/2197 --C 6 --m 1 --t1 2"
 # value of A = -0.9/108, where eta1 -> 0
 COFRAME_DEGENERATES = "evolve --case general --input {degenerate} --t1 3"
 
+EVERY_SAMPLE = [
+    "evolve --case i --k 0.7 --m 3 --t0 -1.5 --t1 0.5 --step 5e-4",
+    "evolve --case ii --h0 0.25 --a0 0.4 --C -2 --m 2 --t1 1.5 --record-every 1",
+    "evolve --case iii --h0 0.5 --k 0.3 --b0 -0.05 --c0 0.1 --a0 0.3 --m 2 --t1 1 --record-every 1",
+]
+
 
 def benchmark_jobs(workload: str, kinds: tuple) -> list:
     out = subprocess.run(
@@ -106,6 +114,7 @@ def main(argv=None) -> int:
     commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-float", ROUND_FLOAT),
                  ("round-type-end", ROUND_TYPE_END), ("nan-drift", NAN_DRIFT), ("turning-point", TURNING_POINT),
                  ("coframe-degenerates", COFRAME_DEGENERATES.format(degenerate=degenerate))]
+    commands += [("every-sample", c) for c in EVERY_SAMPLE]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
