@@ -248,8 +248,8 @@ def cmd_evolve(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.bound is None:
         raise ValueError("need --bound (flag or config file)")
-    out = _outdir(args)
     families = moduli.enumerate_rational_families(args.bound, m=args.m)
+    out = _outdir(args)
     with open(out / "families.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(moduli.YpqFamily.CSV_HEADER)
@@ -268,7 +268,6 @@ def cmd_verify(args) -> int:
         raise ValueError("need --A (flag or config file)")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    out = _outdir(args)
     a_float, C = _floats(args, args.A, args.C)
     chart = geometry.ypq_chart(a_float)
     fd_step = args.fd_step
@@ -279,6 +278,7 @@ def cmd_verify(args) -> int:
     points = geometry.sample_interior_points(chart, args.points, seed=args.seed)
     reports = geometry.ricci_fd_many(chart, points, fd_step=fd_step)
 
+    out = _outdir(args)
     with open(out / "curvature.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "phi", "y", "beta", "psi", "einstein_residual", "sectional_spread"])
@@ -299,7 +299,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend_check(args) -> int:
-    out = _outdir(args)
     if args.case_iii:
         state0 = evolution.CaseIIIState(*_floats(args, args.h0, args.k0, args.b0, args.c0, args.a0))
         report = boundary.reject_case_iii(state0, args.step)
@@ -309,7 +308,7 @@ def cmd_extend_check(args) -> int:
             "report": report.to_json_dict(),
             "meta": _meta(args),
         }
-        _write_json(out / "verdict.json", verdict)
+        _write_json(_outdir(args) / "verdict.json", verdict)
         print(f"Reject: {report.notes}")
         return 1
 
@@ -324,7 +323,6 @@ def cmd_extend_check(args) -> int:
     if verdict.family is not None:
         try:
             payload["diagram"] = moduli.build_diagram(verdict.family).to_json_dict()
-            _write_json(out / "diagram.json", payload["diagram"])
         except ValueError as exc:
             payload["diagram_error"] = str(exc)
             failures.append(f"diagram: {exc}")
@@ -341,6 +339,9 @@ def cmd_extend_check(args) -> int:
         payload["end_reports"] = {tag: rep.to_json_dict() for tag, rep in ends.items()}
         failures += [f"{tag}:{name}" for tag, rep in ends.items() for name in rep.failing()]
 
+    out = _outdir(args)
+    if "diagram" in payload:
+        _write_json(out / "diagram.json", payload["diagram"])
     _write_json(out / "verdict.json", payload)
     print(f"{verdict.branch}: {verdict.reason}")
     if failures:

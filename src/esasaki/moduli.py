@@ -21,18 +21,20 @@ Everything runs in exact rational arithmetic when the inputs are
 bounded rational reconstruction.  Exact and float roots of the cubic
 come from one bisection: the exact path halves until a single rational
 of admissible denominator fits the bracket, snaps to it and checks it
-by substitution, in O(log b) halvings for A = a/b.
+by substitution, in O(log b) halvings for A = a/b, each on integer
+numerators over a common scale.
 
 Group diagrams run on integers: every generator (1/2, q/sigma mod 1) of
 K lies in (1/N)Z^2/Z^2 with N = lcm(2, sigma_-, sigma_+), so K is built
 as a subgroup of (Z/N)^2 and its elements become ``Fraction`` pairs only
-once, when the diagram is returned.
+once, when the diagram is returned, sharing one ``Fraction`` per phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional
 
@@ -77,21 +79,21 @@ def _cubic_value(A, delta):
     return A + delta * delta - 4 * delta**3
 
 
-def _bisect(A, lo, hi, halvings: int):
-    """Midpoint of the bracket (lo, hi) of a sign change of the cubic after
+def _bisect(value, lo, hi, halvings: int):
+    """The bracket (lo, hi) of a sign change of ``value`` after
     ``halvings`` halvings, or earlier once floats have no midpoint left.
-    Works alike on ``Fraction`` and float brackets."""
-    flo = _cubic_value(A, lo)
+    Brackets are floats, or integer numerators over a scale that leaves
+    every midpoint an integer."""
+    positive, integer = value(lo) > 0, isinstance(lo, int)
     for _ in range(halvings):
-        mid = (lo + hi) / 2
+        mid = (lo + hi) // 2 if integer else (lo + hi) / 2
         if mid == lo or mid == hi:
             break
-        fmid = _cubic_value(A, mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if (value(mid) > 0) == positive:
+            lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return lo, hi
 
 
 def cubic_roots(A):
@@ -106,6 +108,8 @@ def cubic_roots(A):
     1/(4b)^2 apart, so the exact path halves below 1/(2 (4b)^2), snaps
     with ``limit_denominator(4b)`` and checks the root by substitution;
     it raises :class:`ExactRootsUnavailable` when a root is irrational.
+    The exact halvings run on integer numerators n over a scale s, where
+    the cubic at n/s has the sign of a s^3 + b n^2 s - 4 b n^3.
     Below the minimum -1/108 of the branch there are no nonnegative
     roots and the list is empty.
     """
@@ -127,15 +131,20 @@ def cubic_roots(A):
     else:
         brackets = [(0 * one, one / 6), (one / 6, one / 4)]
     if not exact:
-        return [(_bisect(A, lo, hi, 200), 1) for lo, hi in brackets]
+        return [(sum(_bisect(lambda d: _cubic_value(A, d), lo, hi, 200)) / 2, 1) for lo, hi in brackets]
 
-    den = 4 * A.denominator
+    a, b = A.numerator, A.denominator
     roots = []
     for lo, hi in brackets:
-        # 2^halvings > 2 (hi - lo) den^2: the final bracket is narrower
-        # than 1/(2 den^2), and its midpoint snaps to the rational root
-        halvings = ceil(2 * (hi - lo) * den**2).bit_length()
-        root = _bisect(A, lo, hi, halvings).limit_denominator(den)
+        # 2^halvings > 2 (hi - lo) (4b)^2: the final bracket is narrower
+        # than 1/(2 (4b)^2), and its midpoint snaps to the rational root
+        halvings = ceil(2 * (hi - lo) * (4 * b) ** 2).bit_length()
+        # every midpoint is n/s with n an integer; b s^3 (A + n^2/s^2 -
+        # 4 n^3/s^3) = a s^3 + n^2 (b s - 4 b n) has the sign of the cubic
+        s = lcm(lo.denominator, hi.denominator) << halvings
+        a_s3, b_s = a * s**3, b * s
+        n_lo, n_hi = _bisect(lambda n: a_s3 + n * n * (b_s - 4 * b * n), int(lo * s), int(hi * s), halvings)
+        root = Fraction(n_lo + n_hi, 2 * s).limit_denominator(4 * b)
         if _cubic_value(A, root) != 0:
             raise ExactRootsUnavailable(
                 "cubic has irrational nonnegative roots; use float mode"
@@ -365,7 +374,11 @@ class GroupDiagram:
     simply_connected: bool
 
     def to_json_dict(self) -> dict:
-        enc = lambda pair: [str(pair[0]), str(pair[1])]
+        # build_diagram shares one object per distinct phase: format each
+        # once, keyed by identity (hashing a Fraction costs more than str)
+        text = {id(x): x for x in chain.from_iterable(self.k_generators + self.k_elements)}
+        text = {key: str(x) for key, x in text.items()}
+        enc = lambda pair: [text[id(pair[0])], text[id(pair[1])]]
         return {
             "K_generators": [enc(g) for g in self.k_generators],
             "K_order": len(self.k_elements),
@@ -457,10 +470,13 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
         "q": family.plus.q,
         "sigma": family.plus.sigma,
     }
+    # one shared Fraction per distinct numerator: the first phase of every
+    # element is 0 or 1/2, so there are far fewer of them than pairs
+    phase = {n: Fraction(n, N) for n in {n for pair in elements for n in pair}}
     return GroupDiagram(
-        k_generators=tuple((Fraction(a, N), Fraction(b, N)) for a, b in generators),
+        k_generators=tuple((phase[a], phase[b]) for a, b in generators),
         # pairs sharing the denominator N sort as their numerators do
-        k_elements=tuple((Fraction(a, N), Fraction(b, N)) for a, b in sorted(elements)),
+        k_elements=tuple((phase[a], phase[b]) for a, b in sorted(elements)),
         h_plus=h_plus,
         h_minus=h_minus,
         intersection_orders=orders,

@@ -561,6 +561,21 @@ def test_normal_form_rejects_non_solution(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--A", "abc"],
+        ["extend-check", "--A", "abc"],
+        ["extend-check", "--case-iii", "--h0", "nan", "--k0", "0.3", "--c0", "0.1", "--a0", "0.2"],
+        ["enumerate", "--bound", "1"],
+    ],
+    ids=["verify", "extend-check", "extend-check-case-iii", "enumerate"],
+)
+def test_rejected_input_makes_no_out_directory(tmp_path, argv):
+    assert run(argv + ["--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_normal_form_output_file_makes_no_out_directory(tmp_path):
     path = tmp_path / "eta.json"
     path.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())

@@ -24,6 +24,7 @@ from esasaki.moduli import (
     rational_reconstruct,
 )
 from esasaki.moduli import _cubic_value
+from exact_roots import fraction_cubic_roots
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,48 @@ def test_exact_roots_at_large_denominator():
     verdict = classify_A(A, F(6), 0)
     assert verdict.branch == YPQ_BRANCH
     assert (verdict.family.delta_minus, verdict.family.delta_plus) == (d_minus, d_plus)
+
+
+def _roots_or_unavailable(search, A):
+    try:
+        return search(A)
+    except ExactRootsUnavailable:
+        return ExactRootsUnavailable
+
+
+def _two_rational_roots(t):
+    # root sum S = t^2 / (3 (3 + t^2)) makes S (1 - 3S) = (t / (3 + t^2))^2
+    # a square, so both positive roots are rational: A = -S (4S - 1)^2 / 4
+    S = t * t / (3 * (3 + t * t))
+    return -S * (4 * S - 1) ** 2 / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _rational_root_A,
+    st.fractions(0, F(7, 10), max_denominator=10**5).map(lambda r: 4 * r**3 - r**2),
+    st.fractions(F(301, 100), 200, max_denominator=10**4).filter(lambda t: t > 3).map(_two_rational_roots),
+    st.fractions(A_MIN, 0, max_denominator=10**6),
+    st.fractions(0, 10**3, max_denominator=10**6),
+    st.sampled_from([F(0), A_MIN, A_MIN - F(1, 10**5), F(6, 20027), F(-47610000, 5168743489)]),
+))
+def test_exact_roots_match_the_fraction_bisection(A):
+    # rational A whose roots are all rational, one of them rational, none
+    # (irrational roots), A > 0, A = 0, -1/108 and below; the integer
+    # numerators give the very Fractions of a bisection on Fractions
+    want = _roots_or_unavailable(fraction_cubic_roots, A)
+    got = _roots_or_unavailable(cubic_roots, A)
+    assert got == want
+    if want is not ExactRootsUnavailable:
+        assert all(type(root) is F for root, _ in got)
+
+
+def test_exact_roots_match_the_fraction_bisection_at_large_denominators():
+    for t in (F(10001, 3), F(999983, 997), F(123457, 2)):
+        A = _two_rational_roots(t)
+        assert A.denominator > 10**14
+        S, r = t * t / (3 * (3 + t * t)), t / (3 + t * t)
+        assert cubic_roots(A) == fraction_cubic_roots(A) == [((S - r) / 2, 1), ((S + r) / 2, 1)]
 
 
 def test_irrational_exact_roots_fall_back_to_float():
@@ -391,6 +434,20 @@ def test_build_diagram_matches_the_fraction_closure(fam):
     diag = build_diagram(fam)
     assert (list(diag.k_generators), list(diag.k_elements), diag.intersection_orders) == want
     assert all(type(v) is F for pair in diag.k_generators + diag.k_elements for v in pair)
+
+
+@pytest.mark.parametrize("A, C, order", [(F(-9, 2197), F(6), 70), (F(-47610000, 5168743489), F(6), 10366)])
+def test_diagram_phases_and_their_text_match_the_fraction_closure(A, C, order):
+    # the README family and the large-K family of extend-check
+    family = classify_A(A, C, 0).family
+    diag = build_diagram(family)
+    generators, elements, _ = _fraction_diagram(family)
+    assert len(elements) == order
+    assert (diag.k_generators, diag.k_elements) == (tuple(generators), tuple(elements))
+    assert all(type(v) is F for pair in diag.k_generators + diag.k_elements for v in pair)
+    data = diag.to_json_dict()
+    assert data["K_elements"] == [[str(x), str(y)] for x, y in elements]
+    assert data["K_generators"] == [[str(x), str(y)] for x, y in generators]
 
 
 # ---------------------------------------------------------------------------

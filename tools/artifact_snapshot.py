@@ -17,10 +17,13 @@ that record every sample (a 4,001-sample case-i closed form over several
 write blocks, a conformal and a five-parameter flow at
 ``--record-every 1``), the seed-1 ``flows`` jobs, the ``verify`` jobs
 of the seed-1 ``curvature`` round, the ``extend-check`` jobs of the
-seed-1 ``extension`` round and the exact ``normal-form`` jobs of the
-seed-1 ``classify`` round, as ``perfbench/run.py --list-jobs`` prints
-them.  Two snapshots compare with ``diff -r``; to compare a change
-against another checkout:
+seed-1 ``extension`` round and the jobs of the seed-1 ``classify``
+round, as ``perfbench/run.py --list-jobs`` prints them: its exact
+``normal-form`` jobs, and its ``classify_A(A, C, 0)`` jobs (the family
+ladder, A denominators 3e4 to 1.5e8, and the negative controls: an
+irrational-root A, -1/108, an A below it and an A > 0) as
+``extend-check --arith rational`` commands.  Two snapshots compare with
+``diff -r``; to compare a change against another checkout:
 
     python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
     python3 tools/artifact_snapshot.py --out /tmp/b
@@ -92,6 +95,14 @@ def benchmark_jobs(workload: str, kinds: tuple) -> list:
     return [label for kind, label in rows if kind in kinds]
 
 
+def classify_commands() -> list:
+    """The classify round's classify_A(A, C, m) jobs as extend-check
+    commands, which classify in the same exact arithmetic."""
+    calls = (label.removeprefix("classify_A(").removesuffix(")").split(", ")
+             for label in benchmark_jobs("classify", ("family", "negative")))
+    return [f"extend-check --A={A} --C {C} --m {m} --arith rational" for A, C, m in calls]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="snapshot directory (created)")
@@ -118,7 +129,7 @@ def main(argv=None) -> int:
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
-    commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",))]
+    commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",)) + classify_commands()]
     for n, (group, command) in enumerate(commands):
         workdir = out / f"{group}-{n:02d}"
         workdir.mkdir()
