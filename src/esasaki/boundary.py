@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from esasaki.evolution import CaseIIIState, case_iii_exit, case_iii_rhs, rk4_path, rk4_step
+from esasaki.evolution import CASE_I_MAX_SAMPLES, CaseIIIState, case_iii_exit, case_iii_rhs, rk4_path, rk4_step
 
 __all__ = [
     "TaylorData",
@@ -387,25 +387,37 @@ def _locate_boundary(y0: np.ndarray, direction: float, step: float):
     analysis needs at t*.  Returns (times, ys, reason) like ``rk4_path``:
     the accepted states from the start on, the last one at the boundary
     offset t*, and reason None when no boundary was found within
-    ``MAX_SPAN``.
+    ``MAX_SPAN``.  Each state's rate k1 is evaluated once, for the step
+    size and for every step tried from it; a march of more than
+    ``CASE_I_MAX_SAMPLES`` tried steps is a ValueError.
     """
     y = np.array(y0, dtype=float)
     t = 0.0
     times, ys = [t], [y]
     h = direction * step
     min_h = step * 2.0**-30
+    k1, tried = None, 0
     while abs(t) < MAX_SPAN:
+        tried += 1
+        if tried > CASE_I_MAX_SAMPLES:
+            raise ValueError(
+                f"case iii: the march toward the {'upper' if direction > 0 else 'lower'} end tried more than "
+                f"{CASE_I_MAX_SAMPLES} steps; raise the step"
+            )
+        if k1 is None:
+            k1 = case_iii_rhs(t, y)
         # keep `a` from collapsing by more than ~25% within one step
-        a_rate = abs(case_iii_rhs(t, y)[4])
-        while abs(h) > min_h and a_rate * abs(h) > 0.25 * y[4]:
+        a_rate = abs(float(k1[4]))
+        while abs(h) > min_h and a_rate * abs(h) > 0.25 * float(y[4]):
             h *= 0.5
-        y_try = rk4_step(case_iii_rhs, t, y, h)
-        if not np.all(np.isfinite(y_try)) or y_try[4] <= 0:
+        y_try = rk4_step(case_iii_rhs, t, y, h, k1)
+        values = y_try.tolist()
+        if not all(map(math.isfinite, values)) or values[4] <= 0:
             if abs(h) <= min_h:
                 return times, ys, "turning_point"
             h *= 0.5
             continue
-        y, t = y_try, t + h
+        y, t, k1 = y_try, t + h, None
         times.append(t)
         ys.append(y)
         reason = case_iii_exit(y, 1e-10, 0.0, 1e8)

@@ -185,15 +185,10 @@ def _write_json(path: Path, data) -> None:
 def _write_reports_json(path: Path, meta: dict, reports: list) -> None:
     """The bytes of :func:`_write_json` on {"meta": meta, "reports": [...]},
     with one report's JSON dict in memory at a time."""
-
-    def dumps(obj, depth: int) -> str:
-        # encoded JSON has no raw newlines inside strings
-        return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
-
     with open(path, "w") as fh:
-        fh.write('{\n "meta": ' + dumps(meta, 1) + ',\n "reports": [')
+        fh.write('{\n "meta": ' + evolution.indented_json(meta, 1, sort_keys=True) + ',\n "reports": [')
         for k, rep in enumerate(reports):
-            fh.write(("," if k else "") + "\n  " + dumps(rep.to_json_dict(), 2))
+            fh.write(("," if k else "") + "\n  " + evolution.indented_json(rep.to_json_dict(), 2, sort_keys=True))
         fh.write("\n ]\n}")
 
 

@@ -61,7 +61,8 @@ __all__ = [
 ]
 
 EPS_ROT = math.sqrt(6.0)
-# evolve_case_i samples its closed form at most this many times
+# evolve_case_i samples its closed form at most this many times, and no
+# integration (rk4_path, the case-iii march) takes more steps than this
 CASE_I_MAX_SAMPLES = 10**6
 # evolve_general's bound on initial residuals, relative to max(1, max |coefficient|)
 GENERAL_PRE_TOL = 1e-8
@@ -260,10 +261,11 @@ def _format_block(block: np.ndarray) -> tuple:
     return csv_rows, np.array(json_text, dtype=object)[inverse.reshape(block.shape)].tolist()
 
 
-def _dumps(obj, depth: int) -> str:
-    """json.dump(indent=1) text of obj nested ``depth`` levels deep."""
+def indented_json(obj, depth: int, sort_keys: bool = False) -> str:
+    """json.dump(indent=1, sort_keys=sort_keys) text of obj nested
+    ``depth`` levels deep."""
     # encoded JSON has no raw newlines inside strings
-    return json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
+    return json.dumps(obj, indent=1, sort_keys=sort_keys).replace("\n", "\n" + " " * depth)
 
 
 @dataclass
@@ -379,9 +381,9 @@ class FlowResult:
                     fh.write(("," if k else "") + f"\n  {json.dumps(name)}: ")
                     array(("drift", name))
                 fh.write("\n }" if self.drift else "}")
-                fh.write(f',\n "boundary_time": {_dumps(self.boundary_time, 1)}')
-                fh.write(f',\n "stopped_reason": {_dumps(self.stopped_reason, 1)}')
-                fh.write(f',\n "meta": {_dumps(self.meta, 1)}')
+                fh.write(f',\n "boundary_time": {indented_json(self.boundary_time, 1)}')
+                fh.write(f',\n "stopped_reason": {indented_json(self.stopped_reason, 1)}')
+                fh.write(f',\n "meta": {indented_json(self.meta, 1)}')
                 if self.consistency is not None:
                     fh.write(',\n "consistency": ')
                     array("consistency")
@@ -417,8 +419,11 @@ def evolve_case_i(k: float, m: int, t_span: Sequence[float], step: float) -> Flo
 # integrator
 
 
-def rk4_step(f: Callable, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
+def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: Optional[np.ndarray] = None) -> np.ndarray:
+    """One classical step of size h from (t, y); ``k1`` is f(t, y) when
+    the caller has evaluated it already."""
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -442,33 +447,43 @@ def rk4_path(
     ``every``-th state and the last one.  ``exits(y)`` names the boundary
     of the flow's domain that y lies beyond (None inside; a non-finite y
     must get a name).  The first step whose end exits is bisected 64
-    times for the crossing, whose state ends the path.
+    times for the crossing, whose state ends the path; every re-step
+    starts from that step's own k1.  A path of more than
+    ``CASE_I_MAX_SAMPLES`` steps is refused before its first step.
 
     Returns (times, ys, reason) with reason the name of the crossed
     boundary, or None when the path reached t1.
     """
     if step <= 0 or every < 1:
         raise ValueError("step and every must be positive")
-    n = max(1, int(round(abs(t1 - t0) / step)))
+    steps = abs(t1 - t0) / step
+    # an overflowing span is inf, and a NaN step fails the comparison too
+    if not steps < CASE_I_MAX_SAMPLES + 0.5:
+        raise ValueError(
+            f"a span of {steps:.4g} steps exceeds the limit of {CASE_I_MAX_SAMPLES} steps; "
+            "raise the step or shorten the span"
+        )
+    n = max(1, int(round(steps)))
     h = (t1 - t0) / n
     y = np.array(y0, dtype=float)
     times, ys = [t0], [y]
     for i in range(n):
         t = t0 + i * h
-        y_next = rk4_step(f, t, y, h)
+        k1 = f(t, y)
+        y_next = rk4_step(f, t, y, h, k1)
         reason = None if exits is None else exits(y_next)
         if reason is not None:
             lo, hi = 0.0, h
             for _ in range(64):
                 mid = 0.5 * (lo + hi)
-                crossed = exits(rk4_step(f, t, y, mid))
+                crossed = exits(rk4_step(f, t, y, mid, k1))
                 if crossed is None:
                     lo = mid
                 else:
                     hi, reason = mid, crossed
             mid = 0.5 * (lo + hi)
             times.append(t + mid)
-            ys.append(rk4_step(f, t, y, mid))
+            ys.append(rk4_step(f, t, y, mid, k1))
             return np.array(times), np.array(ys), reason
         y = y_next
         if (i + 1) % every == 0 or i + 1 == n:
@@ -616,10 +631,25 @@ def evolve_general(
 # case ii
 
 
-def _case_ii_rhs(t, q):
-    p, s = q  # p = h^2, s = a h
+def _scalar_rates(rates: Callable, y: np.ndarray) -> np.ndarray:
+    """``rates(*y)`` as an array, computed on Python floats.  A zero
+    denominator raises there; it is computed again on numpy scalars,
+    whose quotients are the +-inf and nan of array arithmetic."""
+    try:
+        return np.array(rates(*y.tolist()))
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            return np.array(rates(*y))
+
+
+def _case_ii_rates(p, s) -> list:
+    # p = h^2, s = a h
     sqrtp = math.sqrt(p)
-    return np.array([s / sqrtp, sqrtp * (1.0 - 6.0 * p)])
+    return [s / sqrtp, sqrtp * (1.0 - 6.0 * p)]
+
+
+def _case_ii_rhs(t, q):
+    return _scalar_rates(_case_ii_rates, q)
 
 
 def evolve_case_ii(
@@ -692,18 +722,21 @@ def turning_series(A, delta_star) -> tuple:
     p'(0) = 0.  Matching powers of r with Cauchy products fixes c_{n+2}
     from c_0..c_{n+1}; the coefficients are exact Fractions when A and
     Delta* are.  The equation is invariant under r -> -r, so the odd
-    coefficients vanish, and c_2 = (1 - 6 Delta*)/2 at a root of the
-    turning cubic.
+    coefficients vanish: each is 0 * Delta*, and the Cauchy products run
+    over the even coefficients alone, whose sums the vanishing terms
+    would leave unchanged.  At a root of the turning cubic
+    c_2 = (1 - 6 Delta*)/2.
     """
-    c = [delta_star, 0 * delta_star]
-    sq, dd = [], []  # coefficients of p^2 and of p''
-    for n in range(TURNING_SERIES_ORDER - 1):
+    c = [delta_star]  # c_0, c_2, c_4, ...
+    sq, dd = [], []  # the even coefficients of p^2 and of p''
+    for n in range(TURNING_SERIES_ORDER // 2):
         sq.append(sum(c[i] * c[n - i] for i in range(n + 1)))
         cube = sum(sq[i] * c[n - i] for i in range(n + 1))
         rhs = sq[n] - 8 * cube - (A if n == 0 else 0) - 2 * sum(sq[n - k] * dd[k] for k in range(n))
         dd.append(rhs / (2 * sq[0]))
-        c.append(dd[n] / ((n + 2) * (n + 1)))
-    return tuple(c)
+        c.append(dd[n] / ((2 * n + 2) * (2 * n + 1)))
+    zero = 0 * delta_star
+    return tuple(x for even in c for x in (even, zero))[:-1]
 
 
 def round_series() -> tuple:
@@ -721,32 +754,39 @@ def round_series() -> tuple:
 # case iii
 
 
-def case_iii_rhs(t, y):
-    h, k, b, c, a = y
+def _case_iii_rates(h, k, b, c, a) -> list:
     delta = h * k - b * c
     Q = h * h + k * k + b * b + c * c
     a_dot = (Q - 12.0 * delta * delta - a * a) / (2.0 * delta)
-    return np.array([
+    return [
         (-6.0 * h * delta + k - a_dot * h) / a,
         (-6.0 * k * delta + h - a_dot * k) / a,
         (-6.0 * b * delta - c - a_dot * b) / a,
         (-6.0 * c * delta - b - a_dot * c) / a,
         a_dot,
-    ])
+    ]
+
+
+def case_iii_rhs(t, y):
+    return _scalar_rates(_case_iii_rates, y)
 
 
 def case_iii_exit(y, a_floor: float, uv_floor: float, norm_cap: float) -> Optional[str]:
     """Name of the boundary of the case-iii domain that y = (h, k, b, c, a)
     lies beyond, or None when y is inside."""
-    h, k, b, c, a = y
-    if not np.all(np.isfinite(y)) or a <= a_floor:
+    h, k, b, c, a = values = y.tolist()
+    if not all(map(math.isfinite, values)) or a <= a_floor:
         return "turning_point"
     if abs(h + k) < uv_floor or abs(h - k) < uv_floor:
         # past this point the conserved ratios w/u, z/v are 0/0-noisy
         return "u_or_v_vanishes"
     if h * k - b * c <= 0:
         return "delta_nonpositive"
-    if np.linalg.norm(y) > norm_cap:
+    # np.linalg.norm(y) is at least the largest |y_i| and below 3 times
+    # it; its own rounding, which the divergence crossing keeps, decides
+    # only in between
+    largest = max(map(abs, values))
+    if largest > norm_cap or (3.0 * largest > norm_cap and np.linalg.norm(y) > norm_cap):
         return "divergence"
     return None
 

@@ -312,13 +312,17 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "i", "--t1", "1e9"],
         ["evolve", "--case", "i", "--t0=-1e308", "--t1", "1e308"],
         ["evolve", "--case", "iii", "--h0", "0.1", "--k", "-0.1", "--b0", "0.5", "--c0", "-0.5", "--a0", "0.2"],
+        ["evolve", "--case", "ii", "--h0", "0.3", "--A=-9/2197", "--C", "6", "--step", "1e-9"],
+        ["evolve", "--case", "iii", "--h0", "0.4", "--a0", "0.2", "--step", "1e-9"],
+        ["evolve", "--case", "general", "--input", "{eta}", "--step", "1e-9"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
         "fd-step-0", "fd-step-negative", "no-bound", "A-outside-band", "no-A", "non-solution",
         "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
         "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
-        "case-i-too-many-samples", "case-i-span-overflows", "case-iii-u-zero",
+        "case-i-too-many-samples", "case-i-span-overflows", "case-iii-u-zero", "case-ii-too-many-steps",
+        "case-iii-too-many-steps", "general-too-many-steps",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -343,6 +347,19 @@ def test_evolve_case_i_sample_bound(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "limit of 11 samples" in err
     assert not (tmp_path / "b" / "flow.csv").exists()
+
+
+def test_case_iii_march_counts_its_steps_against_the_limit(tmp_path, capsys, monkeypatch):
+    from esasaki import boundary
+
+    monkeypatch.setattr(boundary, "CASE_I_MAX_SAMPLES", 2000)
+    argv = ["extend-check", "--case-iii"]
+    # the ends lie at t* = 0.84 and -0.13: at step 1e-3 both marches fit
+    assert run(argv + ["--out", tmp_path / "a"]) == 1
+    assert run(argv + ["--step", "1e-4", "--out", tmp_path / "b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: case iii: the march toward the upper end tried more than 2000 steps")
+    assert not (tmp_path / "b").exists()
 
 
 def test_evolve_case_i_keeps_a_step_below_1e_6(tmp_path):
@@ -568,8 +585,9 @@ def test_normal_form_rejects_non_solution(tmp_path, capsys):
         ["extend-check", "--A", "abc"],
         ["extend-check", "--case-iii", "--h0", "nan", "--k0", "0.3", "--c0", "0.1", "--a0", "0.2"],
         ["enumerate", "--bound", "1"],
+        ["evolve", "--case", "iii", "--h0", "0.4", "--a0", "0.2", "--step", "1e-9"],
     ],
-    ids=["verify", "extend-check", "extend-check-case-iii", "enumerate"],
+    ids=["verify", "extend-check", "extend-check-case-iii", "enumerate", "evolve-too-many-steps"],
 )
 def test_rejected_input_makes_no_out_directory(tmp_path, argv):
     assert run(argv + ["--out", tmp_path / "out"]) == 2

@@ -21,6 +21,7 @@ from esasaki.evolution import (
     turning_points,
     turning_series,
 )
+from esasaki import evolution
 from esasaki.evolution import _case_ii_rhs, _general_system
 from esasaki.moduli import enumerate_rational_families
 from esasaki.structures import IdStructure, residual_es, residual_hypo, residual_hypo_batch
@@ -365,6 +366,19 @@ def test_rk4_path_locates_exit_by_bisection():
     assert reason == "empty"
     assert times[-1] == pytest.approx(0.3, abs=1e-12)
     assert ys[-1][0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rk4_path_takes_at_most_the_step_limit(monkeypatch):
+    monkeypatch.setattr(evolution, "CASE_I_MAX_SAMPLES", 10)
+    times, _, _ = rk4_path(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, 0.1)
+    assert len(times) == 11
+    calls = []
+    with pytest.raises(ValueError, match="11 steps exceeds the limit of 10 steps"):
+        rk4_path(lambda t, y: calls.append(t) or -y, np.array([1.0]), 0.0, 1.1, 0.1)
+    assert not calls
+    for t0, t1, step in ((-1e308, 1e308, 1.0), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            rk4_path(lambda t, y: -y, np.array([1.0]), t0, t1, step)
 
 
 @pytest.mark.parametrize("t1", [1.0, -1.0])

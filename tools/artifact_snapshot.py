@@ -9,10 +9,12 @@ code, stdout and stderr.  The commands are the README examples (with an
 ``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
 group K has 10366 elements, a 500-point ``verify`` (eight batches of
 curvature stencils), a float-mode A = 0 check (the round branch's
-orbit data from float roots), a five-parameter flow with a round-type
-end (its limits and parity fits), three flows that stop early (a
-five-parameter flow whose mu drift is NaN, a conformal flow at its
-turning point, a general flow whose coframe degenerates), three flows
+orbit data from float roots), a float-mode Y^{p,q} check (its turning
+series in floats), five-parameter flows tested for extension (one with
+a round-type end, at two steps, for its limits and parity fits, and two
+whose ends both pass the necessary conditions), three flows that stop
+early (a five-parameter flow whose mu drift is NaN, a conformal flow at
+its turning point, a general flow whose coframe degenerates), three flows
 that record every sample (a 4,001-sample case-i closed form over several
 write blocks, a conformal and a five-parameter flow at
 ``--record-every 1``), the seed-1 ``flows`` jobs, the ``verify`` jobs
@@ -63,11 +65,25 @@ MANY_POINTS = "verify --A=-9/2197 --C 6 --points 500"
 # the benchmark's A = 0 jobs run with --arith rational only
 ROUND_FLOAT = "extend-check --A 0 --C 6"
 
+# the README family in float arithmetic: float roots and a float turning series
+YPQ_FLOAT = "extend-check --A=-0.004096495220755576 --C 6 --m 0"
+
 # the lower end of this flow is round-type: check_round_branch decides it
-ROUND_TYPE_END = (
-    "extend-check --case-iii --step 2e-3 --h0 0.16888014917517297 --k0 0.407892864503532"
+ROUND_TYPE_START = (
+    "--h0 0.16888014917517297 --k0 0.407892864503532"
     " --b0 0.12613615814277324 --c0 0.14661975665727922 --a0 0.46499963829121627"
 )
+ROUND_TYPE_END = f"extend-check --case-iii --step 2e-3 {ROUND_TYPE_START}"
+
+# five-parameter flows tested for extension: the round-type end at the
+# default step, and two flows whose ends both pass the necessary conditions
+CASE_III_ENDS = [
+    f"extend-check --case-iii {ROUND_TYPE_START}",
+    "extend-check --case-iii --h0 0.7479046235545557 --k0 0.7358691374113622"
+    " --b0=-0.43154992082753774 --c0 0.4461503348073532 --a0 0.5853265736028771",
+    "extend-check --case-iii --h0 0.8860664941172746 --k0 0.8854937164451794"
+    " --b0=-0.24983824983779568 --c0 0.2456021670539219 --a0 0.6422931608786369",
+]
 
 
 # h = k: u or v vanishes at once, and the drift of mu is NaN
@@ -126,6 +142,7 @@ def main(argv=None) -> int:
                  ("round-type-end", ROUND_TYPE_END), ("nan-drift", NAN_DRIFT), ("turning-point", TURNING_POINT),
                  ("coframe-degenerates", COFRAME_DEGENERATES.format(degenerate=degenerate))]
     commands += [("every-sample", c) for c in EVERY_SAMPLE]
+    commands += [("ypq-float", YPQ_FLOAT)] + [("case-iii-ends", c) for c in CASE_III_ENDS]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
