@@ -38,7 +38,9 @@ for t, eta_t in zip(flow.times, flow.coefficients.reshape(-1, 4, 4)):
     reference = closed_form_case_i(k, 0, float(t) + phase)
     worst = max(worst, float(np.abs(eta_t - reference.matrix).max()))
 print(f"integrated flow vs closed form over unit time: max deviation {worst:.2e}")
-print(f"least-squares consistency along the flow: {flow.consistency.max():.2e}")
+# consistency: the defect |A x - b| of the rates x the flow used, in its
+# overdetermined rate system over e1..e4
+print(f"consistency defect of the rates along the flow: {flow.consistency.max():.2e}")
 rates = np.array([general_rhs(y, 0)[0] for y in flow.coefficients]).reshape(-1, 4, 4)
 es = residual_es(flow.coefficients.reshape(-1, 4, 4), rates, 0)
 print(f"Einstein-Sasaki residuals along the flow: max {es.max():.2e}")

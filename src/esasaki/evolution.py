@@ -8,10 +8,12 @@ The general flow integrates
     d/dt eta12  = -3 eta02 - m e4 ^ eta2 - d eta3
 
 recovering (d/dt eta1, d/dt eta2, d/dt eta3) at each step from the 18
-product-rule equations in 12 unknowns by linear least squares; the
-least-squares residual is recorded as a consistency health metric (the
-system is overdetermined and consistent only on solutions of the
-structure equations).
+product-rule equations in 12 unknowns.  In the coframe eta0..eta3 the
+system's matrix is constant, so the rates are its exact solution through
+one fixed pseudo-inverse.  The system is overdetermined and consistent
+only on solutions of the structure equations: the defect |A x - b| of the
+rates x the flow used, in the system over e1..e4, is recorded as its
+consistency health metric.
 
 Three parameter families are closed under the flow and are integrated in
 reduced variables: the rotating closed-form family (case i), the
@@ -501,33 +503,36 @@ def rk4_path(
 _A_BLOCKS = ((0, 3, -2), (-3, 0, 1), (2, -1, 0))
 
 
+def _wedge_gather(left: int, right: int) -> np.ndarray:
+    """Positions, in a vector of four-coefficient rows, of the factors of
+    the wedge of rows ``left`` and ``right``: its monomial k is
+    v[g[0, k]] v[g[1, k]] - v[g[2, k]] v[g[3, k]], the two terms in the
+    order :func:`exterior.wedge_coefficients` takes them
+    (``exterior.WEDGE_1_1``)."""
+    (l0, r0), (l1, r1) = exterior.WEDGE_1_1
+    return np.array([4 * left + l0, 4 * right + r0, 4 * left + l1, 4 * right + r1])
+
+
 def _rate_system_gather() -> tuple:
     """Positions in the 32-vector (eta0..eta3, e1..e4) of the factors of
     every wedge the rate system needs, and the signs of the rate matrix.
 
-    Entry n of the system is v[i0] v[i1] - v[i2] v[i3], the two terms of
-    a wedge of one-forms in the order :func:`exterior.wedge_coefficients`
-    takes them (``exterior.WEDGE_1_1``), times a factor
-    (:func:`_system_scale`).  The first 216 entries are the rate matrix,
-    row-major: column k of a block +-L_v wedges e_{k+1} with eta_v.  The
-    next 18 are six zeros and then eta0 ^ eta3 and eta0 ^ eta2, the last
-    18 six zeros and then e4 ^ eta3 and e4 ^ eta2.  A zero is
-    0 * 0 - 0 * 0 from the first coefficient of e2.
+    Entry n of the system is a wedge (:func:`_wedge_gather`) times a
+    factor (:func:`_system_scale`).  The first 216 entries are the rate
+    matrix, row-major: column k of a block +-L_v wedges e_{k+1} with
+    eta_v.  The next 18 are six zeros and then eta0 ^ eta3 and
+    eta0 ^ eta2, the last 18 six zeros and then e4 ^ eta3 and
+    e4 ^ eta2.  A zero is 0 * 0 - 0 * 0 from the first coefficient of e2.
     """
-    (l0, r0), (l1, r1) = exterior.WEDGE_1_1
-
-    def wedges(left: int, right: int) -> np.ndarray:
-        return np.array([4 * left + l0, 4 * right + r0, 4 * left + l1, 4 * right + r1])
-
     zeros = np.full((4, 6), 17)
     matrix = np.full((4, 18, 12), 17)
     sign = np.ones((18, 12))
     for eq, blocks in enumerate(_A_BLOCKS):
         for unknown, v in enumerate(blocks):
             for k in range(4) if v else ():
-                matrix[:, 6 * eq:6 * eq + 6, 4 * unknown + k] = wedges(4 + k, abs(v))
+                matrix[:, 6 * eq:6 * eq + 6, 4 * unknown + k] = _wedge_gather(4 + k, abs(v))
                 sign[6 * eq:6 * eq + 6, 4 * unknown + k] = math.copysign(1.0, v)
-    rhs = (zeros, wedges(0, 3), wedges(0, 2), zeros, wedges(7, 3), wedges(7, 2))
+    rhs = (zeros, _wedge_gather(0, 3), _wedge_gather(0, 2), zeros, _wedge_gather(7, 3), _wedge_gather(7, 2))
     return np.concatenate((matrix.reshape(4, 216), *rhs), axis=1), sign.reshape(-1)
 
 
@@ -547,7 +552,8 @@ def _system_scale(m: int) -> np.ndarray:
 
 
 def _general_system(y: np.ndarray, m: int):
-    """Least-squares system for the unknown rates of eta1, eta2, eta3.
+    """The rate system A x = b of the unknown rates of eta1, eta2, eta3,
+    over the monomials of e1..e4.
 
     The unknowns are the rates (x1, x2, x3) and the equations the
     product rule d/dt of the three structure equations:
@@ -556,7 +562,9 @@ def _general_system(y: np.ndarray, m: int):
         x3 ^ eta1 + eta3 ^ x1 = 3 eta0 ^ eta3 - d eta2 + m e4 ^ eta3
         x1 ^ eta2 + eta1 ^ x2 = -3 eta0 ^ eta2 - m e4 ^ eta2 - d eta3
 
-    Every wedge comes from one gather of (y, e1..e4).
+    Every wedge comes from one gather of (y, e1..e4).  The flow solves
+    the system in its coframe (:func:`_coframe_solve`), and
+    :func:`general_rhs` checks the rates it used against this one.
     """
     g = np.concatenate((y, _UNITS))[_GATHER]
     w = (g[0] * g[1] - g[2] * g[3]) * _system_scale(m)
@@ -565,16 +573,87 @@ def _general_system(y: np.ndarray, m: int):
     return w[:216].reshape(18, 12), w[216:234] - d.reshape(-1) + w[234:]
 
 
-def _general_rates(y: np.ndarray, m: int):
-    """Flow right-hand side, with the system it solved."""
-    A, b = _general_system(y, m)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return np.concatenate((2.0 * y[4:8], x)), A, b
+# The rate system in the coframe.  Write E = y.reshape(4, 4) and each rate
+# x_i = X_i E, with X_i its coefficients over eta0..eta3.  A wedge over
+# eta0..eta3 reaches e1..e4 through the 2x2 minors Lambda2(E) of E, so
+# A(y) x = Lambda2(E)^T M X in each equation, with M = A(I) a 0/+-1 matrix
+# of full column rank.  Hence A x = b exactly when M X = b_eta, the
+# right-hand side over the eta-monomials (b_eta = b Lambda2(F) for b over
+# e1..e4, F = E^-1), and then X = M+ b_eta.  This is M's pseudo-inverse
+# M+, in halves; M+ M = I exactly.  Rows are the unknowns (x1, x2, x3) over
+# eta0..eta3, columns the three equations over the monomials 12, 13, 14,
+# 23, 24, 34.  It is a text table: compiling 216 number literals at import
+# (no bytecode cache) takes about 0.13 MB more memory than parsing it.
+_RATE_PINV = np.array([row.split("#")[0].split() for row in """
+     0  0  0  0  0  0     0  0 -1  0  0  0     0  1  0  0  0  0    # x1 . eta0
+     0  0  0  0  0 -1     0  0  0  0 -1  0     0  0  0  1  0  0    # x1 . eta1
+     0  0  0  0  0  0     0  0  0  0  0 -2     0  0  0  0  0  0    # x1 . eta2
+     0  0  0  0  0  0     0  0  0  0  0  0     0  0  0  0  0 -2    # x1 . eta3
+     0  0  1  0  0  0     0  0  0  0  0  0    -1  0  0  0  0  0    # x2 . eta0
+     0  0  0  0  2  0     0  0  0  0  0  0     0  0  0  0  0  0    # x2 . eta1
+     0  0  0  0  0  1     0  0  0  0  1  0     0  0  0  1  0  0    # x2 . eta2
+     0  0  0  0  0  0     0  0  0  0  0  0     0  0  0  0  2  0    # x2 . eta3
+     0 -1  0  0  0  0     1  0  0  0  0  0     0  0  0  0  0  0    # x3 . eta0
+     0  0  0 -2  0  0     0  0  0  0  0  0     0  0  0  0  0  0    # x3 . eta1
+     0  0  0  0  0  0     0  0  0 -2  0  0     0  0  0  0  0  0    # x3 . eta2
+     0  0  0  0  0  1     0  0  0  0 -1  0     0  0  0 -1  0  0    # x3 . eta3
+""".strip().splitlines()], dtype=float) / 2
+# the rates of all four one-forms over eta0..eta3 from b over the eta-monomials
+_COFRAME_PINV = np.vstack((np.zeros((4, 18)), _RATE_PINV))
+# the flow's rates that are constant over eta0..eta3: eta0' = 2 eta1, and
+# M+ of the constant monomials of b_eta, 3 eta0 ^ eta3 in the second
+# equation (column 6 + 2) and -3 eta0 ^ eta2 in the third (column 12 + 1);
+# no matmul at import, which would start BLAS in runs that never use it
+_COFRAME_RATES = np.concatenate(([0.0, 2.0, 0.0, 0.0], 3.0 * (_RATE_PINV[:, 8] - _RATE_PINV[:, 13])))
+
+
+# positions in F = E^-1, flattened, of the factors of Lambda2(F): entry
+# (pq, ab), the minor of F at rows pq and columns ab, is the coefficient of
+# eta_a ^ eta_b in e_p ^ e_q, the wedge of rows p and q of F
+_MINORS = np.concatenate([_wedge_gather(p - 1, q - 1) for p, q in exterior.GROUP_KEYS[2]], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _linear_rhs(m: int) -> np.ndarray:
+    """The 12 x 18 map from y[4:] to the part of b linear in eta1..eta3,
+    over the monomials of e1..e4: -d eta1, -d eta2 + m e4 ^ eta3 and
+    -d eta3 - m e4 ^ eta2."""
+    e4_wedge = exterior.wedge_coefficients(_UNITS[12:], np.eye(4), exterior.WEDGE_1_1)
+    rhs = np.kron(np.eye(3), -exterior.D_1.T)
+    rhs[8:, 6:12] += m * e4_wedge
+    rhs[4:8, 12:] -= m * e4_wedge
+    return rhs
+
+
+def _coframe_solve(y: np.ndarray, b: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The rates of the coframe y: ``rates``, 16 coefficients over
+    eta0..eta3, plus M+ of the (3, 6) right-hand side b over e1..e4
+    carried to the eta-monomials by Lambda2(F), all times E.
+
+    A singular coframe gives NaN rates, and one with NaN or infinite
+    entries non-finite rates."""
+    E = y.reshape(4, 4)
+    try:
+        F = np.linalg.inv(E)
+    except np.linalg.LinAlgError:
+        return np.full(16, math.nan)
+    g = F.reshape(-1)[_MINORS]
+    minors = (g[0] * g[1] - g[2] * g[3]).reshape(6, 6)
+    coframe = rates + _COFRAME_PINV @ (b @ minors).reshape(-1)
+    return (coframe.reshape(4, 4) @ E).reshape(-1)
+
+
+def _general_rates(y: np.ndarray, m: int) -> np.ndarray:
+    """Flow right-hand side: the rates that solve the rate system
+    exactly wherever it is consistent."""
+    return _coframe_solve(y, (y[4:] @ _linear_rhs(m)).reshape(3, 6), _COFRAME_RATES)
 
 
 def general_rhs(y: np.ndarray, m: int):
-    """Flow right-hand side and the least-squares consistency residual."""
-    ydot, A, b = _general_rates(y, m)
+    """Flow right-hand side and its consistency: the defect |A x - b| of
+    the rates x it solved, in the rate system built over e1..e4."""
+    ydot = _general_rates(y, m)
+    A, b = _general_system(y, m)
     return ydot, float(np.linalg.norm(A @ ydot[4:] - b))
 
 
@@ -590,9 +669,9 @@ def evolve_general(
     """Integrate the full 16-coefficient flow from a solution of the
     structure equations.
 
-    Aborts with :class:`ConstraintError` when the least-squares residual
-    of the overdetermined rate system exceeds ``abort_tol``; stops and
-    marks the boundary time when the coframe degenerates.
+    Aborts with :class:`ConstraintError` when the consistency defect of
+    the rates at a recorded state exceeds ``abort_tol``; stops and marks
+    the boundary time when the coframe degenerates.
     """
     res0 = residual_hypo(eta0)
     scale = max(1.0, float(np.abs(eta0.matrix).max()))
@@ -613,13 +692,13 @@ def evolve_general(
         return None
 
     times, ys, stopped = rk4_path(
-        lambda t, y: _general_rates(y, m)[0], y0, float(t_span[0]), float(t_span[1]), step,
+        lambda t, y: _general_rates(y, m), y0, float(t_span[0]), float(t_span[1]), step,
         every=record_every, exits=exits,
     )
     consistency = np.array([general_rhs(y, m)[1] for y in ys])
     if (consistency > abort_tol).any():
         i = int(np.argmax(consistency > abort_tol))
-        raise ConstraintError(f"constraints incompatible: least-squares residual {consistency[i]:.3e} at t={times[i]}")
+        raise ConstraintError(f"constraints incompatible: consistency defect {consistency[i]:.3e} at t={times[i]}")
 
     return FlowResult.of_coefficients(
         times, ys, m, stopped, drift={}, consistency=consistency,

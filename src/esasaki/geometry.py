@@ -83,11 +83,16 @@ def metric_from_frame(eta: IdStructure) -> np.ndarray:
     return g
 
 
+def _profile(A, y, one=1.0):
+    """wq(y) in the arithmetic of ``one``, ``A`` and ``y``."""
+    return 2.0 * (108.0 * A + one - 3.0 * y * y + 2.0 * y**3) / (one - y)
+
+
 def wq(A: float, y: float) -> float:
     """The radial profile function of the coordinate chart; y = 1 is a pole."""
     if y == 1:
         raise ZeroDivisionError("wq has a pole at y = 1")
-    return 2.0 * (108.0 * A + 1.0 - 3.0 * y * y + 2.0 * y**3) / (1.0 - y)
+    return _profile(A, y)
 
 
 def ypq_chart_metric(A: float, point: Sequence[float]) -> np.ndarray:
@@ -106,7 +111,7 @@ def _chart_components(A, theta, y, dtype=float) -> np.ndarray:
     one = dtype(1.0)
     A, theta, y = dtype(A), np.asarray(theta, dtype=dtype), np.asarray(y, dtype=dtype)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    w = 2.0 * (108.0 * A + one - 3.0 * y * y + 2.0 * y**3) / (one - y)
+    w = _profile(A, y, one)
     g = np.zeros(y.shape + (5, 5), dtype=dtype)
     g[..., 0, 0] = (one - y) / 6.0
     g[..., 1, 1] = (one - y) / 6.0 * sin_t**2 + (w / 36.0) * cos_t**2 + (y - one) ** 2 * cos_t**2 / 9.0

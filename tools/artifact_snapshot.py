@@ -14,10 +14,11 @@ series in floats), five-parameter flows tested for extension (one with
 a round-type end, at two steps, for its limits and parity fits, and two
 whose ends both pass the necessary conditions), three flows that stop
 early (a five-parameter flow whose mu drift is NaN, a conformal flow at
-its turning point, a general flow whose coframe degenerates), three flows
+its turning point, a general flow whose coframe degenerates), four flows
 that record every sample (a 4,001-sample case-i closed form over several
-write blocks, a conformal and a five-parameter flow at
-``--record-every 1``), the seed-1 ``flows`` jobs, the ``verify`` jobs
+write blocks, and at ``--record-every 1`` a conformal flow, a
+five-parameter flow and a general flow of weight m = 2 from a conformal
+coframe), the seed-1 ``flows`` jobs, the ``verify`` jobs
 of the seed-1 ``curvature`` round, the ``extend-check`` jobs of the
 seed-1 ``extension`` round and the jobs of the seed-1 ``classify``
 round, as ``perfbench/run.py --list-jobs`` prints them: its exact
@@ -99,6 +100,9 @@ EVERY_SAMPLE = [
     "evolve --case i --k 0.7 --m 3 --t0 -1.5 --t1 0.5 --step 5e-4",
     "evolve --case ii --h0 0.25 --a0 0.4 --C -2 --m 2 --t1 1.5 --record-every 1",
     "evolve --case iii --h0 0.5 --k 0.3 --b0 -0.05 --c0 0.1 --a0 0.3 --m 2 --t1 1 --record-every 1",
+    # {weighted} holds the conformal coframe (h, a, C) = (0.25, 0.4, 1) of
+    # weight m = 2, whose coframe degenerates at t = 0.907
+    "evolve --case general --input {weighted} --t1 0.8 --record-every 1",
 ]
 
 
@@ -136,12 +140,14 @@ def main(argv=None) -> int:
     h0 = math.sqrt(float(evolution.turning_points(A)[0] ** 2)) + 1e-3
     degenerate = out / "degenerate.json"
     degenerate.write_text(evolution.CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure().dumps())
+    weighted = out / "weighted.json"
+    weighted.write_text(evolution.CaseIIState(0.25, 0.4, 1.0, 2).to_id_structure().dumps())
 
     commands = [("readme", c.format(eta=eta)) for c in README]
     commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-float", ROUND_FLOAT),
                  ("round-type-end", ROUND_TYPE_END), ("nan-drift", NAN_DRIFT), ("turning-point", TURNING_POINT),
                  ("coframe-degenerates", COFRAME_DEGENERATES.format(degenerate=degenerate))]
-    commands += [("every-sample", c) for c in EVERY_SAMPLE]
+    commands += [("every-sample", c.format(weighted=weighted)) for c in EVERY_SAMPLE]
     commands += [("ypq-float", YPQ_FLOAT)] + [("case-iii-ends", c) for c in CASE_III_ENDS]
     commands += [("flows", c) for c in benchmark_jobs("flows", ("case_i", "case_ii", "case_iii", "general"))]
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
