@@ -7,13 +7,13 @@ The general flow integrates
     d/dt eta31  = 3 eta03 - d eta2 + m e4 ^ eta3
     d/dt eta12  = -3 eta02 - m e4 ^ eta2 - d eta3
 
-recovering (d/dt eta1, d/dt eta2, d/dt eta3) at each step from the 18
-product-rule equations in 12 unknowns.  In the coframe eta0..eta3 the
-system's matrix is constant, so the rates are its exact solution through
-one fixed pseudo-inverse.  The system is overdetermined and consistent
-only on solutions of the structure equations: the defect |A x - b| of the
-rates x the flow used, in the system over e1..e4, is recorded as its
-consistency health metric.
+recovering (d/dt eta1, d/dt eta2, d/dt eta3) at each step as the
+least-squares solution of the 18 product-rule equations in 12 unknowns
+over e1..e4.  In the coframe eta0..eta3 the system's matrix is constant,
+so that solution takes one fixed pseudo-inverse and a 3x3 solve.  The
+system is overdetermined and consistent only on solutions of the
+structure equations: the defect |A x - b| of the rates x the flow used
+is recorded as its consistency health metric.
 
 Three parameter families are closed under the flow and are integrated in
 reduced variables: the rotating closed-form family (case i), the
@@ -577,13 +577,11 @@ def _general_system(y: np.ndarray, m: int):
 # x_i = X_i E, with X_i its coefficients over eta0..eta3.  A wedge over
 # eta0..eta3 reaches e1..e4 through the 2x2 minors Lambda2(E) of E, so
 # A(y) x = Lambda2(E)^T M X in each equation, with M = A(I) a 0/+-1 matrix
-# of full column rank.  Hence A x = b exactly when M X = b_eta, the
-# right-hand side over the eta-monomials (b_eta = b Lambda2(F) for b over
-# e1..e4, F = E^-1), and then X = M+ b_eta.  This is M's pseudo-inverse
-# M+, in halves; M+ M = I exactly.  Rows are the unknowns (x1, x2, x3) over
-# eta0..eta3, columns the three equations over the monomials 12, 13, 14,
-# 23, 24, 34.  It is a text table: compiling 216 number literals at import
-# (no bytecode cache) takes about 0.13 MB more memory than parsing it.
+# of full column rank.  This is M's pseudo-inverse M+, in halves; M+ M = I
+# exactly.  Rows are the unknowns (x1, x2, x3) over eta0..eta3, columns the
+# three equations over the monomials 12, 13, 14, 23, 24, 34.  It is a text
+# table: compiling 216 number literals at import (no bytecode cache) takes
+# about 0.13 MB more memory than parsing it.
 _RATE_PINV = np.array([row.split("#")[0].split() for row in """
      0  0  0  0  0  0     0  0 -1  0  0  0     0  1  0  0  0  0    # x1 . eta0
      0  0  0  0  0 -1     0  0  0  0 -1  0     0  0  0  1  0  0    # x1 . eta1
@@ -598,19 +596,126 @@ _RATE_PINV = np.array([row.split("#")[0].split() for row in """
      0  0  0  0  0  0     0  0  0 -2  0  0     0  0  0  0  0  0    # x3 . eta2
      0  0  0  0  0  1     0  0  0  0 -1  0     0  0  0 -1  0  0    # x3 . eta3
 """.strip().splitlines()], dtype=float) / 2
-# the rates of all four one-forms over eta0..eta3 from b over the eta-monomials
-_COFRAME_PINV = np.vstack((np.zeros((4, 18)), _RATE_PINV))
-# the flow's rates that are constant over eta0..eta3: eta0' = 2 eta1, and
-# M+ of the constant monomials of b_eta, 3 eta0 ^ eta3 in the second
-# equation (column 6 + 2) and -3 eta0 ^ eta2 in the third (column 12 + 1);
-# no matmul at import, which would start BLAS in runs that never use it
-_COFRAME_RATES = np.concatenate(([0.0, 2.0, 0.0, 0.0], 3.0 * (_RATE_PINV[:, 8] - _RATE_PINV[:, 13])))
+# M+ of the right-hand side's constant monomials over eta0..eta3,
+# 3 eta0 ^ eta3 in the second equation (column 6 + 2) and -3 eta0 ^ eta2
+# in the third (column 12 + 1); no matmul at import, which would start
+# BLAS in runs that never use it
+_COFRAME_RATES = 3.0 * (_RATE_PINV[:, 8] - _RATE_PINV[:, 13])
+# the rates are refined once where tr(G) / |det E| (see _coframe_solve;
+# it grows like the condition number of Lambda2(E)) exceeds this: the
+# first pass loses about that factor in its defect
+_REFINE_CONDITION = 100.0
 
 
-# positions in F = E^-1, flattened, of the factors of Lambda2(F): entry
-# (pq, ab), the minor of F at rows pq and columns ab, is the coefficient of
-# eta_a ^ eta_b in e_p ^ e_q, the wedge of rows p and q of F
-_MINORS = np.concatenate([_wedge_gather(p - 1, q - 1) for p, q in exterior.GROUP_KEYS[2]], axis=1)
+def _frame_gather() -> np.ndarray:
+    """Positions in y of the factors of the first three columns of
+    adj = det(E) Lambda2(E)^-1, of the first row of Lambda2(E), and of
+    adj again, column by column.
+
+    Entry (pq, ab) of Lambda2(E), the minor at rows pq and columns ab, is
+    the coefficient of e_a ^ e_b in eta_p ^ eta_q (:func:`_wedge_gather`).
+    By Jacobi's identity adj's entry (k, l) is s_k s_l times entry
+    (5 - l, 5 - k) of Lambda2(E): the complementary minor, with
+    s = (-1)^(p + q) for the monomial pq; a negative sign swaps the two
+    terms of the minor.
+    """
+    pairs = exterior.GROUP_KEYS[2]
+    minors = [_wedge_gather(p - 1, q - 1) for p, q in pairs]
+    sign = [(-1) ** (p + q) for p, q in pairs]
+    adjugate = []
+    for l in range(6):
+        for k in range(6):
+            g = minors[5 - l][:, 5 - k]
+            adjugate.append(g if sign[k] * sign[l] > 0 else g[[2, 3, 0, 1]])
+    adjugate = np.array(adjugate).T
+    return np.concatenate((adjugate[:, :18], minors[0], adjugate), axis=1)
+
+
+_FRAME = _frame_gather()
+
+
+def _eta_rows(rows: list, det: float) -> Optional[list]:
+    """The 3 x 6 matrix [I | -W] / det E of :func:`_coframe_solve` from
+    its rows Q = b N (0-2) and G = N^T N (3-5), as nested lists; None
+    where G is singular."""
+    (q00, q01, q02, *_), (q10, q11, q12, *_), (q20, q21, q22, *_), (g00, g01, g02, *_), (_, g11, g12, *_), \
+        (_, _, g22, *_) = rows[:6]
+    scale = g00 + g11 + g22
+    if not scale:
+        return None
+    # H = adj(G / tr G), so that G^-1 = H / (det(G / tr G) tr G)
+    f = 1.0 / scale
+    g00, g01, g02, g11, g12, g22 = g00 * f, g01 * f, g02 * f, g11 * f, g12 * f, g22 * f
+    h00, h01, h02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    h11, h12, h22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+    det_g = g00 * h00 + g01 * h01 + g02 * h02
+    # K = (tr H) I - H, by its adjugate J
+    k00, k11, k22 = h11 + h22, h00 + h22, h00 + h11
+    j00, j01, j02 = k11 * k22 - h12 * h12, h01 * k22 + h02 * h12, h01 * h12 + h02 * k11
+    j11, j12, j22 = k00 * k22 - h02 * h02, k00 * h12 + h01 * h02, k00 * k11 - h01 * h01
+    det_k = k00 * j00 - h01 * j01 - h02 * j02
+    if not (det_g and det_k):
+        return None
+    # the axial vector c of Q H - (Q H)^T, and a = K^-1 c
+    c0 = (q20 * h01 + q21 * h11 + q22 * h12) - (q10 * h02 + q11 * h12 + q12 * h22)
+    c1 = (q00 * h02 + q01 * h12 + q02 * h22) - (q20 * h00 + q21 * h01 + q22 * h02)
+    c2 = (q10 * h00 + q11 * h01 + q12 * h02) - (q00 * h01 + q01 * h11 + q02 * h12)
+    a0 = (j00 * c0 + j01 * c1 + j02 * c2) / det_k
+    a1 = (j01 * c0 + j11 * c1 + j12 * c2) / det_k
+    a2 = (j02 * c0 + j12 * c1 + j22 * c2) / det_k
+    # W = (Q - [a]x) G^-1, row by row: symmetric, but its rounding is not,
+    # and the rounding that keeps W G = Q - [a]x keeps the rates too
+    f = -1.0 / det_g / scale / det
+    e = 1.0 / det
+    out = []
+    for n, (d0, d1, d2) in enumerate(((q00, q01 + a2, q02 - a1), (q10 - a2, q11, q12 + a0), (q20 + a1, q21 - a0, q22))):
+        row = [0.0, 0.0, 0.0,
+               (d0 * h00 + d1 * h01 + d2 * h02) * f,
+               (d0 * h01 + d1 * h11 + d2 * h12) * f,
+               (d0 * h02 + d1 * h12 + d2 * h22) * f]
+        row[n] = e
+        out.append(row)
+    return out
+
+
+def _coframe_solve(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares rates of eta1..eta3 for the right-hand side
+    ``b`` over e1..e4 (3 x 6) plus the constant monomials 3 eta0 ^ eta3
+    and -3 eta0 ^ eta2: the x that makes |A(y) x - b - constants|
+    smallest, as ``np.linalg.lstsq`` on the 18 x 12 system would.
+
+    In the coframe, A x = Lambda2(E)^T z per equation with z = M X, and z
+    ranges over the image of M: the z whose block Z1 over eta0 ^ eta1,
+    eta0 ^ eta2, eta0 ^ eta3 (3x3, one row per equation) is
+    antisymmetric, its other nine entries free.  With
+    adj = det(E) Lambda2(E)^-1 and N its first three columns, the
+    residuals orthogonal to the image of A are W N^T with W symmetric, so
+    the least-squares z is (b - W N^T) adj / det E with W fixed by Z1
+    antisymmetric.  For Z1 = [a]x, the cross-product matrix of a, that
+    is ((tr H) I - H) a = c, with c the axial vector of Q H - H Q^T,
+    Q = b N, H = G^-1 and G = N^T N; then W = (Q - Z1) G^-1.  Where the
+    coframe is ill-conditioned the defect of this pass is refined once
+    through the same solve.  A singular coframe gives NaN rates.
+    """
+    E = y.reshape(4, 4)
+    g = y[_FRAME]
+    out = g[0] * g[1] - g[2] * g[3]
+    adj = out[24:].reshape(6, 6).T
+    # rows: b adj, N^T adj (whose first block is G), then (det E, 0, ...)
+    v = np.concatenate((b, out[:24].reshape(4, 6))) @ adj
+    rows = v.tolist()
+    det = rows[6][0]
+    eta = _eta_rows(rows, det) if det else None
+    if eta is None:
+        return np.full(12, math.nan)
+    frame = v[:6]
+    x = ((_COFRAME_RATES + _RATE_PINV @ (np.array(eta) @ frame).reshape(-1)).reshape(3, 4) @ E).reshape(-1)
+    if rows[3][0] + rows[4][1] + rows[5][2] > _REFINE_CONDITION * abs(det):
+        linear = x - (_COFRAME_RATES.reshape(3, 4) @ E).reshape(-1)
+        frame[:3] = (b - (_general_system(y, 0)[0] @ linear).reshape(3, 6)) @ adj
+        z = np.array(_eta_rows(frame.tolist(), det)) @ frame
+        x = x + ((_RATE_PINV @ z.reshape(-1)).reshape(3, 4) @ E).reshape(-1)
+    return x
 
 
 @functools.lru_cache(maxsize=16)
@@ -625,28 +730,10 @@ def _linear_rhs(m: int) -> np.ndarray:
     return rhs
 
 
-def _coframe_solve(y: np.ndarray, b: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """The rates of the coframe y: ``rates``, 16 coefficients over
-    eta0..eta3, plus M+ of the (3, 6) right-hand side b over e1..e4
-    carried to the eta-monomials by Lambda2(F), all times E.
-
-    A singular coframe gives NaN rates, and one with NaN or infinite
-    entries non-finite rates."""
-    E = y.reshape(4, 4)
-    try:
-        F = np.linalg.inv(E)
-    except np.linalg.LinAlgError:
-        return np.full(16, math.nan)
-    g = F.reshape(-1)[_MINORS]
-    minors = (g[0] * g[1] - g[2] * g[3]).reshape(6, 6)
-    coframe = rates + _COFRAME_PINV @ (b @ minors).reshape(-1)
-    return (coframe.reshape(4, 4) @ E).reshape(-1)
-
-
 def _general_rates(y: np.ndarray, m: int) -> np.ndarray:
-    """Flow right-hand side: the rates that solve the rate system
-    exactly wherever it is consistent."""
-    return _coframe_solve(y, (y[4:] @ _linear_rhs(m)).reshape(3, 6), _COFRAME_RATES)
+    """Flow right-hand side: eta0' = 2 eta1 and the least-squares rates
+    of eta1..eta3."""
+    return np.concatenate((2.0 * y[4:8], _coframe_solve(y, (y[4:] @ _linear_rhs(m)).reshape(3, 6))))
 
 
 def general_rhs(y: np.ndarray, m: int):
