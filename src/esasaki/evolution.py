@@ -634,46 +634,61 @@ def _frame_gather() -> np.ndarray:
 _FRAME = _frame_gather()
 
 
+def _inverse_3(a00, a01, a02, a11, a12, a22) -> Optional[tuple]:
+    """Upper entries of the inverse of a symmetric positive definite 3x3
+    matrix, by symmetric elimination A = L D L^T; None at a zero pivot.
+    The adjugate loses more to cancellation where A is ill-conditioned."""
+    if not a00:
+        return None
+    l10, l20 = a01 / a00, a02 / a00
+    d1 = a11 - l10 * a01
+    if not d1:
+        return None
+    e12 = a12 - l20 * a01
+    l21 = e12 / d1
+    d2 = a22 - l20 * a02 - l21 * e12
+    if not d2:
+        return None
+    # A^-1 = L^-T D^-1 L^-1, with the rows (1, 0, 0), (-l10, 1, 0) and
+    # (m20, -l21, 1) of L^-1
+    m20 = l10 * l21 - l20
+    i0, i1, i2 = 1.0 / a00, 1.0 / d1, 1.0 / d2
+    return (i0 + l10 * l10 * i1 + m20 * m20 * i2, -l10 * i1 - m20 * l21 * i2, m20 * i2,
+            i1 + l21 * l21 * i2, -l21 * i2, i2)
+
+
 def _eta_rows(rows: list, det: float) -> Optional[list]:
     """The 3 x 6 matrix [I | -W] / det E of :func:`_coframe_solve` from
     its rows Q = b N (0-2) and G = N^T N (3-5), as nested lists; None
-    where G is singular."""
+    where G or K is singular."""
     (q00, q01, q02, *_), (q10, q11, q12, *_), (q20, q21, q22, *_), (g00, g01, g02, *_), (_, g11, g12, *_), \
         (_, _, g22, *_) = rows[:6]
-    scale = g00 + g11 + g22
-    if not scale:
+    h = _inverse_3(g00, g01, g02, g11, g12, g22)
+    if h is None:
         return None
-    # H = adj(G / tr G), so that G^-1 = H / (det(G / tr G) tr G)
-    f = 1.0 / scale
-    g00, g01, g02, g11, g12, g22 = g00 * f, g01 * f, g02 * f, g11 * f, g12 * f, g22 * f
-    h00, h01, h02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
-    h11, h12, h22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
-    det_g = g00 * h00 + g01 * h01 + g02 * h02
-    # K = (tr H) I - H, by its adjugate J
-    k00, k11, k22 = h11 + h22, h00 + h22, h00 + h11
-    j00, j01, j02 = k11 * k22 - h12 * h12, h01 * k22 + h02 * h12, h01 * h12 + h02 * k11
-    j11, j12, j22 = k00 * k22 - h02 * h02, k00 * h12 + h01 * h02, k00 * k11 - h01 * h01
-    det_k = k00 * j00 - h01 * j01 - h02 * j02
-    if not (det_g and det_k):
+    h00, h01, h02, h11, h12, h22 = h
+    # K = (tr H) I - H
+    j = _inverse_3(h11 + h22, -h01, -h02, h00 + h22, -h12, h00 + h11)
+    if j is None:
         return None
+    j00, j01, j02, j11, j12, j22 = j
     # the axial vector c of Q H - (Q H)^T, and a = K^-1 c
     c0 = (q20 * h01 + q21 * h11 + q22 * h12) - (q10 * h02 + q11 * h12 + q12 * h22)
     c1 = (q00 * h02 + q01 * h12 + q02 * h22) - (q20 * h00 + q21 * h01 + q22 * h02)
     c2 = (q10 * h00 + q11 * h01 + q12 * h02) - (q00 * h01 + q01 * h11 + q02 * h12)
-    a0 = (j00 * c0 + j01 * c1 + j02 * c2) / det_k
-    a1 = (j01 * c0 + j11 * c1 + j12 * c2) / det_k
-    a2 = (j02 * c0 + j12 * c1 + j22 * c2) / det_k
-    # W = (Q - [a]x) G^-1, row by row: symmetric, but its rounding is not,
+    a0 = j00 * c0 + j01 * c1 + j02 * c2
+    a1 = j01 * c0 + j11 * c1 + j12 * c2
+    a2 = j02 * c0 + j12 * c1 + j22 * c2
+    # W = (Q - [a]x) H, row by row: symmetric, but its rounding is not,
     # and the rounding that keeps W G = Q - [a]x keeps the rates too
-    f = -1.0 / det_g / scale / det
-    e = 1.0 / det
+    f = -1.0 / det
     out = []
     for n, (d0, d1, d2) in enumerate(((q00, q01 + a2, q02 - a1), (q10 - a2, q11, q12 + a0), (q20 + a1, q21 - a0, q22))):
         row = [0.0, 0.0, 0.0,
                (d0 * h00 + d1 * h01 + d2 * h02) * f,
                (d0 * h01 + d1 * h11 + d2 * h12) * f,
                (d0 * h02 + d1 * h12 + d2 * h22) * f]
-        row[n] = e
+        row[n] = -f
         out.append(row)
     return out
 

@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from esasaki.cli import main
 from esasaki.structures import IdStructure
@@ -194,6 +194,9 @@ def test_rates_agree_with_least_squares_on_solutions(structure):
     y=st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
     m=st.integers(-3, 3),
 )
+# N^T N nearly of rank one (condition 1.5e5): its adjugate lost the rates
+# to 1e-6 here, and the defect rose 1.2e-12 above the least-squares one
+@example(y=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0078125, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0], m=0)
 def test_rates_are_the_least_squares_rates_off_the_solutions(y, m):
     # off the solutions the system is inconsistent: the kernel returns the
     # rates of smallest defect, as the least-squares solve does
@@ -211,7 +214,7 @@ def test_rates_are_the_least_squares_rates_off_the_solutions(y, m):
     # Gram matrix N^T N of :func:`_coframe_solve`, whose condition number
     # grows like c^2, c = tr(N^T N) / |det E|, and that part reaches the
     # rates through A: eps cond(A) c^2 |r| / |A| more.  100 times the sum.
-    # (Plain least-squares bounds fail here by up to 3e4 where c is 1e4.)
+    # (Without the c^2 term the bound fails by 2.4 times where c is 2e4.)
     kappa, norm_A = _cond(y), np.linalg.norm(A, 2)
     g = y[_FRAME]
     c = ((g[0] * g[1] - g[2] * g[3])[:18] ** 2).sum() / abs(np.linalg.det(y.reshape(4, 4)))
