@@ -1,8 +1,8 @@
 # Numerical verification of the Einstein condition Ric = 4 g for the
-# explicit five-coordinate metric, by nested fourth-order finite
-# differences (Christoffel symbols from the metric, Ricci from the
-# Christoffels), plus the change of variables tying the coordinate
-# metric to the invariant-frame metric of the conformal family.
+# explicit five-coordinate metric, from the metric and its first and
+# second derivatives by fourth-order finite differences, plus the change
+# of variables tying the coordinate metric to the invariant-frame metric
+# of the conformal family.
 
 import numpy as np
 

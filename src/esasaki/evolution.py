@@ -144,7 +144,7 @@ class CaseIIState:
     def from_A(cls, h: float, A: float, C: float = 0.0, m: int = 0) -> "CaseIIState":
         """Start at height h on the level set of the conserved quantity A."""
         radicand = A + h**4 - 4 * h**6
-        if radicand < 0:
+        if radicand < 0 or h == 0:
             raise ValueError(f"h={h} is outside the band allowed by A={A}")
         return cls(h, math.sqrt(radicand) / h, C, m)
 

@@ -12,22 +12,22 @@ turning values:
 
 where wq(y) = 2 (108 A + 1 - 3 y^2 + 2 y^3) / (1 - y).
 
-Curvature is verified numerically: Christoffel symbols by fourth-order
-central differences of the metric, Ricci by central differences of the
-Christoffels.  Two derivative levels cost roughly eight digits, so the
+Curvature is verified numerically from the metric jets: g, its first
+and its second derivatives by fourth-order central differences, then
+Christoffel symbols, their derivatives (with d g^-1 = -g^-1 dg g^-1),
+Riemann and Ricci.  Second differences cost roughly eight digits, so the
 stencils run in extended precision and the Einstein constant lambda = 4
 (the unit-sphere normalization, under which the A = 0 chart is the round
 five-sphere with Ric = 4 g) is resolved with margin to spare.
 
 A chart's metric takes stacked coordinates, shape (..., 5), to stacked
-metrics, shape (..., 5, 5).  :func:`ricci_fd_many` evaluates it twice
-per batch of sample points: once at every point where a Christoffel
-symbol is needed (the sample points and their stencil points), once at
-all of their stencil points.  A chart may declare cyclic coordinates,
-the ones its metric does not depend on (phi, beta and psi for the chart
-above).  Derivatives along a declared coordinate are taken as exactly
-zero and never stenciled, so a sample point of that chart needs the
-metric at 9 x 9 = 81 stencil points instead of 21 x 21 = 441.
+metrics, shape (..., 5, 5).  :func:`ricci_fd_many` evaluates it once
+per batch of sample points: at the points, at 4 stencil points along
+each coordinate and at a 4 x 4 product stencil across each pair of
+coordinates.  Derivatives along a coordinate the chart declares cyclic
+(one its metric does not depend on: phi, beta and psi above) are taken
+as exactly zero and never stenciled, so a sample point of that chart
+needs the metric at 1 + 2 x 4 + 16 = 25 points instead of 181.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "ypq_chart_metric",
     "ypq_chart",
     "flat_torus_chart",
-    "christoffel_fd",
     "ricci_fd",
     "ricci_fd_many",
     "case_ii_frame_metric_in_chart",
@@ -199,19 +198,16 @@ def flat_torus_chart(radii: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0)) -> Coor
 # ---------------------------------------------------------------------------
 # finite differences
 #
-# Every array below carries the sample (or stencil) points on its leading
-# axis, so each derivative level is one metric call on a stack of points.
+# Every array below carries the sample points on its leading axis, so
+# the metric jets of a batch come from one metric call.
 
-_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h), fourth order
-_OFFSETS = np.array([offset for offset, _ in _STENCIL])
+_OFFSETS = (-2, -1, 1, 2)  # stencil points, in steps of h
+_FIRST = (1.0, -8.0, 8.0, -1.0)  # d f /(12 h), fourth order
+_SECOND = (-1.0, 16.0, 16.0, -1.0)  # d^2 f on f - f0, /(12 h^2), fourth order
 
-# sample points per batch: the stencil arrays of a batch take about 0.1 MB
-# a point, so they stay near 3 MB however many points are asked for
+# sample points per batch: the arrays of a batch take about 0.07 MB a
+# point, so they stay near 2.5 MB however many points are asked for
 _BLOCK = 32
-
-
-def _metric_at(chart: CoordinateChart, x: np.ndarray) -> np.ndarray:
-    return np.asarray(chart.metric(x, dtype=_REAL), dtype=_REAL)
 
 
 def _inv(mat: np.ndarray) -> np.ndarray:
@@ -224,49 +220,44 @@ def _inv(mat: np.ndarray) -> np.ndarray:
     return x
 
 
-def _varying(chart: CoordinateChart, n: int) -> list:
-    return [k for k in range(n) if k not in chart.cyclic]
-
-
-def _stencil_points(x: np.ndarray, varying: list, h) -> np.ndarray:
-    """The points x + offset h e_k of rows x (M, n), shaped (len(varying), 4, M, n)."""
-    xs = np.tile(x, (len(varying), len(_STENCIL), 1, 1))
-    for v, k in enumerate(varying):
-        xs[v, :, :, k] = x[:, k] + (_OFFSETS * h)[:, None]
-    return xs
-
-
-def _difference(fs: np.ndarray, h) -> np.ndarray:
-    """Fourth-order central differences from values fs (V, 4, M, ...) at
-    :func:`_stencil_points`, returned as (M, V, ...)."""
+def _weighted(weights, fs):
+    """sum_j weights[j] fs[j], summed in stencil order."""
     acc = 0.0
-    for j, (_, weight) in enumerate(_STENCIL):
-        acc = acc + weight * fs[:, j]
-    return np.moveaxis(acc / (12.0 * h), 0, 1)
+    for weight, f in zip(weights, fs):
+        acc = acc + weight * f
+    return acc
 
 
-def christoffel_fd(chart: CoordinateChart, points, fd_step: float) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij by fourth-order central differences,
-    shaped (..., n, n, n) for points of shape (..., n)."""
-    x = np.asarray(points, dtype=_REAL)
-    rows = x.reshape(-1, x.shape[-1])
-    gamma = _christoffel(chart, rows, _metric_at(chart, rows), _REAL(fd_step))
-    return gamma.reshape(x.shape + gamma.shape[-2:])
-
-
-def _christoffel(chart: CoordinateChart, x: np.ndarray, g: np.ndarray, h) -> np.ndarray:
-    """Gamma at the rows of x (M, n), given the metrics g (M, n, n) there."""
-    m, n = x.shape
-    singular = np.flatnonzero(np.abs(np.linalg.det(np.asarray(g, dtype=float))) < 1e-300)
+def _jets(chart: CoordinateChart, x: np.ndarray, h) -> tuple:
+    """The metric g (N, n, n) at the rows of x (N, n) and its derivatives
+    dg[., l, i, j] = d_l g_ij and ddg[., m, l, i, j] = d_m d_l g_ij, from
+    one metric call on the rows, 4 points along each non-cyclic coordinate
+    and a 4 x 4 grid across each pair of them.  The second and mixed
+    differences act on f - f0 and f_ab - f_a - f_b + f0, which vanish
+    exactly along a coordinate the metric ignores."""
+    N, n = x.shape
+    varying = [k for k in range(n) if k not in chart.cyclic]
+    pairs = list(combinations(enumerate(varying), 2))
+    e = np.eye(n)
+    shifts = [np.zeros(n)] + [o * e[k] for k in varying for o in _OFFSETS]
+    shifts += [a * e[k] + b * e[l] for (_, k), (_, l) in pairs for a in _OFFSETS for b in _OFFSETS]
+    xs = x + np.array(shifts, dtype=_REAL)[:, None] * h
+    fs = np.asarray(chart.metric(xs, dtype=_REAL), dtype=_REAL)
+    singular = np.flatnonzero(np.abs(np.linalg.det(np.asarray(fs, dtype=float))) < 1e-300)
     if singular.size:
-        raise SingularMetricError(f"metric singular at {tuple(float(v) for v in x[singular[0]])}")
-    varying = _varying(chart, n)
-    stencil = _stencil_points(x, varying, h)
-    dg = np.zeros((m, n, n, n), dtype=_REAL)  # dg[., l, i, j] = d_l g_ij
-    dg[:, varying] = _difference(_metric_at(chart, stencil), h)
-    # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    return 0.5 * np.einsum("mkl,mijl->mkij", _inv(g), sym)
+        row = xs.reshape(-1, n)[singular[0]]
+        raise SingularMetricError(f"metric singular at {tuple(float(v) for v in row)}")
+
+    g, f_axes = fs[0], fs[1:1 + 4 * len(varying)].reshape(len(varying), 4, N, n, n)
+    dg = np.zeros((N, n, n, n), dtype=_REAL)
+    ddg = np.zeros((N, n, n, n, n), dtype=_REAL)
+    for v, k in enumerate(varying):
+        dg[:, k] = _weighted(_FIRST, f_axes[v]) / (12.0 * h)
+        ddg[:, k, k] = _weighted(_SECOND, f_axes[v] - g) / (12.0 * h * h)
+    for ((u, k), (v, l)), f_kl in zip(pairs, fs[1 + 4 * len(varying):].reshape(len(pairs), 4, 4, N, n, n)):
+        cross = f_kl - f_axes[u][:, None] - f_axes[v][None, :] + g
+        ddg[:, k, l] = ddg[:, l, k] = _weighted(_FIRST, [_weighted(_FIRST, c) for c in cross]) / (144.0 * h * h)
+    return g, dg, ddg
 
 
 @dataclass(frozen=True)
@@ -297,16 +288,19 @@ def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e
 
 
 def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-3) -> list:
-    """Ricci tensor by nested central differences at each point, and the
-    relative Frobenius residual of Ric - lambda g with lambda = 4.
+    """Ricci tensor from the metric jets at each point, and the relative
+    Frobenius residual of Ric - lambda g with lambda = 4.
 
-    Every point must sit further than 2 fd_step from the box boundary so
-    that every stencil point is admissible.  Points are handled in
-    batches of ``_BLOCK``; a point's report does not depend on the others.
+    Every point has one coordinate per chart coordinate and must sit
+    further than 2 fd_step from the box boundary, so that every stencil
+    point is admissible.  Points are handled in batches of ``_BLOCK``; a
+    point's report does not depend on the others.
     """
     if not fd_step > 0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
     for point in points:
+        if len(point) != len(chart.coords):
+            raise ValueError(f"point {tuple(point)} has {len(point)} coordinates; the chart has {len(chart.coords)}")
         if not chart.contains(point, margin=2.0 * fd_step):
             raise ChartDomainError(f"point {point} within 2 fd_step of the chart boundary")
     reports = []
@@ -317,18 +311,18 @@ def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-
 
 def _ricci_block(chart: CoordinateChart, points: Sequence, fd_step: float) -> list:
     x = np.asarray(points, dtype=_REAL)
-    N, n = x.shape
-    h = _REAL(fd_step)
-    varying = _varying(chart, n)
+    n = x.shape[1]
+    g, dg, ddg = _jets(chart, x, _REAL(fd_step))
 
-    # Christoffels at the points and at their stencil points, the metric
-    # of all of them in one call and of all their stencil points in another
-    centres = np.concatenate([x, _stencil_points(x, varying, h).reshape(-1, n)])
-    g_all = _metric_at(chart, centres)
-    gamma_all = _christoffel(chart, centres, g_all, h)
-    g, gamma0 = g_all[:N], gamma_all[:N]
-    dgamma = np.zeros((N, n, n, n, n), dtype=_REAL)  # dgamma[., m, r, i, j] = d_m G^r_ij
-    dgamma[:, varying] = _difference(gamma_all[N:].reshape(len(varying), len(_STENCIL), N, n, n, n), h)
+    # Gamma^k_ij = 1/2 g^kl S_ijl with S_ijl = d_i g_jl + d_j g_il - d_l g_ij,
+    # d_m Gamma^k_ij = 1/2 (d_m g^kl S_ijl + g^kl d_m S_ijl), d_m g^-1 = -g^-1 d_m g g^-1
+    ginv = _inv(g)
+    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    dsym = ddg + ddg.transpose(0, 1, 3, 2, 4) - ddg.transpose(0, 1, 3, 4, 2)
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    gamma0 = 0.5 * np.einsum("Pkl,Pijl->Pkij", ginv, sym)
+    # dgamma[., m, r, i, j] = d_m G^r_ij
+    dgamma = 0.5 * (np.einsum("Pmkl,Pijl->Pmkij", dginv, sym) + np.einsum("Pkl,Pmijl->Pmkij", ginv, dsym))
 
     # Riemann R^r_{s m n} = d_m G^r_{n s} - d_n G^r_{m s} + G^r_{m l} G^l_{n s} - G^r_{n l} G^l_{m s}
     riemann = (

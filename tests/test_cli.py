@@ -315,6 +315,7 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "ii", "--h0", "0.3", "--A=-9/2197", "--C", "6", "--step", "1e-9"],
         ["evolve", "--case", "iii", "--h0", "0.4", "--a0", "0.2", "--step", "1e-9"],
         ["evolve", "--case", "general", "--input", "{eta}", "--step", "1e-9"],
+        ["evolve", "--case", "ii", "--h0", "0", "--A", "0.3"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
@@ -322,7 +323,7 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
         "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
         "case-i-too-many-samples", "case-i-span-overflows", "case-iii-u-zero", "case-ii-too-many-steps",
-        "case-iii-too-many-steps", "general-too-many-steps",
+        "case-iii-too-many-steps", "general-too-many-steps", "case-ii-h0-zero",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):

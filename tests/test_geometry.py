@@ -12,7 +12,6 @@ from esasaki.geometry import (
     EINSTEIN_CONSTANT,
     ChartDomainError,
     case_ii_frame_metric_in_chart,
-    christoffel_fd,
     flat_torus_chart,
     metric_from_frame,
     ricci_fd,
@@ -23,6 +22,7 @@ from esasaki.geometry import (
     ypq_chart_metric,
 )
 from esasaki.structures import IdStructure
+from nested_ricci_oracle import nested_ricci
 
 A_EX = -9 / 2197
 S6 = 1.0 / math.sqrt(6.0)
@@ -212,15 +212,42 @@ def test_metric_evaluations_per_point():
         rows.append(np.prod(np.shape(points)[:-1], dtype=int))
         return chart.metric(points, dtype=dtype)
 
-    # one Christoffel stencil per stencil point and the centre, each of
-    # one metric evaluation per stencil point and the centre
+    # the centre, 4 points along each stenciled coordinate and 4 x 4
+    # across each pair of them: 1 + 4 * 2 + 16 for (theta, y), 1 + 4 * 5
+    # + 16 * 10 for all five coordinates
     point = (1.2, 0.5, 0.05, 0.3, 0.8)
-    for cyclic, expected in (((1, 3, 4), 9 * 9), ((), 21 * 21)):
+    for cyclic, expected in (((1, 3, 4), 25), ((), 181)):
         for npoints in (1, 3):
             rows.clear()
             ricci_fd_many(dataclasses.replace(chart, metric=counted, cyclic=cyclic), [point] * npoints)
             assert sum(rows) == npoints * expected
-            assert len(rows) == 2  # the Christoffel centres, then their stencil points
+            assert len(rows) == 1  # one metric call a batch
+
+
+@pytest.mark.parametrize("A", [0.0, A_EX, -0.008])
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_jets_agree_with_the_nested_stencil_to_fourth_order(A, cyclic):
+    # the nested scheme the jets replaced (Christoffels from the metric,
+    # Ricci from the Christoffels) as an oracle: two fourth-order schemes
+    # differ by O(h^4), so at verify's default step they agree within
+    # criterion 4's tolerance and their distance shrinks about 16-fold
+    # on halving
+    chart = ypq_chart(A)
+    if not cyclic:
+        chart = dataclasses.replace(chart, cyclic=())
+    lo, hi = chart.box[2]
+    fd_step = min(1e-3, (hi - lo) / 400.0)
+    points = sample_interior_points(chart, 5, seed=13)
+    scale = [np.linalg.norm(chart.metric(p)) for p in points]
+
+    def distance(h):
+        jets = [rep.ricci for rep in ricci_fd_many(chart, points, h)]
+        nested = np.asarray(nested_ricci(chart, points, h), dtype=float)
+        return max(np.linalg.norm(a - b) / s for a, b, s in zip(jets, nested, scale))
+
+    coarse, fine = distance(fd_step), distance(fd_step / 2.0)
+    assert coarse <= 1e-4
+    assert coarse / fine > 8.0
 
 
 def test_chart_metrics_take_stacked_points():
@@ -263,49 +290,51 @@ def test_ricci_fd_many_equals_ricci_fd_bit_for_bit(A, cyclic, seed, count, repea
         assert repr(rep.sectional_spread) == repr(one.sectional_spread)
 
 
-def test_christoffel_fd_takes_stacked_points():
-    chart = ypq_chart(A_EX)
-    points = np.array(sample_interior_points(chart, 6, seed=8)).reshape(3, 2, 5)
-    gamma = christoffel_fd(chart, points, 1e-3)
-    assert gamma.shape == (3, 2, 5, 5, 5)
-    for idx in np.ndindex(3, 2):
-        assert np.array_equal(gamma[idx], christoffel_fd(chart, points[idx], 1e-3))
-    assert np.array_equal(gamma, gamma.swapaxes(-1, -2))  # Gamma^k_ij = Gamma^k_ji
-    assert not christoffel_fd(flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4)), points, 1e-3).any()
-
-
 def _pointwise_ricci(chart, point, h):
-    """Reference: one stencil point at a time, in the arithmetic order of
-    the batched code (longdouble, stencil sums from 0.0 in _STENCIL order)."""
+    """Reference: the jets one stencil point at a time, in the arithmetic
+    order of the batched code (longdouble, stencil sums from 0.0 in
+    offset order)."""
     L = np.longdouble
-    stencil = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+    offsets, first, second = (-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0), (-1.0, 16.0, 16.0, -1.0)
     varying = [k for k in range(5) if k not in chart.cyclic]
+    h = L(h)
 
-    def derivative(f, x, k):
+    def weighted(weights, fs):
         acc = 0.0
-        for offset, weight in stencil:
-            xs = x.copy()
-            xs[k] = xs[k] + offset * L(h)
-            acc = acc + weight * f(xs)
-        return acc / (12.0 * L(h))
+        for w, f in zip(weights, fs):
+            acc = acc + w * f
+        return acc
 
-    def inv(g):
-        x = np.asarray(np.linalg.inv(np.asarray(g, dtype=float)), dtype=L)
-        for _ in range(2):
-            x = x @ (2.0 * np.eye(5, dtype=L) - g @ x)
-        return x
-
-    def christoffel(x):
-        dg = np.zeros((5, 5, 5), dtype=L)
-        for k in varying:
-            dg[k] = derivative(lambda xs: chart.metric(xs, dtype=L), x, k)
-        return 0.5 * np.einsum("kl,ijl->kij", inv(chart.metric(x, dtype=L)), dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+    def metric(x, shifts):
+        xs = x.copy()
+        for k, offset in shifts:
+            xs[k] = xs[k] + offset * h
+        return chart.metric(xs, dtype=L)
 
     x = np.asarray(point, dtype=L)
-    g, gamma = chart.metric(x, dtype=L), christoffel(x)
-    dgamma = np.zeros((5, 5, 5, 5), dtype=L)
+    g = chart.metric(x, dtype=L)
+    dg = np.zeros((5, 5, 5), dtype=L)
+    ddg = np.zeros((5, 5, 5, 5), dtype=L)
     for k in varying:
-        dgamma[k] = derivative(christoffel, x, k)
+        fs = [metric(x, [(k, o)]) for o in offsets]
+        dg[k] = weighted(first, fs) / (12.0 * h)
+        ddg[k, k] = weighted(second, [f - g for f in fs]) / (12.0 * h * h)
+    for a, k in enumerate(varying):
+        for l in varying[a + 1:]:
+            mixed = [
+                [metric(x, [(k, o), (l, q)]) - metric(x, [(k, o)]) - metric(x, [(l, q)]) + g for q in offsets]
+                for o in offsets
+            ]
+            ddg[k, l] = ddg[l, k] = weighted(first, [weighted(first, row) for row in mixed]) / (144.0 * h * h)
+
+    ginv = np.asarray(np.linalg.inv(np.asarray(g, dtype=float)), dtype=L)
+    for _ in range(2):
+        ginv = ginv @ (2.0 * np.eye(5, dtype=L) - g @ ginv)
+    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    dsym = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
+    dginv = np.array([-(ginv @ dg[m] @ ginv) for m in range(5)])
+    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
+    dgamma = 0.5 * (np.einsum("mkl,ijl->mkij", dginv, sym) + np.einsum("kl,mijl->mkij", ginv, dsym))
     riemann = (
         np.einsum("mrns->rsmn", dgamma) - np.einsum("nrms->rsmn", dgamma)
         + np.einsum("rml,lns->rsmn", gamma, gamma) - np.einsum("rnl,lms->rsmn", gamma, gamma)
@@ -340,6 +369,13 @@ def test_ricci_fd_many_rejects_any_point_near_the_boundary():
     for step in (0.0, -1e-3, math.nan):
         with pytest.raises(ValueError):
             ricci_fd_many(chart, [inside], step)
+
+
+@pytest.mark.parametrize("point", [(1.3,), (1.3, 0.7, 0.1), (1.3, 0.7, 0.1, 0.4, 0.9, 0.2)])
+def test_ricci_fd_many_rejects_a_point_of_the_wrong_length(point):
+    chart = ypq_chart(0.0)
+    with pytest.raises(ValueError, match=rf"point \({point[0]},.* has {len(point)} coordinates"):
+        ricci_fd_many(chart, [(1.3, 0.7, 0.1, 0.4, 0.9), point], 1e-3)
 
 
 def test_ricci_fd_near_boundary_error():

@@ -8,11 +8,13 @@ own directory under DIR, next to a ``run.txt`` holding its argv, exit
 code, stdout and stderr.  The commands are the README examples (with an
 ``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
 group K has 10366 elements, a 500-point ``verify`` (eight batches of
-curvature stencils), a float-mode A = 0 check (the round branch's
-orbit data from float roots), a float-mode Y^{p,q} check (its turning
-series in floats), five-parameter flows tested for extension (one with
-a round-type end, at two steps, for its limits and parity fits, and two
-whose ends both pass the necessary conditions), three flows that stop
+curvature stencils), a 5-point ``verify`` on the y-band of width
+1.2e-3 at A = -1/108 + 1e-8 (a band-scaled step), a float-mode A = 0
+check (the round branch's orbit data from float roots), a float-mode
+Y^{p,q} check (its turning series in floats), five-parameter flows
+tested for extension (one with a round-type end, at two steps, for its
+limits and parity fits, and two whose ends both pass the necessary
+conditions), three flows that stop
 early (a five-parameter flow whose mu drift is NaN, a conformal flow at
 its turning point, a general flow whose coframe degenerates), four flows
 that record every sample (a 4,001-sample case-i closed form over several
@@ -62,6 +64,9 @@ README = [
 LARGE_K = "extend-check --A=-47610000/5168743489 --C 6 --m 0 --arith rational"
 
 MANY_POINTS = "verify --A=-9/2197 --C 6 --points 500"
+
+# A = -1/108 + 1e-8: a y-band of 1.2e-3, so the default step is 3e-6
+NARROW_BAND = "verify --A=-0.009259249259259259 --C 6 --points 5"
 
 # the benchmark's A = 0 jobs run with --arith rational only
 ROUND_FLOAT = "extend-check --A 0 --C 6"
@@ -144,8 +149,9 @@ def main(argv=None) -> int:
     weighted.write_text(evolution.CaseIIState(0.25, 0.4, 1.0, 2).to_id_structure().dumps())
 
     commands = [("readme", c.format(eta=eta)) for c in README]
-    commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("round-float", ROUND_FLOAT),
-                 ("round-type-end", ROUND_TYPE_END), ("nan-drift", NAN_DRIFT), ("turning-point", TURNING_POINT),
+    commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("narrow-band", NARROW_BAND),
+                 ("round-float", ROUND_FLOAT), ("round-type-end", ROUND_TYPE_END), ("nan-drift", NAN_DRIFT),
+                 ("turning-point", TURNING_POINT),
                  ("coframe-degenerates", COFRAME_DEGENERATES.format(degenerate=degenerate))]
     commands += [("every-sample", c.format(weighted=weighted)) for c in EVERY_SAMPLE]
     commands += [("ypq-float", YPQ_FLOAT)] + [("case-iii-ends", c) for c in CASE_III_ENDS]
