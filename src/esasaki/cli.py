@@ -24,39 +24,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from esasaki import boundary, evolution, geometry, moduli, structures
 
-__all__ = ["main", "build_parser", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global run options shared by every subcommand."""
-
-    arith: str = "float"
-    out: str = "."
-    seed: int = 0
-    tol: float = 1e-4
-    step: float = 1e-3
-
-    def __post_init__(self):
-        if not (0 < self.tol < math.inf and 0 < self.step < math.inf):
-            raise ValueError("tolerances and step must be positive and finite")
-        if self.arith not in ("float", "rational"):
-            raise ValueError(f"unknown arithmetic mode {self.arith!r}")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(arith=args.arith, out=args.out, seed=args.seed, tol=args.tol, step=args.step)
-
-    def meta(self, **extra) -> dict:
-        data = {"seed": self.seed, "arith": self.arith, "tol": self.tol, "step": self.step}
-        data.update(extra)
-        return data
+__all__ = ["main", "build_parser"]
 
 
 def finite_float(text) -> float:
@@ -193,7 +166,8 @@ def _write_reports_json(path: Path, meta: dict, reports: list) -> None:
 
 
 def _meta(args, **extra) -> dict:
-    return RunConfig.from_args(args).meta(**extra)
+    """The run's global options, then ``extra``: every artifact embeds them."""
+    return {"seed": args.seed, "arith": args.arith, "tol": args.tol, "step": args.step, **extra}
 
 
 def cmd_evolve(args) -> int:
@@ -389,7 +363,12 @@ def main(argv=None) -> int:
             if not isinstance(config, dict):
                 raise ValueError(f"--config file {known.config} must hold a JSON object")
         args = (build_parser(config) if config else _default_parser()).parse_args(argv)
-        RunConfig.from_args(args)
+        # argparse checks neither the signs of --tol and --step nor the
+        # --arith of a config file
+        if not (0 < args.tol < math.inf and 0 < args.step < math.inf):
+            raise ValueError("tolerances and step must be positive and finite")
+        if args.arith not in ("float", "rational"):
+            raise ValueError(f"unknown arithmetic mode {args.arith!r}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

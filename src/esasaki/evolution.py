@@ -68,6 +68,10 @@ EPS_ROT = math.sqrt(6.0)
 CASE_I_MAX_SAMPLES = 10**6
 # evolve_general's bound on initial residuals, relative to max(1, max |coefficient|)
 GENERAL_PRE_TOL = 1e-8
+# evolve_general aborts where a recorded state's consistency exceeds this
+GENERAL_ABORT_TOL = 1e-6
+# evolve_general ends a flow where det E, signed as at its start, falls to this
+GENERAL_DET_THRESHOLD = 1e-9
 # evolve_case_ii ends a flow once h falls to this
 CASE_II_H_FLOOR = 1e-6
 # the case_iii_exit bounds of evolve_case_iii
@@ -498,11 +502,6 @@ def rk4_path(
 # general flow
 
 
-# the rate matrix by blocks, np.block([[0, L3, -L2], [-L3, 0, L1], [L2, -L1, 0]])
-# with L_v the 6x4 matrix of x -> x ^ eta_v: entry +-v of a row is +-L_v
-_A_BLOCKS = ((0, 3, -2), (-3, 0, 1), (2, -1, 0))
-
-
 def _wedge_gather(left: int, right: int) -> np.ndarray:
     """Positions, in a vector of four-coefficient rows, of the factors of
     the wedge of rows ``left`` and ``right``: its monomial k is
@@ -513,64 +512,35 @@ def _wedge_gather(left: int, right: int) -> np.ndarray:
     return np.array([4 * left + l0, 4 * right + r0, 4 * left + l1, 4 * right + r1])
 
 
-def _rate_system_gather() -> tuple:
-    """Positions in the 32-vector (eta0..eta3, e1..e4) of the factors of
-    every wedge the rate system needs, and the signs of the rate matrix.
-
-    Entry n of the system is a wedge (:func:`_wedge_gather`) times a
-    factor (:func:`_system_scale`).  The first 216 entries are the rate
-    matrix, row-major: column k of a block +-L_v wedges e_{k+1} with
-    eta_v.  The next 18 are six zeros and then eta0 ^ eta3 and
-    eta0 ^ eta2, the last 18 six zeros and then e4 ^ eta3 and
-    e4 ^ eta2.  A zero is 0 * 0 - 0 * 0 from the first coefficient of e2.
-    """
-    zeros = np.full((4, 6), 17)
-    matrix = np.full((4, 18, 12), 17)
-    sign = np.ones((18, 12))
-    for eq, blocks in enumerate(_A_BLOCKS):
-        for unknown, v in enumerate(blocks):
-            for k in range(4) if v else ():
-                matrix[:, 6 * eq:6 * eq + 6, 4 * unknown + k] = _wedge_gather(4 + k, abs(v))
-                sign[6 * eq:6 * eq + 6, 4 * unknown + k] = math.copysign(1.0, v)
-    rhs = (zeros, _wedge_gather(0, 3), _wedge_gather(0, 2), zeros, _wedge_gather(7, 3), _wedge_gather(7, 2))
-    return np.concatenate((matrix.reshape(4, 216), *rhs), axis=1), sign.reshape(-1)
-
-
-_GATHER, _A_SIGN = _rate_system_gather()
 _UNITS = np.eye(4).reshape(-1)
-# signs of the right-hand side's wedges in the second and third equations
-_B_SIGNS = np.array([[1.0], [-1.0]])
+# the wedges of the rate defect over the rows (eta0..eta3, x1..x3): the
+# product rule's x2 ^ eta3, eta2 ^ x3, x3 ^ eta1, eta3 ^ x1, x1 ^ eta2,
+# eta1 ^ x2, then the constants' eta0 ^ eta3 and eta0 ^ eta2
+_DEFECT = np.concatenate(
+    [_wedge_gather(*rows) for rows in ((5, 3), (2, 6), (6, 1), (3, 4), (4, 2), (1, 5), (0, 3), (0, 2))], axis=1
+)
+# factors of eta0 ^ eta3 and eta0 ^ eta2 in the second and third equations
+_CONSTANT_SIGNS = np.array([[3.0], [-3.0]])
 
 
-@functools.lru_cache(maxsize=16)
-def _system_scale(m: int) -> np.ndarray:
-    """Factors of the gathered wedges: the signs of the rate matrix, then
-    -1 for the zeros (their -0.0 leaves -d eta1 as it is), 3 (+-1) and
-    m (+-1)."""
-    zeros = np.full(6, -1.0)
-    return np.concatenate((_A_SIGN, zeros, np.repeat(3.0 * _B_SIGNS, 6), zeros, np.repeat(m * _B_SIGNS, 6)))
+def _rate_defect(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The defect of the rates x = (x1, x2, x3) of eta1..eta3 in the rate
+    system of the coframe y, one row per equation over the monomials of
+    e1..e4: the right-hand side minus the product rule d/dt of the three
+    structure equations,
 
+        b1                   - (x2 ^ eta3 + eta2 ^ x3)
+        b2 + 3 eta0 ^ eta3   - (x3 ^ eta1 + eta3 ^ x1)
+        b3 - 3 eta0 ^ eta2   - (x1 ^ eta2 + eta1 ^ x2)
 
-def _general_system(y: np.ndarray, m: int):
-    """The rate system A x = b of the unknown rates of eta1, eta2, eta3,
-    over the monomials of e1..e4.
-
-    The unknowns are the rates (x1, x2, x3) and the equations the
-    product rule d/dt of the three structure equations:
-
-        x2 ^ eta3 + eta2 ^ x3 = -d eta1
-        x3 ^ eta1 + eta3 ^ x1 = 3 eta0 ^ eta3 - d eta2 + m e4 ^ eta3
-        x1 ^ eta2 + eta1 ^ x2 = -3 eta0 ^ eta2 - m e4 ^ eta2 - d eta3
-
-    Every wedge comes from one gather of (y, e1..e4).  The flow solves
-    the system in its coframe (:func:`_coframe_solve`), and
-    :func:`general_rhs` checks the rates it used against this one.
+    with b (3 x 6) the right-hand side's part linear in eta1..eta3
+    (:func:`_linear_rhs`).  Every wedge comes from one gather of (y, x).
     """
-    g = np.concatenate((y, _UNITS))[_GATHER]
-    w = (g[0] * g[1] - g[2] * g[3]) * _system_scale(m)
-    d = y[4:].reshape(3, 4) @ exterior.D_1.T
-    # d and e4 ^ . never meet in one monomial, so the order of the sums is free
-    return w[:216].reshape(18, 12), w[216:234] - d.reshape(-1) + w[234:]
+    g = np.concatenate((y, x))[_DEFECT]
+    w = (g[0] * g[1] - g[2] * g[3]).reshape(8, 6)
+    rhs = b.copy()
+    rhs[1:] += _CONSTANT_SIGNS * w[6:]
+    return rhs - (w[0:6:2] + w[1:6:2])
 
 
 # The rate system in the coframe.  Write E = y.reshape(4, 4) and each rate
@@ -696,8 +666,9 @@ def _eta_rows(rows: list, det: float) -> Optional[list]:
 def _coframe_solve(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The least-squares rates of eta1..eta3 for the right-hand side
     ``b`` over e1..e4 (3 x 6) plus the constant monomials 3 eta0 ^ eta3
-    and -3 eta0 ^ eta2: the x that makes |A(y) x - b - constants|
-    smallest, as ``np.linalg.lstsq`` on the 18 x 12 system would.
+    and -3 eta0 ^ eta2: the x whose defect (:func:`_rate_defect`) has
+    the smallest norm, as a least-squares solve of the 18 x 12 system
+    A(y) x = b + constants over e1..e4 gives it.
 
     In the coframe, A x = Lambda2(E)^T z per equation with z = M X, and z
     ranges over the image of M: the z whose block Z1 over eta0 ^ eta1,
@@ -709,8 +680,9 @@ def _coframe_solve(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     antisymmetric.  For Z1 = [a]x, the cross-product matrix of a, that
     is ((tr H) I - H) a = c, with c the axial vector of Q H - H Q^T,
     Q = b N, H = G^-1 and G = N^T N; then W = (Q - Z1) G^-1.  Where the
-    coframe is ill-conditioned the defect of this pass is refined once
-    through the same solve.  A singular coframe gives NaN rates.
+    coframe is ill-conditioned the defect of this pass, taken over e1..e4
+    by :func:`_rate_defect`, is refined once through the same solve.  A
+    singular coframe gives NaN rates.
     """
     E = y.reshape(4, 4)
     g = y[_FRAME]
@@ -726,8 +698,7 @@ def _coframe_solve(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     frame = v[:6]
     x = ((_COFRAME_RATES + _RATE_PINV @ (np.array(eta) @ frame).reshape(-1)).reshape(3, 4) @ E).reshape(-1)
     if rows[3][0] + rows[4][1] + rows[5][2] > _REFINE_CONDITION * abs(det):
-        linear = x - (_COFRAME_RATES.reshape(3, 4) @ E).reshape(-1)
-        frame[:3] = (b - (_general_system(y, 0)[0] @ linear).reshape(3, 6)) @ adj
+        frame[:3] = _rate_defect(y, x, b) @ adj
         z = np.array(_eta_rows(frame.tolist(), det)) @ frame
         x = x + ((_RATE_PINV @ z.reshape(-1)).reshape(3, 4) @ E).reshape(-1)
     return x
@@ -752,11 +723,11 @@ def _general_rates(y: np.ndarray, m: int) -> np.ndarray:
 
 
 def general_rhs(y: np.ndarray, m: int):
-    """Flow right-hand side and its consistency: the defect |A x - b| of
-    the rates x it solved, in the rate system built over e1..e4."""
-    ydot = _general_rates(y, m)
-    A, b = _general_system(y, m)
-    return ydot, float(np.linalg.norm(A @ ydot[4:] - b))
+    """Flow right-hand side and its consistency: the norm of the defect
+    (:func:`_rate_defect`) of the rates it solved."""
+    b = (y[4:] @ _linear_rhs(m)).reshape(3, 6)
+    rates = _coframe_solve(y, b)
+    return np.concatenate((2.0 * y[4:8], rates)), float(np.linalg.norm(_rate_defect(y, rates, b)))
 
 
 def evolve_general(
@@ -765,15 +736,13 @@ def evolve_general(
     step: float,
     *,
     record_every: int = 10,
-    abort_tol: float = 1e-6,
-    det_threshold: float = 1e-9,
 ) -> FlowResult:
     """Integrate the full 16-coefficient flow from a solution of the
     structure equations.
 
     Aborts with :class:`ConstraintError` when the consistency defect of
-    the rates at a recorded state exceeds ``abort_tol``; stops and marks
-    the boundary time when the coframe degenerates.
+    the rates at a recorded state exceeds ``GENERAL_ABORT_TOL``; stops
+    and marks the boundary time when the coframe degenerates.
     """
     res0 = residual_hypo(eta0)
     scale = max(1.0, float(np.abs(eta0.matrix).max()))
@@ -781,7 +750,7 @@ def evolve_general(
         raise ConstraintError(
             f"initial data violates the structure equations: residuals {res0}"
         )
-    eta0.require_coframe(det_threshold)
+    eta0.require_coframe(GENERAL_DET_THRESHOLD)
 
     m = eta0.m
     y0 = eta0.matrix.reshape(-1)
@@ -789,7 +758,7 @@ def evolve_general(
 
     def exits(y):
         # a NaN determinant fails the comparison as well
-        if not float(np.linalg.det(y.reshape(4, 4))) * det_sign >= det_threshold:
+        if not float(np.linalg.det(y.reshape(4, 4))) * det_sign >= GENERAL_DET_THRESHOLD:
             return "coframe degenerate"
         return None
 
@@ -798,8 +767,8 @@ def evolve_general(
         every=record_every, exits=exits,
     )
     consistency = np.array([general_rhs(y, m)[1] for y in ys])
-    if (consistency > abort_tol).any():
-        i = int(np.argmax(consistency > abort_tol))
+    if (consistency > GENERAL_ABORT_TOL).any():
+        i = int(np.argmax(consistency > GENERAL_ABORT_TOL))
         raise ConstraintError(f"constraints incompatible: consistency defect {consistency[i]:.3e} at t={times[i]}")
 
     return FlowResult.of_coefficients(

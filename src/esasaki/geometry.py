@@ -142,6 +142,11 @@ class CoordinateChart:
     cyclic: tuple = ()
 
     def contains(self, point: Sequence[float], margin: float = 0.0) -> bool:
+        """Whether the point lies further than ``margin`` inside the box;
+        a point without one coordinate per chart coordinate raises
+        ValueError."""
+        if len(point) != len(self.coords):
+            raise ValueError(f"point {tuple(point)} has {len(point)} coordinates; the chart has {len(self.coords)}")
         for x, bounds in zip(point, self.box):
             if bounds is None:
                 continue
@@ -299,8 +304,6 @@ def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-
     if not fd_step > 0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
     for point in points:
-        if len(point) != len(chart.coords):
-            raise ValueError(f"point {tuple(point)} has {len(point)} coordinates; the chart has {len(chart.coords)}")
         if not chart.contains(point, margin=2.0 * fd_step):
             raise ChartDomainError(f"point {point} within 2 fd_step of the chart boundary")
     reports = []

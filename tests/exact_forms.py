@@ -9,6 +9,7 @@ terms are summed in the order of expanding the products term by term.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -108,6 +109,29 @@ def hypo_residuals(eta, m):
         add(d(e31), scale(-3, wedge(e0, e12)), scale(-m, wedge(e4, e12))),
         add(d(e12), scale(3, wedge(e0, e31)), scale(m, wedge(e4, e31))),
     )
+
+
+MONOMIALS_2 = list(combinations(range(1, 5), 2))
+
+
+def rate_defect(y, x, m):
+    """b - A x of the general flow's rate system, in exact arithmetic on
+    the values of the floats y (eta0..eta3 over e1..e4, 16 coefficients)
+    and x (the rates of eta1..eta3, 12): the right-hand sides minus the
+    product rule d/dt of the three structure equations, as 18 Fractions,
+    equation by equation over the monomials 12, 13, 14, 23, 24, 34."""
+    y, x = [Fraction(float(v)) for v in y], [Fraction(float(v)) for v in x]
+    e0, e1, e2, e3 = (one_form(y[i:i + 4]) for i in range(0, 16, 4))
+    x1, x2, x3 = (one_form(x[i:i + 4]) for i in range(0, 12, 4))
+    e4 = basis(4)
+    equations = (
+        add(scale(-1, d(e1)), scale(-1, wedge(x2, e3)), scale(-1, wedge(e2, x3))),
+        add(scale(3, wedge(e0, e3)), scale(-1, d(e2)), scale(m, wedge(e4, e3)),
+            scale(-1, wedge(x3, e1)), scale(-1, wedge(e3, x1))),
+        add(scale(-3, wedge(e0, e2)), scale(-1, d(e3)), scale(-m, wedge(e4, e2)),
+            scale(-1, wedge(x1, e2)), scale(-1, wedge(e1, x2))),
+    )
+    return [eq.get(pair, Fraction(0)) for eq in equations for pair in MONOMIALS_2]
 
 
 def su2_forms(eta, rates):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 from fractions import Fraction as F
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,11 +21,12 @@ from esasaki.evolution import (
     turning_series,
 )
 from esasaki import evolution
-from esasaki.evolution import _case_ii_rhs, _general_system
+from esasaki.evolution import _case_ii_rhs
 from esasaki.moduli import enumerate_rational_families
 from esasaki.structures import IdStructure, residual_es, residual_hypo, residual_hypo_batch
 
-from exact_forms import add, basis, d, one_form, scale, wedge
+from exact_forms import rate_defect
+from lstsq_oracle import defect_rounding
 
 S6 = 1.0 / math.sqrt(6.0)
 
@@ -261,12 +261,13 @@ def test_general_flow_matches_rotated_closed_form_nonzero_m():
     assert worst < 1e-9
 
 
-def test_general_flow_constraint_residuals_scale_with_step():
+def test_general_flow_constraint_residuals_scale_with_step(monkeypatch):
     # the structure-equation defect along the flow scales like step^4
+    monkeypatch.setattr(evolution, "GENERAL_ABORT_TOL", 1.0)
     st0 = CaseIIState(0.3, 0.4, 2.0, 1).to_id_structure()
     res = {}
     for step in (0.02, 0.01):
-        flow = evolve_general(st0, (0, 0.4), step, record_every=1, abort_tol=1.0)
+        flow = evolve_general(st0, (0, 0.4), step, record_every=1)
         res[step] = flow.residuals.max()
     ratio = res[0.02] / res[0.01]
     assert 8.0 < ratio < 40.0
@@ -279,27 +280,19 @@ def test_general_flow_aborts_on_non_solution():
 
 
 def test_general_system_matches_exact_product_rule():
-    # A x - b of the float system against the three product-rule
-    # equations in the exact exterior algebra, at random rational data
+    # the defect b - A x of the rate system by the kernel's one gather,
+    # against the three product-rule equations in the exact exterior
+    # algebra at the same float coframe and rates (random rationals)
     rng = np.random.default_rng(23)
-    pairs = list(combinations(range(1, 5), 2))
-    e4 = basis(4)
 
     for _ in range(50):
         eta = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(4)] for _ in range(4)]
         rates = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(4)] for _ in range(3)]
         m = int(rng.integers(-2, 3))
-        e0, e1, e2, e3 = map(one_form, eta)
-        x1, x2, x3 = map(one_form, rates)
-        equations = (
-            add(wedge(x2, e3), wedge(e2, x3), d(e1)),
-            add(wedge(x3, e1), wedge(e3, x1), scale(-3, wedge(e0, e3)), d(e2), scale(-m, wedge(e4, e3))),
-            add(wedge(x1, e2), wedge(e1, x2), scale(3, wedge(e0, e2)), scale(m, wedge(e4, e2)), d(e3)),
-        )
-        expected = [float(eq.get(pair, 0)) for eq in equations for pair in pairs]
-        A, b = _general_system(np.array(eta, dtype=float).reshape(-1), m)
-        x = np.array(rates, dtype=float).reshape(-1)
-        assert np.allclose(A @ x - b, expected, rtol=0, atol=1e-12)
+        y, x = np.array(eta, dtype=float).reshape(-1), np.array(rates, dtype=float).reshape(-1)
+        defect = evolution._rate_defect(y, x, (y[4:] @ evolution._linear_rhs(m)).reshape(3, 6))
+        exact = rate_defect(y, x, m)
+        assert max(abs(F(v) - e) for v, e in zip(defect.reshape(-1).tolist(), exact)) <= defect_rounding(y, x, m)
 
 
 @pytest.mark.parametrize(
@@ -331,13 +324,14 @@ def test_five_dimensional_equations_hold_along_the_general_flow(start):
     assert residual_es(etas, wrong, m)[:, 0].min() > 1e-3
 
 
-def test_general_flow_stops_at_coframe_degeneration():
+def test_general_flow_stops_at_coframe_degeneration(monkeypatch):
     # ride the conformal flow into its turning point, where eta1 -> 0
     A = -0.9 / 108
     h0 = math.sqrt(float(turning_points(A)[0] ** 2)) + 1e-3
     a0 = math.sqrt(A + h0**4 - 4 * h0**6) / h0
     st0 = CaseIIState(h0, a0, 6.0, 0)
-    flow = evolve_general(st0.to_id_structure(), (0, 3.0), 1e-3, det_threshold=1e-5)
+    monkeypatch.setattr(evolution, "GENERAL_DET_THRESHOLD", 1e-5)
+    flow = evolve_general(st0.to_id_structure(), (0, 3.0), 1e-3)
     assert flow.stopped_reason == "coframe degenerate"
     assert flow.boundary_time is not None
     assert flow.boundary_time < 3.0

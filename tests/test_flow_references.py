@@ -2,29 +2,30 @@
 
 The references below are the former implementations, kept verbatim in
 substance: the CSV/JSON writers built on ``csv.writer`` and
-``json.dump(indent=1)``, the rate system assembled from stacked
-``wedge_coefficients`` calls and a scatter into the matrix, and the
-recorded flows built one state object, one coframe and one drift value
-per sample.
+``json.dump(indent=1)``, and the recorded flows built one state object,
+one coframe and one drift value per sample.  The rate defect, whose
+former 18 x 12 system is the least-squares oracle's
+(``tests/lstsq_oracle.py``), is checked with that system against exact
+arithmetic instead.
 """
 
 import csv
 import json
 import math
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from esasaki import evolution, exterior
+from esasaki import evolution
 from esasaki.evolution import (
     EPS_ROT,
     CaseIIIState,
     CaseIIState,
     FlowResult,
-    _general_system,
     evolve_case_i,
     evolve_case_ii,
     evolve_case_iii,
@@ -32,6 +33,9 @@ from esasaki.evolution import (
     turning_points,
 )
 from esasaki.structures import IdStructure, residual_hypo_batch
+
+from exact_forms import rate_defect
+from lstsq_oracle import defect_rounding, reference_general_system
 
 # ---------------------------------------------------------------------------
 # reference writers
@@ -148,8 +152,15 @@ _FLOWS = {
     # h = k: the drift of mu is NaN from the start
     "case-iii-nan-drift": (evolve_case_iii, CaseIIIState(0.4, 0.4, 0.05, 0.05, 0.3), (0, 0.05), {}),
     "general": (evolve_general, CaseIIState(0.38, 0.1, 6.0, 2).to_id_structure(), (0, 0.3), {}),
-    "general-stopped": (evolve_general, _degenerating_coframe(), (0, 3.0), {"det_threshold": 1e-5}),
+    "general-stopped": (evolve_general, _degenerating_coframe(), (0, 3.0), {}),
 }
+# the evolution constants a flow of _FLOWS runs under
+_CONSTANTS = {"general-stopped": {"GENERAL_DET_THRESHOLD": 1e-5}}
+
+
+def set_constants(name: str, monkeypatch) -> None:
+    for constant, value in _CONSTANTS.get(name, {}).items():
+        monkeypatch.setattr(evolution, constant, value)
 
 
 def run_flow(name: str) -> FlowResult:
@@ -160,6 +171,7 @@ def run_flow(name: str) -> FlowResult:
 @SMALL_BLOCKS
 @pytest.mark.parametrize("name", sorted(_FLOWS))
 def test_write_matches_reference_on_flows(name, block_rows, spool_chars, monkeypatch):
+    set_constants(name, monkeypatch)
     flow = run_flow(name)
     if name.endswith(("stopped", "turning-point")):
         assert flow.boundary_time is not None
@@ -171,39 +183,7 @@ def test_write_matches_reference_on_flows(name, block_rows, spool_chars, monkeyp
 
 
 # ---------------------------------------------------------------------------
-# reference rate system
-
-_A_BLOCKS = ((0, 3, -2), (-3, 0, 1), (2, -1, 0))
-
-
-def _rate_matrix_gather() -> tuple:
-    flat, source, sign = [], [], []
-    for eq, blocks in enumerate(_A_BLOCKS):
-        for unknown, v in enumerate(blocks):
-            for pair in range(6) if v else ():
-                for k in range(4):
-                    flat.append((6 * eq + pair) * 12 + 4 * unknown + k)
-                    source.append((4 * (abs(v) - 1) + k) * 6 + pair)
-                    sign.append(math.copysign(1.0, v))
-    return np.array(flat), np.array(source), np.array(sign)
-
-
-_A_FLAT, _A_SOURCE, _A_SIGN = _rate_matrix_gather()
-_UNITS = np.eye(4).reshape(-1)
-_LEFT = np.array([4, 5, 6, 7] * 3 + [0, 0, 7, 7])
-_RIGHT = np.array([1] * 4 + [2] * 4 + [3] * 4 + [3, 2, 3, 2])
-_B_SIGNS = np.array([[1.0], [-1.0]])
-
-
-def reference_general_system(y: np.ndarray, m: int):
-    rows = np.concatenate((y, _UNITS)).reshape(8, 4)
-    w = exterior.wedge_coefficients(rows[_LEFT], rows[_RIGHT], exterior.WEDGE_1_1)
-    A = np.zeros(216)
-    A[_A_FLAT] = _A_SIGN * w.reshape(-1)[_A_SOURCE]
-    d = rows[1:4] @ exterior.D_1.T
-    b = np.concatenate((-d[0], (3.0 * _B_SIGNS * w[12:14] - d[1:] + m * _B_SIGNS * w[14:]).reshape(-1)))
-    return A.reshape(18, 12), b
-
+# the rate defect in exact arithmetic
 
 _ENTRIES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1 / 3]),
@@ -214,15 +194,20 @@ _ENTRIES = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(
     y=st.lists(_ENTRIES, min_size=16, max_size=16),
+    x=st.lists(_ENTRIES, min_size=12, max_size=12),
     scale=st.sampled_from([1.0, 1e-8, 1e5]),
     m=st.integers(0, 3),
 )
-def test_general_system_matches_the_table_driven_builder_bit_for_bit(y, scale, m):
-    y = np.array(y) * scale
-    A, b = _general_system(y, m)
-    A_ref, b_ref = reference_general_system(y, m)
-    assert A.tobytes() == A_ref.tobytes()
-    assert b.tobytes() == b_ref.tobytes()
+def test_rate_defect_and_the_reference_system_match_exact_arithmetic(y, x, scale, m):
+    # the kernel's one gather of wedges and the oracle's assembled 18 x 12
+    # system both give b - A x of the float coframe and rates to rounding
+    y, x = np.array(y) * scale, np.array(x) * scale
+    exact = rate_defect(y, x, m)
+    b = (y[4:] @ evolution._linear_rhs(m)).reshape(3, 6)
+    A, b_ref = reference_general_system(y, m)
+    bound = defect_rounding(y, x, m)
+    for defect in (evolution._rate_defect(y, x, b).reshape(-1), b_ref - A @ x):
+        assert max(abs(F(v) - e) for v, e in zip(defect.tolist(), exact)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +317,8 @@ def evolve_with_path(evolve, start, t_span, step, options) -> tuple:
 
 
 @pytest.mark.parametrize("name", sorted(_FLOWS))
-def test_flows_match_the_per_sample_construction(name):
+def test_flows_match_the_per_sample_construction(name, monkeypatch):
+    set_constants(name, monkeypatch)
     evolve, start, t_span, options = _FLOWS[name]
     flow, (_, ys, _) = evolve_with_path(evolve, start, t_span, 1e-3, options)
     assert_flow_matches(flow, reference_flow(evolve, start, ys, options))

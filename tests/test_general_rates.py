@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from esasaki import evolution
 from esasaki.cli import main
 from esasaki.structures import IdStructure
 from esasaki.evolution import (
@@ -30,7 +31,6 @@ from esasaki.evolution import (
     _RATE_PINV,
     _coframe_solve,
     _general_rates,
-    _general_system,
     closed_form_case_i,
     evolve_general,
     general_rhs,
@@ -39,8 +39,8 @@ from esasaki.evolution import (
     turning_points,
 )
 
-from exact_forms import add, one_form, wedge
-from lstsq_oracle import lstsq_rhs
+from exact_forms import add, one_form, rate_defect, wedge
+from lstsq_oracle import lstsq_rhs, reference_general_system
 
 EPS = np.finfo(float).eps
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -80,7 +80,7 @@ def exact_product_rule(eta, rates) -> list:
 
 
 def test_rate_pinv_is_the_exact_pseudo_inverse_of_the_unit_coframe_system():
-    A, _ = _general_system(np.eye(4).reshape(-1), 0)
+    A, _ = reference_general_system(np.eye(4).reshape(-1), 0)
     M = A.astype(int)
     assert (M == A).all() and set(np.unique(M).tolist()) == {-1, 0, 1}
     # the table in halves, as integers: 2 M+
@@ -123,8 +123,7 @@ def test_kernel_recovers_rational_rates_from_their_exact_right_hand_side(eta, ra
     # Stated before measuring: on a consistent system least squares has a
     # forward error of a few eps cond(A) |x|; the float b and the constant
     # monomials add a few eps more.  Bound: 100 eps cond(A) max(1, |x|).
-    A, _ = _general_system(y, 0)
-    bound = 100 * EPS * np.linalg.cond(A) * max(1.0, np.linalg.norm(x))
+    bound = 100 * EPS * _cond(y) * max(1.0, np.linalg.norm(x))
     assert np.abs(out - x).max() <= bound
 
 
@@ -167,12 +166,12 @@ def _solution_coframes():
 
 def _residual_rounding(y, m, *rates):
     """Rounding of |A x - b| in float: 16 eps (|A| max |x| + |b|)."""
-    A, b = _general_system(y, m)
+    A, b = reference_general_system(y, m)
     return 16 * EPS * (np.linalg.norm(A) * max(np.linalg.norm(x[4:]) for x in rates) + np.linalg.norm(b))
 
 
 def _cond(y):
-    return np.linalg.cond(_general_system(y, 0)[0])
+    return np.linalg.cond(reference_general_system(y, 0)[0])
 
 
 @pytest.mark.parametrize("structure", list(_solution_coframes()))
@@ -204,10 +203,11 @@ def test_rates_are_the_least_squares_rates_off_the_solutions(y, m):
     assume(abs(np.linalg.det(y.reshape(4, 4))) > 1e-3)
     rates, consistency = general_rhs(y, m)
     oracle, residual = lstsq_rhs(y, m)
-    A, b = _general_system(y, m)
-    # the defect of the rates returned
-    assert consistency == float(np.linalg.norm(A @ rates[4:] - b))
+    A, _ = reference_general_system(y, m)
     rounding = _residual_rounding(y, m, rates, oracle)
+    # the defect of the rates returned, against exact arithmetic
+    exact = math.sqrt(sum(e * e for e in rate_defect(y, rates[4:], m)))
+    assert abs(consistency - exact) <= rounding
     assert residual - rounding <= consistency <= residual + rounding
     # Least squares moves by about eps (cond(A) |x| + cond(A)^2 |r| / |A|)
     # under rounding.  The kernel takes the residual part of b through the
@@ -329,14 +329,15 @@ def test_singular_coframe_gives_nan_rates():
     assert np.isnan(rk4_step(lambda t, y: _general_rates(y, 1), 0.0, y, 1e-3)).all()
 
 
-def test_coarse_steps_into_the_degenerate_coframe_stop_the_flow():
+def test_coarse_steps_into_the_degenerate_coframe_stop_the_flow(monkeypatch):
     # the conformal flow just above the lower turning value of
     # A = -0.9/108 degenerates near t = 1.2; steps of 0.3 overshoot it
     A = -0.9 / 108
     h0 = math.sqrt(float(turning_points(A)[0] ** 2)) + 1e-3
     structure = CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure()
+    monkeypatch.setattr(evolution, "GENERAL_ABORT_TOL", math.inf)
     with np.errstate(all="ignore"):
-        flow = evolve_general(structure, (0.0, 3.0), 0.3, record_every=1, abort_tol=math.inf)
+        flow = evolve_general(structure, (0.0, 3.0), 0.3, record_every=1)
     assert flow.stopped_reason == "coframe degenerate"
     assert flow.boundary_time < 3.0
 

@@ -371,11 +371,21 @@ def test_ricci_fd_many_rejects_any_point_near_the_boundary():
             ricci_fd_many(chart, [inside], step)
 
 
-@pytest.mark.parametrize("point", [(1.3,), (1.3, 0.7, 0.1), (1.3, 0.7, 0.1, 0.4, 0.9, 0.2)])
+@pytest.mark.parametrize(
+    "point", [(1.3,), (1.3, 0.7, 0.1), (1.3, 0.7, 0.1, 0.4, 0.9, 0.2), (1.0,), (1.0, 0.0, 0.1)]
+)
 def test_ricci_fd_many_rejects_a_point_of_the_wrong_length(point):
-    chart = ypq_chart(0.0)
-    with pytest.raises(ValueError, match=rf"point \({point[0]},.* has {len(point)} coordinates"):
-        ricci_fd_many(chart, [(1.3, 0.7, 0.1, 0.4, 0.9), point], 1e-3)
+    # CoordinateChart.contains holds the rule for each of its callers;
+    # (1.0, 0.0, 0.1) lies inside the box of A_EX in its first and third
+    # coordinates
+    calls = (
+        lambda: ricci_fd_many(ypq_chart(0.0), [(1.3, 0.7, 0.1, 0.4, 0.9), point], 1e-3),
+        lambda: ypq_chart(A_EX).contains(point),
+        lambda: ypq_chart_metric(A_EX, point),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"point \({point[0]},.* has {len(point)} coordinates; the chart has 5"):
+            call()
 
 
 def test_ricci_fd_near_boundary_error():
