@@ -379,19 +379,24 @@ MAX_SPAN = 50.0
 ROUND_DELTA_TOL = 5e-3
 
 
-def _locate_boundary(y0: np.ndarray, direction: float, step: float):
+def _locate_boundary(y0: Sequence[float], direction: float, step: float):
     """March toward the boundary with step halving as `a` collapses.
 
     The fixed-step bisection of ``rk4_path`` is no substitute here: one
     RK4 step across the 1/a singularity loses the accuracy that the end
-    analysis needs at t*.  Returns (times, ys, reason) like ``rk4_path``:
-    the accepted states from the start on, the last one at the boundary
-    offset t*, and reason None when no boundary was found within
-    ``MAX_SPAN``.  Each state's rate k1 is evaluated once, for the step
-    size and for every step tried from it; a march of more than
+    analysis needs at t*.  Returns (times, ys, reason) like ``rk4_path``,
+    but as lists: the accepted states from the start on, the last one at
+    the boundary offset t*, and reason None when no boundary was found
+    within ``MAX_SPAN``.  Each state's rate k1 is evaluated once, for the
+    step size and for every step tried from it; a march of more than
     ``CASE_I_MAX_SAMPLES`` tried steps is a ValueError.
+
+    States, stages and rates are lists of Python floats, stepped by
+    :func:`~esasaki.evolution.rk4_step` in the order of its array
+    arithmetic; a stage whose rates meet a zero denominator gets them
+    from numpy scalars (:func:`~esasaki.evolution.case_iii_rhs`).
     """
-    y = np.array(y0, dtype=float)
+    y = [float(v) for v in y0]
     t = 0.0
     times, ys = [t], [y]
     h = direction * step
@@ -407,12 +412,11 @@ def _locate_boundary(y0: np.ndarray, direction: float, step: float):
         if k1 is None:
             k1 = case_iii_rhs(t, y)
         # keep `a` from collapsing by more than ~25% within one step
-        a_rate = abs(float(k1[4]))
-        while abs(h) > min_h and a_rate * abs(h) > 0.25 * float(y[4]):
+        a_rate = abs(k1[4])
+        while abs(h) > min_h and a_rate * abs(h) > 0.25 * y[4]:
             h *= 0.5
         y_try = rk4_step(case_iii_rhs, t, y, h, k1)
-        values = y_try.tolist()
-        if not all(map(math.isfinite, values)) or values[4] <= 0:
+        if not all(map(math.isfinite, y_try)) or y_try[4] <= 0:
             if abs(h) <= min_h:
                 return times, ys, "turning_point"
             h *= 0.5
@@ -468,7 +472,7 @@ def reject_case_iii(state0: CaseIIIState, step: float) -> ExtensionReport:
     if not step > 0:
         raise ValueError("step must be positive")
 
-    y0 = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
+    y0 = [state0.h, state0.k, state0.b, state0.c, state0.a]
     end_reports = {}
     notes = []
     for tag, direction in (("upper", 1.0), ("lower", -1.0)):

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from esasaki import boundary, evolution, geometry, moduli, structures
+from esasaki import boundary, evolution, geometry, jsontext, moduli, structures
 
 __all__ = ["main", "build_parser"]
 
@@ -150,18 +150,20 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, data) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+def _write_json(path: Path, data: dict, **texts) -> None:
+    """Write the bytes of json.dump(indent=1, sort_keys=True) of data and
+    the entries of ``texts``, whose values are given as their JSON text
+    (:func:`jsontext.object_json`)."""
+    path.write_text(jsontext.object_json(data, texts))
 
 
 def _write_reports_json(path: Path, meta: dict, reports: list) -> None:
     """The bytes of :func:`_write_json` on {"meta": meta, "reports": [...]},
     with one report's JSON dict in memory at a time."""
     with open(path, "w") as fh:
-        fh.write('{\n "meta": ' + evolution.indented_json(meta, 1, sort_keys=True) + ',\n "reports": [')
+        fh.write('{\n "meta": ' + jsontext.indented_json(meta, 1, sort_keys=True) + ',\n "reports": [')
         for k, rep in enumerate(reports):
-            fh.write(("," if k else "") + "\n  " + evolution.indented_json(rep.to_json_dict(), 2, sort_keys=True))
+            fh.write(("," if k else "") + "\n  " + jsontext.indented_json(rep.to_json_dict(), 2, sort_keys=True))
         fh.write("\n ]\n}")
 
 
@@ -289,9 +291,12 @@ def cmd_extend_check(args) -> int:
     payload = {"verdict": verdict.to_json_dict(), "meta": _meta(args)}
     failures = [verdict.reason] if verdict.branch == moduli.NO_COMPACT_EXTENSION else []
 
+    # entries given as JSON text: the diagram's, built once for
+    # diagram.json and verdict.json
+    texts = {}
     if verdict.family is not None:
         try:
-            payload["diagram"] = moduli.build_diagram(verdict.family).to_json_dict()
+            texts["diagram"] = moduli.build_diagram(verdict.family).to_json_text()
         except ValueError as exc:
             payload["diagram_error"] = str(exc)
             failures.append(f"diagram: {exc}")
@@ -309,9 +314,9 @@ def cmd_extend_check(args) -> int:
         failures += [f"{tag}:{name}" for tag, rep in ends.items() for name in rep.failing()]
 
     out = _outdir(args)
-    if "diagram" in payload:
-        _write_json(out / "diagram.json", payload["diagram"])
-    _write_json(out / "verdict.json", payload)
+    if "diagram" in texts:
+        (out / "diagram.json").write_text(texts["diagram"])
+    _write_json(out / "verdict.json", payload, **texts)
     print(f"{verdict.branch}: {verdict.reason}")
     if failures:
         print(f"FAIL: {'; '.join(failures)}", file=sys.stderr)

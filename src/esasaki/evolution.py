@@ -24,7 +24,9 @@ w/u and z/v are conserved.
 Case i is sampled from its closed form; every other flow is stepped by
 one fixed-step RK4 integrator, :func:`rk4_path`, which keeps every
 ``record_every``-th state and ends a flow at the bisected crossing of
-its domain's boundary.
+its domain's boundary.  Cases ii and iii are stepped on lists of Python
+floats, which give the bits of the array arithmetic without its
+per-call cost.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from esasaki import exterior, moduli
+from esasaki.jsontext import indented_json
 from esasaki.structures import IdStructure, residual_hypo, residual_hypo_batch
 
 __all__ = [
@@ -267,13 +270,6 @@ def _format_block(block: np.ndarray) -> tuple:
     return csv_rows, np.array(json_text, dtype=object)[inverse.reshape(block.shape)].tolist()
 
 
-def indented_json(obj, depth: int, sort_keys: bool = False) -> str:
-    """json.dump(indent=1, sort_keys=sort_keys) text of obj nested
-    ``depth`` levels deep."""
-    # encoded JSON has no raw newlines inside strings
-    return json.dumps(obj, indent=1, sort_keys=sort_keys).replace("\n", "\n" + " " * depth)
-
-
 @dataclass
 class FlowResult:
     """Sampled flow data: coefficients, constraint residuals, conserved
@@ -425,11 +421,26 @@ def evolve_case_i(k: float, m: int, t_span: Sequence[float], step: float) -> Flo
 # integrator
 
 
-def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: Optional[np.ndarray] = None) -> np.ndarray:
+def rk4_step(f: Callable, t: float, y: np.ndarray | list, h: float, k1=None) -> np.ndarray | list:
     """One classical step of size h from (t, y); ``k1`` is f(t, y) when
-    the caller has evaluated it already."""
+    the caller has evaluated it already.
+
+    y is a numpy array, or a list of Python floats when f is a
+    scalar-rate right-hand side (:func:`_case_ii_rhs`,
+    :func:`case_iii_rhs`), and f returns its rates in the same form.  A
+    list is stepped elementwise in the order of the array arithmetic,
+    y + (h/2) k and y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so both forms
+    give the same bits.
+    """
     if k1 is None:
         k1 = f(t, y)
+    if isinstance(y, list):
+        half = 0.5 * h
+        k2 = f(t + half, [v + half * k for v, k in zip(y, k1)])
+        k3 = f(t + half, [v + half * k for v, k in zip(y, k2)])
+        k4 = f(t + h, [v + h * k for v, k in zip(y, k3)])
+        sixth = h / 6.0
+        return [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -438,13 +449,14 @@ def rk4_step(f: Callable, t: float, y: np.ndarray, h: float, k1: Optional[np.nda
 
 def rk4_path(
     f: Callable,
-    y0: np.ndarray,
+    y0: np.ndarray | list,
     t0: float,
     t1: float,
     step: float,
     *,
     every: int = 1,
     exits: Optional[Callable] = None,
+    k1s: Optional[list] = None,
 ):
     """Fixed-step classical integration from t0 to t1 (either direction).
 
@@ -456,6 +468,12 @@ def rk4_path(
     times for the crossing, whose state ends the path; every re-step
     starts from that step's own k1.  A path of more than
     ``CASE_I_MAX_SAMPLES`` steps is refused before its first step.
+
+    The path keeps the form of y0 (see :func:`rk4_step`): a list y0, for
+    a scalar-rate right-hand side, is stepped as lists of Python floats,
+    and its states, stages and rates become arrays only in the returned
+    ys.  A list ``k1s`` receives the rate f(t, y) of each kept state that
+    started a step, and None for the last kept state, which started none.
 
     Returns (times, ys, reason) with reason the name of the crossed
     boundary, or None when the path reached t1.
@@ -471,11 +489,15 @@ def rk4_path(
         )
     n = max(1, int(round(steps)))
     h = (t1 - t0) / n
-    y = np.array(y0, dtype=float)
+    y = [float(v) for v in y0] if isinstance(y0, list) else np.array(y0, dtype=float)
     times, ys = [t0], [y]
+    if k1s is None:
+        k1s = []
     for i in range(n):
         t = t0 + i * h
         k1 = f(t, y)
+        if len(k1s) < len(ys):
+            k1s.append(k1)
         y_next = rk4_step(f, t, y, h, k1)
         reason = None if exits is None else exits(y_next)
         if reason is not None:
@@ -490,12 +512,13 @@ def rk4_path(
             mid = 0.5 * (lo + hi)
             times.append(t + mid)
             ys.append(rk4_step(f, t, y, mid, k1))
-            return np.array(times), np.array(ys), reason
+            break
         y = y_next
         if (i + 1) % every == 0 or i + 1 == n:
             times.append(t0 + (i + 1) * h)
             ys.append(y)
-    return np.array(times), np.array(ys), None
+    k1s.append(None)
+    return np.array(times), np.array(ys), reason
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +745,14 @@ def _general_rates(y: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate((2.0 * y[4:8], _coframe_solve(y, (y[4:] @ _linear_rhs(m)).reshape(3, 6))))
 
 
-def general_rhs(y: np.ndarray, m: int):
+def general_rhs(y: np.ndarray, m: int, k1: Optional[np.ndarray] = None):
     """Flow right-hand side and its consistency: the norm of the defect
-    (:func:`_rate_defect`) of the rates it solved."""
+    (:func:`_rate_defect`) of the rates it solved.  ``k1`` is the
+    right-hand side at y when the caller has solved it already."""
     b = (y[4:] @ _linear_rhs(m)).reshape(3, 6)
-    rates = _coframe_solve(y, b)
-    return np.concatenate((2.0 * y[4:8], rates)), float(np.linalg.norm(_rate_defect(y, rates, b)))
+    if k1 is None:
+        k1 = np.concatenate((2.0 * y[4:8], _coframe_solve(y, b)))
+    return k1, float(np.linalg.norm(_rate_defect(y, k1[4:], b)))
 
 
 def evolve_general(
@@ -762,11 +787,13 @@ def evolve_general(
             return "coframe degenerate"
         return None
 
+    k1s = []
     times, ys, stopped = rk4_path(
         lambda t, y: _general_rates(y, m), y0, float(t_span[0]), float(t_span[1]), step,
-        every=record_every, exits=exits,
+        every=record_every, exits=exits, k1s=k1s,
     )
-    consistency = np.array([general_rhs(y, m)[1] for y in ys])
+    # the rates of a kept state are its k1; only the last state's are solved here
+    consistency = np.array([general_rhs(y, m, k1)[1] for y, k1 in zip(ys, k1s)])
     if (consistency > GENERAL_ABORT_TOL).any():
         i = int(np.argmax(consistency > GENERAL_ABORT_TOL))
         raise ConstraintError(f"constraints incompatible: consistency defect {consistency[i]:.3e} at t={times[i]}")
@@ -781,15 +808,20 @@ def evolve_general(
 # case ii
 
 
-def _scalar_rates(rates: Callable, y: np.ndarray) -> np.ndarray:
-    """``rates(*y)`` as an array, computed on Python floats.  A zero
-    denominator raises there; it is computed again on numpy scalars,
-    whose quotients are the +-inf and nan of array arithmetic."""
+def _scalar_rates(rates: Callable, y):
+    """``rates(*y)`` computed on Python floats, in the form of y: a list
+    of Python floats for a list (the form :func:`rk4_path` steps
+    scalar-rate families in), an array for an array.  A zero denominator
+    raises on Python floats; the rates are then computed again on numpy
+    scalars, whose quotients are the +-inf and nan of array arithmetic,
+    and returned as Python floats."""
+    if isinstance(y, np.ndarray):
+        return np.array(_scalar_rates(rates, y.tolist()))
     try:
-        return np.array(rates(*y.tolist()))
+        return rates(*y)
     except ZeroDivisionError:
         with np.errstate(all="ignore"):
-            return np.array(rates(*y))
+            return [float(v) for v in rates(*map(np.float64, y))]
 
 
 def _case_ii_rates(p, s) -> list:
@@ -799,7 +831,13 @@ def _case_ii_rates(p, s) -> list:
 
 
 def _case_ii_rhs(t, q):
-    return _scalar_rates(_case_ii_rates, q)
+    try:
+        return _scalar_rates(_case_ii_rates, q)
+    except ValueError:
+        # math.sqrt of h^2 < 0: an RK4 stage overshot h = 0
+        raise ValueError(
+            f"case ii: an RK4 stage at t = {t:.6g} reached h^2 = {q[0]:.3g} < 0; the step is too coarse, lower the step"
+        ) from None
 
 
 def evolve_case_ii(
@@ -832,7 +870,7 @@ def evolve_case_ii(
             return "turning_point"
         return None
 
-    q0 = np.array([state0.h**2, state0.a * state0.h])
+    q0 = [state0.h**2, state0.a * state0.h]
     times, qs, stopped = rk4_path(_case_ii_rhs, q0, t0, t1, step, every=record_every, exits=exits)
     h = np.sqrt(qs[:, 0])
     a = qs[:, 1] / h
@@ -922,9 +960,10 @@ def case_iii_rhs(t, y):
 
 
 def case_iii_exit(y, a_floor: float, uv_floor: float, norm_cap: float) -> Optional[str]:
-    """Name of the boundary of the case-iii domain that y = (h, k, b, c, a)
-    lies beyond, or None when y is inside."""
-    h, k, b, c, a = values = y.tolist()
+    """Name of the boundary of the case-iii domain that y = (h, k, b, c, a),
+    an array or a list of Python floats, lies beyond, or None when y is
+    inside."""
+    h, k, b, c, a = values = y.tolist() if isinstance(y, np.ndarray) else y
     if not all(map(math.isfinite, values)) or a <= a_floor:
         return "turning_point"
     if abs(h + k) < uv_floor or abs(h - k) < uv_floor:
@@ -963,7 +1002,7 @@ def evolve_case_iii(
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
 
-    y0 = np.array([state0.h, state0.k, state0.b, state0.c, state0.a])
+    y0 = [state0.h, state0.k, state0.b, state0.c, state0.a]
     times, ys, stopped = rk4_path(
         case_iii_rhs, y0, t0, t1, step, every=record_every,
         exits=lambda y: case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP),

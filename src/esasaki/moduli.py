@@ -32,11 +32,14 @@ once, when the diagram is returned, sharing one ``Fraction`` per phase.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional
+
+from esasaki.jsontext import object_json
 
 __all__ = [
     "cubic_roots",
@@ -373,22 +376,45 @@ class GroupDiagram:
     pi1_order: int
     simply_connected: bool
 
-    def to_json_dict(self) -> dict:
+    def _phase_text(self, fmt) -> dict:
+        """fmt(x) for each phase x of K, keyed by id(x)."""
         # build_diagram shares one object per distinct phase: format each
         # once, keyed by identity (hashing a Fraction costs more than str)
-        text = {id(x): x for x in chain.from_iterable(self.k_generators + self.k_elements)}
-        text = {key: str(x) for key, x in text.items()}
-        enc = lambda pair: [text[id(pair[0])], text[id(pair[1])]]
+        phases = {id(x): x for x in chain.from_iterable(self.k_generators + self.k_elements)}
+        return {key: fmt(x) for key, x in phases.items()}
+
+    def _summary(self) -> dict:
+        """The JSON entries other than the elements and generators of K."""
         return {
-            "K_generators": [enc(g) for g in self.k_generators],
             "K_order": len(self.k_elements),
-            "K_elements": [enc(g) for g in self.k_elements],
             "H_plus": self.h_plus,
             "H_minus": self.h_minus,
             "intersection_orders": self.intersection_orders,
             "pi1_order": self.pi1_order,
             "simply_connected": self.simply_connected,
         }
+
+    def to_json_dict(self) -> dict:
+        text = self._phase_text(str)
+        enc = lambda pair: [text[id(pair[0])], text[id(pair[1])]]
+        return {
+            "K_generators": [enc(g) for g in self.k_generators],
+            "K_elements": [enc(g) for g in self.k_elements],
+            **self._summary(),
+        }
+
+    def to_json_text(self) -> str:
+        """The text of ``json.dumps(self.to_json_dict(), indent=1,
+        sort_keys=True)``.  The rows of K are joined from one JSON string
+        per distinct phase; only the other entries go through the
+        encoder."""
+        text = self._phase_text(lambda x: json.dumps(str(x)))
+
+        def rows(pairs) -> str:
+            return "[" + ",".join(f"\n [\n  {text[id(a)]},\n  {text[id(b)]}\n ]" for a, b in pairs) + "\n]"
+
+        k_rows = {"K_generators": rows(self.k_generators), "K_elements": rows(self.k_elements)}
+        return object_json(self._summary(), k_rows)
 
 
 def build_diagram(family: YpqFamily) -> GroupDiagram:

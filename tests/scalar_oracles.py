@@ -2,15 +2,16 @@
 recursion.
 
 The package evaluates the case-ii and case-iii right-hand sides and the
-case-iii domain test on Python floats, evaluates each march state's k1
-once, and runs the turning series over its even coefficients alone.
-These are the same computations written out the longer way:
+case-iii domain test on Python floats, steps those flows and the
+case-iii march on lists of them, evaluates each march state's k1 once,
+and runs the turning series over its even coefficients alone.  These
+are the same computations written out the longer way:
 
 - ``numpy_case_ii_rhs``, ``numpy_case_iii_rhs`` and
   ``numpy_case_iii_exit`` compute on the numpy scalars of the state (a
   zero denominator gives +-inf or nan);
-- ``numpy_rk4_step`` evaluates k1 inside every step, ``numpy_rk4_path``
-  for every re-step of its crossing bisection too, and
+- ``numpy_rk4_step`` steps arrays and evaluates k1 inside every step,
+  ``numpy_rk4_path`` for every re-step of its crossing bisection too, and
   ``numpy_march`` evaluates k1 for its step size and again inside each
   step it tries;
 - ``full_turning_series`` runs the Cauchy recursion over every

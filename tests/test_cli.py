@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from esasaki import cli, evolution, geometry
+from esasaki import cli, evolution, geometry, jsontext, moduli
 from esasaki.cli import main
 from esasaki.evolution import CaseIIState
 
@@ -177,6 +178,64 @@ def test_extend_check_lists_a_large_group_K(tmp_path):
     assert (family["minus"]["sigma"], family["plus"]["sigma"]) == (146, 142)
 
 
+def json_dump_content(path) -> dict:
+    """The content of a JSON file, which must hold the bytes that
+    json.dump(indent=1, sort_keys=True) writes of it."""
+    text = path.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=1, sort_keys=True)
+    return data
+
+
+def check_diagram_bytes(out, A, C, m) -> None:
+    """diagram.json holds json.dump's bytes of the family's diagram, and
+    verdict.json those of its own content, that diagram included."""
+    verdict = json_dump_content(out / "verdict.json")
+    family = moduli.classify_A(Fraction(A), Fraction(C), m).family
+    expected = json.dumps(moduli.build_diagram(family).to_json_dict(), indent=1, sort_keys=True)
+    assert (out / "diagram.json").read_text() == expected
+    assert verdict["diagram"] == json.loads(expected)
+
+
+@pytest.mark.parametrize("C", ["6", "2"])
+def test_diagram_and_verdict_bytes_of_every_enumerated_family(tmp_path, C):
+    families = moduli.enumerate_rational_families(200)
+    assert len(families) == 18
+    for n, fam in enumerate(families):
+        out = tmp_path / str(n)
+        run(["extend-check", f"--A={fam.A}", "--C", C, "--m", "0", "--arith", "rational", "--out", out])
+        check_diagram_bytes(out, fam.A, C, 0)
+
+
+@pytest.mark.parametrize("A", ["-47610000/5168743489", "-2025/3014284"], ids=["large-K", "S-25-91"])
+def test_diagram_and_verdict_bytes_of_a_large_K_and_a_small_lower_end(tmp_path, A):
+    assert run(["extend-check", f"--A={A}", "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path]) == 0
+    check_diagram_bytes(tmp_path, A, 6, 0)
+
+
+def test_verdict_bytes_with_a_diagram_error(tmp_path):
+    assert run(["extend-check", "--A=-9/2197", "--C", "5", "--m", "1", "--arith", "rational", "--out", tmp_path]) == 1
+    verdict = json_dump_content(tmp_path / "verdict.json")
+    assert "diagram_error" in verdict and "diagram" not in verdict
+    assert not (tmp_path / "diagram.json").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.dictionaries(st.text(), _JSON, max_size=4), texts=st.dictionaries(st.text(), _JSON, max_size=3))
+def test_object_json_gives_the_bytes_of_json_dump(values, texts):
+    assume(values or texts)
+    given_as_text = {key: json.dumps(value, indent=1, sort_keys=True) for key, value in texts.items()}
+    expected = json.dumps({**values, **texts}, indent=1, sort_keys=True)
+    assert jsontext.object_json({k: v for k, v in values.items() if k not in texts}, given_as_text) == expected
+
+
 def test_extend_check_no_extension_exits_1(tmp_path, capsys):
     code = run(["extend-check", "--A=-1/108", "--C", "6", "--m", "0", "--arith", "rational", "--out", tmp_path])
     assert code == 1
@@ -316,6 +375,7 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "iii", "--h0", "0.4", "--a0", "0.2", "--step", "1e-9"],
         ["evolve", "--case", "general", "--input", "{eta}", "--step", "1e-9"],
         ["evolve", "--case", "ii", "--h0", "0", "--A", "0.3"],
+        ["evolve", "--case", "ii", "--h0", "0.05", "--A=0.01", "--t1", "3", "--step", "0.7"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
@@ -323,7 +383,7 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         "points-0", "points-negative", "case-i-backward-span", "general-empty-span", "general-backward-span",
         "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
         "case-i-too-many-samples", "case-i-span-overflows", "case-iii-u-zero", "case-ii-too-many-steps",
-        "case-iii-too-many-steps", "general-too-many-steps", "case-ii-h0-zero",
+        "case-iii-too-many-steps", "general-too-many-steps", "case-ii-h0-zero", "case-ii-coarse-step",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):

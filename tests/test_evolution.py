@@ -121,6 +121,16 @@ def test_case_ii_orientation_precondition():
         evolve_case_ii(CaseIIState(0.3, -0.1), (0, 1.0), 1e-3)
 
 
+def test_case_ii_step_overshooting_h_zero_names_the_stage():
+    # at step 0.7 the span takes four steps of 0.75, and the first step's
+    # k4 stage lands at h^2 < 0; at step 0.01 the flow stops at its
+    # turning point near t = 0.975
+    state0 = CaseIIState.from_A(0.05, 0.01)
+    with pytest.raises(ValueError, match=r"t = 0\.75 reached h\^2 = -3\.38 < 0; the step is too coarse"):
+        evolve_case_ii(state0, (0, 3.0), 0.7)
+    assert evolve_case_ii(state0, (0, 3.0), 0.01).stopped_reason == "turning_point"
+
+
 def test_round_end_series_is_quarter_cos_squared():
     # at the A = 0 upper end Delta = cos(r)^2/4 = 1/8 + cos(2r)/8
     expected = [F(1, 4)] + [

@@ -294,6 +294,27 @@ def test_consistency_stays_at_rounding_at_the_crossing():
     assert flow.consistency.max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "state0, t1, solves",
+    [
+        # 800 steps of four solves, and one for the last state, which
+        # starts no step (the parent solved every kept state again: 3281)
+        (CaseIIState(0.38, 0.1, 6.0, 2), 0.8, 4 * 800 + 1),
+        # ends at its bisected coframe degeneration, which starts no step
+        (CaseIIState(0.35, 0.22, 6.0, 0), 1.0, None),
+    ],
+)
+def test_consistency_takes_each_kept_state_rates_from_its_k1(state0, t1, solves, monkeypatch):
+    calls = []
+    real = evolution._coframe_solve
+    monkeypatch.setattr(evolution, "_coframe_solve", lambda y, b: calls.append(1) or real(y, b))
+    flow = evolve_general(state0.to_id_structure(), (0.0, t1), 1e-3, record_every=10)
+    assert solves is None or len(calls) == solves
+    # bit for bit the consistency of rates solved afresh at every kept state
+    fresh = [general_rhs(y, state0.m)[1] for y in flow.coefficients]
+    assert flow.consistency.view(np.int64).tolist() == np.array(fresh).view(np.int64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # singular and non-finite coframes
 

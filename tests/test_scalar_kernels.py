@@ -1,7 +1,9 @@
 """Bit-identity of the scalar flow kernels against their numpy-scalar and
 full-recursion references (``tests/scalar_oracles.py``): the case-ii and
 case-iii right-hand sides, the case-iii domain test, RK4 steps given
-their k1, the turning series, and whole case-iii rejection reports."""
+their k1, paths and marches stepped on Python float lists (through zero
+denominators too), the turning series, and whole case-iii rejection
+reports."""
 
 import json
 import math
@@ -11,15 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from esasaki import boundary
+from esasaki import boundary, evolution
 from esasaki.evolution import (
     CASE_III_A_FLOOR,
     CASE_III_NORM_CAP,
     CASE_III_UV_FLOOR,
+    CaseIIState,
     CaseIIIState,
     _case_ii_rhs,
     case_iii_exit,
     case_iii_rhs,
+    evolve_case_ii,
     rk4_path,
     rk4_step,
     turning_series,
@@ -54,6 +58,24 @@ def bits(values) -> list:
 def numpy_rhs(rhs, t, y):
     with np.errstate(all="ignore"):
         return rhs(t, y)
+
+
+def record_case_iii_rates(monkeypatch, raise_at=None) -> list:
+    """Patch the case-iii rates to record, per call, whether they ran on
+    Python floats (False: on the numpy scalars of the zero-denominator
+    fallback); the float call numbered ``raise_at`` raises
+    ZeroDivisionError, as a zero denominator would."""
+    on_floats = []
+    real = evolution._case_iii_rates
+
+    def rates(*args):
+        on_floats.append(type(args[0]) is float)
+        if on_floats[-1] and len(on_floats) == raise_at:
+            raise ZeroDivisionError
+        return real(*args)
+
+    monkeypatch.setattr(evolution, "_case_iii_rates", rates)
+    return on_floats
 
 
 # any float, ordinary magnitudes, zeros of both signs, and magnitudes whose
@@ -143,22 +165,82 @@ def test_rk4_step_given_k1_matches_the_step_that_evaluates_it(y, t, h):
     assert bits(given_k1) == bits(evaluated)
 
 
+def case_iii_path_bits(start, t1, step) -> tuple:
+    """Times, states and reason of the path from ``start`` to its exit,
+    as bit patterns: a list start is stepped on Python float lists, as
+    evolve_case_iii steps it, and an array start on arrays."""
+    def exits(y):
+        return case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP)
+
+    times, ys, reason = rk4_path(case_iii_rhs, start, 0.0, t1, step, exits=exits)
+    return bits(times), bits(ys), reason
+
+
+def numpy_case_iii_path_bits(start, t1, step) -> tuple:
+    def exits(y):
+        return numpy_case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP)
+
+    with np.errstate(all="ignore"):
+        times, ys, reason = numpy_rk4_path(numpy_case_iii_rhs, np.array(start), 0.0, t1, step, exits=exits)
+    return bits(times), bits(ys), reason
+
+
 @pytest.mark.parametrize(
     "start, t1",
     [((0.4, 0.3, 0.0, 0.1, 0.2), 5.0), ((0.4, 0.4, 0.05, 0.05, 0.3), 0.05), (BOTH_ENDS_PASS[0], 5.0)],
 )
 def test_case_iii_path_matches_numpy_scalars(start, t1):
     # each flow ends at a bisected crossing; the last re-steps from k1
-    def exits(y):
-        return case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP)
+    reference = numpy_case_iii_path_bits(start, t1, 1e-3)
+    assert reference[2] is not None
+    assert case_iii_path_bits(list(start), t1, 1e-3) == reference
+    assert case_iii_path_bits(np.array(start), t1, 1e-3) == reference
 
-    def numpy_exits(y):
-        return numpy_case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP)
 
-    times, ys, reason = rk4_path(case_iii_rhs, np.array(start), 0.0, t1, 1e-3, exits=exits)
-    ref_times, ref_ys, ref_reason = numpy_rk4_path(numpy_case_iii_rhs, np.array(start), 0.0, t1, 1e-3,
-                                                   exits=numpy_exits)
-    assert reason is not None and reason == ref_reason
+def test_case_iii_path_through_a_zero_denominator_matches_numpy_scalars(monkeypatch):
+    # a_dot = -1 exactly, so the first k2 stage of a unit step has
+    # a = 0.5 - 0.5 = 0: its rates come from numpy scalars
+    start = (0.5, 0.5, 0.0, 0.0, 0.5)
+    on_floats = record_case_iii_rates(monkeypatch)
+    path = case_iii_path_bits(list(start), 1.0, 1.0)
+    assert on_floats.count(False) == 1
+    assert path == numpy_case_iii_path_bits(start, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "state0, t1, reason",
+    [(CaseIIState.from_A(0.3, -9 / 2197, 6.0, 1), 2.0, "turning_point"), (CaseIIState(0.25, 0.4, -2.0, 2), 0.8, None)],
+)
+def test_case_ii_flow_matches_numpy_scalars(state0, t1, reason, monkeypatch):
+    # the first flow crosses its turning point at t = 1.093, and the
+    # crossing is bisected on float lists too; the second ends at t1
+    flow = evolve_case_ii(state0, (0.0, t1), 1e-3, record_every=1)
+    monkeypatch.setattr(evolution, "rk4_path", numpy_rk4_path)
+    monkeypatch.setattr(evolution, "_case_ii_rhs", numpy_case_ii_rhs)
+    ref = evolve_case_ii(state0, (0.0, t1), 1e-3, record_every=1)
+    assert flow.stopped_reason == ref.stopped_reason == reason
+    assert bits(flow.times) == bits(ref.times)
+    assert bits(flow.coefficients) == bits(ref.coefficients)
+    assert bits(flow.drift["A"]) == bits(ref.drift["A"])
+
+
+@pytest.mark.parametrize(
+    "start, direction, step, raise_at",
+    [
+        # the first step tried has a k2 stage with k = 9/64 - (1/16)(9/4) = 0
+        # exactly, so Delta = hk = 0; the march halves its step and goes on
+        ((1 / 64, 9 / 64, 0.0, 0.0, 1 / 8), -1.0, 1 / 8, None),
+        # a zero denominator forced on the 41st float rates, mid-march
+        (BOTH_ENDS_PASS[0], 1.0, 1e-3, 41),
+    ],
+)
+def test_march_through_a_zero_denominator_matches_numpy_scalars(start, direction, step, raise_at, monkeypatch):
+    on_floats = record_case_iii_rates(monkeypatch, raise_at)
+    times, ys, reason = boundary._locate_boundary(list(start), direction, step)
+    assert on_floats.count(False) == 1 and len(times) > 20
+    with np.errstate(all="ignore"):
+        ref_times, ref_ys, ref_reason = numpy_march(np.array(start), direction, step)
+    assert reason == ref_reason
     assert bits(times) == bits(ref_times) and bits(ys) == bits(ref_ys)
 
 
