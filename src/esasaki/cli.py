@@ -84,7 +84,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="integrate one of the invariant flows", parents=[common])
     p_evolve.add_argument("--case", choices=_CASES)
     p_evolve.add_argument("--k", default=None, help="case i amplitude / case iii k0")
-    p_evolve.add_argument("--m", type=int, default=0)
+    p_evolve.add_argument("--m", type=int, default=None, help="weight (default: 1 for --case iii, else 0)")
     p_evolve.add_argument("--h0", default=None)
     p_evolve.add_argument("--a0", default=None)
     p_evolve.add_argument("--A", default=None, help="conserved level; alternative to --a0")
@@ -150,11 +150,9 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, data: dict, **texts) -> None:
-    """Write the bytes of json.dump(indent=1, sort_keys=True) of data and
-    the entries of ``texts``, whose values are given as their JSON text
-    (:func:`jsontext.object_json`)."""
-    path.write_text(jsontext.object_json(data, texts))
+def _write_json(path: Path, data: dict) -> None:
+    """Write the bytes of json.dump(indent=1, sort_keys=True) of data."""
+    path.write_text(json.dumps(data, indent=1, sort_keys=True))
 
 
 def _write_reports_json(path: Path, meta: dict, reports: list) -> None:
@@ -176,6 +174,8 @@ def cmd_evolve(args) -> int:
     if args.case not in _CASES:
         raise ValueError(f"need --case in {{{', '.join(_CASES)}}} (flag or config file), got {args.case!r}")
     m = args.m
+    if m is None:
+        m = 1 if args.case == "iii" else 0
     if args.t1 <= args.t0:
         raise ValueError("t_span must be increasing")
     if args.record_every < 1:
@@ -198,7 +198,7 @@ def cmd_evolve(args) -> int:
         if args.h0 is None or args.a0 is None:
             raise ValueError("case iii needs --h0 and --a0")
         state0 = evolution.CaseIIIState(*_floats(args, args.h0, args.k or "0.3", args.b0, args.c0, args.a0))
-        flow = evolution.evolve_case_iii(state0, t_span, args.step, record_every=args.record_every, m=m or 1)
+        flow = evolution.evolve_case_iii(state0, t_span, args.step, record_every=args.record_every, m=m)
     else:
         if not args.input:
             raise ValueError("--case general requires --input")
@@ -291,12 +291,10 @@ def cmd_extend_check(args) -> int:
     payload = {"verdict": verdict.to_json_dict(), "meta": _meta(args)}
     failures = [verdict.reason] if verdict.branch == moduli.NO_COMPACT_EXTENSION else []
 
-    # entries given as JSON text: the diagram's, built once for
-    # diagram.json and verdict.json
-    texts = {}
+    diagram = None
     if verdict.family is not None:
         try:
-            texts["diagram"] = moduli.build_diagram(verdict.family).to_json_text()
+            diagram = moduli.build_diagram(verdict.family).to_json_text()
         except ValueError as exc:
             payload["diagram_error"] = str(exc)
             failures.append(f"diagram: {exc}")
@@ -314,9 +312,9 @@ def cmd_extend_check(args) -> int:
         failures += [f"{tag}:{name}" for tag, rep in ends.items() for name in rep.failing()]
 
     out = _outdir(args)
-    if "diagram" in texts:
-        (out / "diagram.json").write_text(texts["diagram"])
-    _write_json(out / "verdict.json", payload, **texts)
+    if diagram is not None:
+        (out / "diagram.json").write_text(diagram)
+    _write_json(out / "verdict.json", payload)
     print(f"{verdict.branch}: {verdict.reason}")
     if failures:
         print(f"FAIL: {'; '.join(failures)}", file=sys.stderr)

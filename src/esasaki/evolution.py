@@ -808,15 +808,12 @@ def evolve_general(
 # case ii
 
 
-def _scalar_rates(rates: Callable, y):
-    """``rates(*y)`` computed on Python floats, in the form of y: a list
-    of Python floats for a list (the form :func:`rk4_path` steps
-    scalar-rate families in), an array for an array.  A zero denominator
+def _scalar_rates(rates: Callable, y: list) -> list:
+    """``rates(*y)`` on the list of Python floats y, the form
+    :func:`rk4_path` steps scalar-rate families in.  A zero denominator
     raises on Python floats; the rates are then computed again on numpy
     scalars, whose quotients are the +-inf and nan of array arithmetic,
     and returned as Python floats."""
-    if isinstance(y, np.ndarray):
-        return np.array(_scalar_rates(rates, y.tolist()))
     try:
         return rates(*y)
     except ZeroDivisionError:
@@ -961,9 +958,8 @@ def case_iii_rhs(t, y):
 
 def case_iii_exit(y, a_floor: float, uv_floor: float, norm_cap: float) -> Optional[str]:
     """Name of the boundary of the case-iii domain that y = (h, k, b, c, a),
-    an array or a list of Python floats, lies beyond, or None when y is
-    inside."""
-    h, k, b, c, a = values = y.tolist() if isinstance(y, np.ndarray) else y
+    a list of Python floats, lies beyond, or None when y is inside."""
+    h, k, b, c, a = values = y
     if not all(map(math.isfinite, values)) or a <= a_floor:
         return "turning_point"
     if abs(h + k) < uv_floor or abs(h - k) < uv_floor:

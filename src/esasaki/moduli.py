@@ -26,13 +26,12 @@ numerators over a common scale.
 
 Group diagrams run on integers: every generator (1/2, q/sigma mod 1) of
 K lies in (1/N)Z^2/Z^2 with N = lcm(2, sigma_-, sigma_+), so K is built
-as a subgroup of (Z/N)^2 and its elements become ``Fraction`` pairs only
-once, when the diagram is returned, sharing one ``Fraction`` per phase.
+as a subgroup of (Z/N)^2 and kept as integer numerators over N; a phase
+becomes a ``Fraction`` only as the text of its JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -366,8 +365,11 @@ def enumerate_rational_families(denominator_bound: int, m: int = 0) -> list:
 
 @dataclass(frozen=True)
 class GroupDiagram:
-    """The data K in {H-, H+} in SU(2) x U(1), phases as exact rationals."""
+    """The data K in {H-, H+} in SU(2) x U(1).  Phases are integer
+    numerators over N: the pair (a, b) of ``k_generators`` and
+    ``k_elements``, 0 <= a, b < N, stands for the phases (a/N, b/N)."""
 
+    N: int
     k_generators: tuple
     k_elements: tuple
     h_plus: dict
@@ -376,12 +378,12 @@ class GroupDiagram:
     pi1_order: int
     simply_connected: bool
 
-    def _phase_text(self, fmt) -> dict:
-        """fmt(x) for each phase x of K, keyed by id(x)."""
-        # build_diagram shares one object per distinct phase: format each
-        # once, keyed by identity (hashing a Fraction costs more than str)
-        phases = {id(x): x for x in chain.from_iterable(self.k_generators + self.k_elements)}
-        return {key: fmt(x) for key, x in phases.items()}
+    def _phase_text(self) -> dict:
+        """str(Fraction(n, N)) for each distinct numerator n of K."""
+        # the first phase of every element is 0 or 1/2, so there are far
+        # fewer distinct numerators than pairs
+        numerators = set(chain.from_iterable(self.k_generators + self.k_elements))
+        return {n: str(Fraction(n, self.N)) for n in numerators}
 
     def _summary(self) -> dict:
         """The JSON entries other than the elements and generators of K."""
@@ -395,8 +397,8 @@ class GroupDiagram:
         }
 
     def to_json_dict(self) -> dict:
-        text = self._phase_text(str)
-        enc = lambda pair: [text[id(pair[0])], text[id(pair[1])]]
+        text = self._phase_text()
+        enc = lambda pair: [text[pair[0]], text[pair[1]]]
         return {
             "K_generators": [enc(g) for g in self.k_generators],
             "K_elements": [enc(g) for g in self.k_elements],
@@ -408,10 +410,11 @@ class GroupDiagram:
         sort_keys=True)``.  The rows of K are joined from one JSON string
         per distinct phase; only the other entries go through the
         encoder."""
-        text = self._phase_text(lambda x: json.dumps(str(x)))
+        # the text of a fraction holds nothing that JSON escapes
+        text = {n: f'"{phase}"' for n, phase in self._phase_text().items()}
 
         def rows(pairs) -> str:
-            return "[" + ",".join(f"\n [\n  {text[id(a)]},\n  {text[id(b)]}\n ]" for a, b in pairs) + "\n]"
+            return "[" + ",".join(f"\n [\n  {text[a]},\n  {text[b]}\n ]" for a, b in pairs) + "\n]"
 
         k_rows = {"K_generators": rows(self.k_generators), "K_elements": rows(self.k_elements)}
         return object_json(self._summary(), k_rows)
@@ -496,13 +499,11 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
         "q": family.plus.q,
         "sigma": family.plus.sigma,
     }
-    # one shared Fraction per distinct numerator: the first phase of every
-    # element is 0 or 1/2, so there are far fewer of them than pairs
-    phase = {n: Fraction(n, N) for n in {n for pair in elements for n in pair}}
     return GroupDiagram(
-        k_generators=tuple((phase[a], phase[b]) for a, b in generators),
-        # pairs sharing the denominator N sort as their numerators do
-        k_elements=tuple((phase[a], phase[b]) for a, b in sorted(elements)),
+        N=N,
+        k_generators=tuple(generators),
+        # pairs sharing the denominator N sort as their phases do
+        k_elements=tuple(sorted(elements)),
         h_plus=h_plus,
         h_minus=h_minus,
         intersection_orders=orders,

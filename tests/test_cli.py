@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -49,6 +50,24 @@ def test_evolve_case_iii_writes_flow_with_drift(tmp_path):
     assert "drift_lambda" in header and "drift_mu" in header
     data = json.loads((tmp_path / "flow.json").read_text())
     assert max(data["drift"]["lambda"]) < 1e-8
+
+
+@pytest.mark.parametrize("weight", [None, "flag", "config"])
+def test_evolve_case_iii_honours_an_explicit_weight_0(tmp_path, weight):
+    # m = 0 from a flag or a config file is kept; without --m it is 1.
+    # The e4 coefficient of eta0 is -m/3
+    argv = ["evolve", "--case", "iii", "--h0", "0.4", "--k", "0.3", "--c0", "0.1", "--a0", "0.2", "--t1", "0.1"]
+    if weight == "flag":
+        argv += ["--m", "0"]
+    elif weight == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"m": 0}))
+        argv = ["--config", config, *argv]
+    assert run([*argv, "--out", tmp_path / "out"]) == 0
+    m = 1 if weight is None else 0
+    assert json.loads((tmp_path / "out" / "flow.json").read_text())["meta"]["m"] == m
+    with open(tmp_path / "out" / "flow.csv") as fh:
+        assert {float(row["eta0_4"]) for row in csv.DictReader(fh)} == {-m / 3.0}
 
 
 def test_evolve_general_happy_path(tmp_path):
@@ -189,12 +208,12 @@ def json_dump_content(path) -> dict:
 
 def check_diagram_bytes(out, A, C, m) -> None:
     """diagram.json holds json.dump's bytes of the family's diagram, and
-    verdict.json those of its own content, that diagram included."""
+    verdict.json those of its own content, which leaves K out."""
     verdict = json_dump_content(out / "verdict.json")
     family = moduli.classify_A(Fraction(A), Fraction(C), m).family
     expected = json.dumps(moduli.build_diagram(family).to_json_dict(), indent=1, sort_keys=True)
     assert (out / "diagram.json").read_text() == expected
-    assert verdict["diagram"] == json.loads(expected)
+    assert "diagram" not in verdict
 
 
 @pytest.mark.parametrize("C", ["6", "2"])

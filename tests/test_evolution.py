@@ -184,7 +184,7 @@ def test_float_turning_series_matches_rk4(S):
     for delta in (fam.delta_minus, fam.delta_plus):
         series = turning_series(float(fam.A), float(delta))
         for r in (0.002, 0.008, 0.016):
-            _, ys, _ = rk4_path(_case_ii_rhs, np.array([float(delta), 0.0]), 0.0, r, r / 200)
+            _, ys, _ = rk4_path(_case_ii_rhs, [float(delta), 0.0], 0.0, r, r / 200)
             summed = sum(c * r**k for k, c in enumerate(series))
             assert summed == pytest.approx(ys[-1][0], rel=1e-13, abs=0.0), (S, delta, r)
 

@@ -101,7 +101,7 @@ def case_iii_states(draw):
 @settings(max_examples=600, deadline=None)
 @given(y=case_iii_states(), t=st.floats(-1.0, 1.0))
 def test_case_iii_rhs_matches_numpy_scalars(y, t):
-    assert bits(case_iii_rhs(t, y)) == bits(numpy_rhs(numpy_case_iii_rhs, t, y))
+    assert bits(case_iii_rhs(t, y.tolist())) == bits(numpy_rhs(numpy_case_iii_rhs, t, y))
 
 
 def test_zero_denominators_give_the_infinities_and_nans_of_numpy():
@@ -110,7 +110,7 @@ def test_zero_denominators_give_the_infinities_and_nans_of_numpy():
                                                             [0.0] * 5)]
     cases.append((_case_ii_rhs, numpy_case_ii_rhs, [0.0, 0.3]))
     for rhs, reference, y in cases:
-        rates = rhs(0.0, np.array(y))
+        rates = rhs(0.0, y)
         assert not np.isfinite(rates).all()
         assert bits(rates) == bits(numpy_rhs(reference, 0.0, np.array(y)))
 
@@ -121,8 +121,7 @@ def test_zero_denominators_give_the_infinities_and_nans_of_numpy():
     s=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0])),
 )
 def test_case_ii_rhs_matches_numpy_scalars(p, s):
-    q = np.array([p, s])
-    assert bits(_case_ii_rhs(0.0, q)) == bits(numpy_rhs(numpy_case_ii_rhs, 0.0, q))
+    assert bits(_case_ii_rhs(0.0, [p, s])) == bits(numpy_rhs(numpy_case_ii_rhs, 0.0, np.array([p, s])))
 
 
 @settings(max_examples=600, deadline=None)
@@ -131,7 +130,7 @@ def test_case_ii_rhs_matches_numpy_scalars(p, s):
 def test_case_iii_exit_matches_numpy_scalars(y, bounds):
     with np.errstate(all="ignore"):
         expected = numpy_case_iii_exit(y, *bounds)
-    assert case_iii_exit(y, *bounds) == expected
+    assert case_iii_exit(y.tolist(), *bounds) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,8 +147,8 @@ def test_case_iii_exit_rounds_the_norm_as_numpy_at_the_cap(hkbca, scale, above):
     y = np.array(hkbca) * scale
     norm = float(np.linalg.norm(y))
     cap = float(np.nextafter(norm, 0.0)) if above else norm
-    assert case_iii_exit(y, 0.0, 0.0, cap) == numpy_case_iii_exit(y, 0.0, 0.0, cap)
-    assert case_iii_exit(y, 0.0, 0.0, cap) == ("divergence" if above else None)
+    assert case_iii_exit(y.tolist(), 0.0, 0.0, cap) == numpy_case_iii_exit(y, 0.0, 0.0, cap)
+    assert case_iii_exit(y.tolist(), 0.0, 0.0, cap) == ("divergence" if above else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,6 +158,7 @@ def test_case_iii_exit_rounds_the_norm_as_numpy_at_the_cap(hkbca, scale, above):
     h=st.one_of(st.floats(-0.1, 0.1), st.sampled_from([0.0, 1e-3, -2e-3])),
 )
 def test_rk4_step_given_k1_matches_the_step_that_evaluates_it(y, t, h):
+    y = y.tolist()
     with np.errstate(all="ignore"):
         given_k1 = rk4_step(case_iii_rhs, t, y, h, case_iii_rhs(t, y))
         evaluated = rk4_step(case_iii_rhs, t, y, h)
@@ -167,12 +167,12 @@ def test_rk4_step_given_k1_matches_the_step_that_evaluates_it(y, t, h):
 
 def case_iii_path_bits(start, t1, step) -> tuple:
     """Times, states and reason of the path from ``start`` to its exit,
-    as bit patterns: a list start is stepped on Python float lists, as
-    evolve_case_iii steps it, and an array start on arrays."""
+    as bit patterns, stepped on Python float lists as evolve_case_iii
+    steps it."""
     def exits(y):
         return case_iii_exit(y, CASE_III_A_FLOOR, CASE_III_UV_FLOOR, CASE_III_NORM_CAP)
 
-    times, ys, reason = rk4_path(case_iii_rhs, start, 0.0, t1, step, exits=exits)
+    times, ys, reason = rk4_path(case_iii_rhs, list(start), 0.0, t1, step, exits=exits)
     return bits(times), bits(ys), reason
 
 
@@ -193,8 +193,7 @@ def test_case_iii_path_matches_numpy_scalars(start, t1):
     # each flow ends at a bisected crossing; the last re-steps from k1
     reference = numpy_case_iii_path_bits(start, t1, 1e-3)
     assert reference[2] is not None
-    assert case_iii_path_bits(list(start), t1, 1e-3) == reference
-    assert case_iii_path_bits(np.array(start), t1, 1e-3) == reference
+    assert case_iii_path_bits(start, t1, 1e-3) == reference
 
 
 def test_case_iii_path_through_a_zero_denominator_matches_numpy_scalars(monkeypatch):
@@ -202,7 +201,7 @@ def test_case_iii_path_through_a_zero_denominator_matches_numpy_scalars(monkeypa
     # a = 0.5 - 0.5 = 0: its rates come from numpy scalars
     start = (0.5, 0.5, 0.0, 0.0, 0.5)
     on_floats = record_case_iii_rates(monkeypatch)
-    path = case_iii_path_bits(list(start), 1.0, 1.0)
+    path = case_iii_path_bits(start, 1.0, 1.0)
     assert on_floats.count(False) == 1
     assert path == numpy_case_iii_path_bits(start, 1.0, 1.0)
 

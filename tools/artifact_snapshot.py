@@ -27,9 +27,12 @@ round, as ``perfbench/run.py --list-jobs`` prints them: its exact
 ``normal-form`` jobs, and its ``classify_A(A, C, 0)`` jobs (the family
 ladder, A denominators 3e4 to 1.5e8, and the negative controls: an
 irrational-root A, -1/108, an A below it and an A > 0) as
-``extend-check --arith rational`` commands, and last a conformal flow
+``extend-check --arith rational`` commands, then a conformal flow
 whose coarse steps overshoot h = 0 (exit 2, its error naming the
-stage).  Two snapshots compare with
+stage), and last the README's five-parameter flow at weight m = 0
+(an explicit ``--m 0``, where the command's default is m = 1).
+Commands are only ever appended, so the directories of an older
+snapshot keep their names.  Two snapshots compare with
 ``diff -r``; to compare a change against another checkout:
 
     python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
@@ -102,6 +105,9 @@ TURNING_POINT = "evolve --case ii --h0 0.3 --A=-9/2197 --C 6 --m 1 --t1 2"
 # steps of 0.75: the first one's k4 stage lands at h^2 < 0
 COARSE_STEP = "evolve --case ii --h0 0.05 --A=0.01 --t1 3 --step 0.7"
 
+# case iii defaults to m = 1; an explicit --m 0 must be kept
+WEIGHT_ZERO = "evolve --case iii --h0 0.4 --k 0.3 --c0 0.1 --a0 0.2 --m 0"
+
 # {degenerate} holds a conformal coframe just above the lower turning
 # value of A = -0.9/108, where eta1 -> 0
 COFRAME_DEGENERATES = "evolve --case general --input {degenerate} --t1 3"
@@ -164,7 +170,7 @@ def main(argv=None) -> int:
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
     commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",)) + classify_commands()]
-    commands += [("coarse-step", COARSE_STEP)]
+    commands += [("coarse-step", COARSE_STEP), ("weight-zero", WEIGHT_ZERO)]
     for n, (group, command) in enumerate(commands):
         workdir = out / f"{group}-{n:02d}"
         workdir.mkdir()
