@@ -8,8 +8,9 @@ Exit codes: 0 success; 1 a verification/classification check failed
 (worst offender reported; for extend-check also a failing end report
 or a group diagram that cannot be built); 2 invalid input or an aborted
 constraint (non-finite numbers, non-solution initial data, domain
-errors, inputs too large to represent), mapped from ValueError, OSError
-and OverflowError in one place, :func:`main`.
+errors, inputs too large to represent, a group diagram K of more than
+``moduli.MAX_K_ORDER`` elements), mapped from ValueError, OSError and
+OverflowError in one place, :func:`main`.
 
 Rational values are accepted as "p/q" strings to avoid float parsing
 loss; every output embeds the run parameters (and seed), never a

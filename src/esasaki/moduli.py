@@ -25,9 +25,11 @@ by substitution, in O(log b) halvings for A = a/b, each on integer
 numerators over a common scale.
 
 Group diagrams run on integers: every generator (1/2, q/sigma mod 1) of
-K lies in (1/N)Z^2/Z^2 with N = lcm(2, sigma_-, sigma_+), so K is built
-as a subgroup of (Z/N)^2 and kept as integer numerators over N; a phase
-becomes a ``Fraction`` only as the text of its JSON.
+K lies in (1/N)Z^2/Z^2 with N = lcm(2, sigma_-, sigma_+), so K is kept
+as integer numerators over N.  Every first phase is 0 or 1/2, so K is
+two arithmetic progressions of step d, listed in order; each stabilizer
+order counts the solutions of a linear congruence, and |K| = 2N/d,
+known before listing, is bounded by ``MAX_K_ORDER``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ A_MIN = Fraction(-1, 108)
 # the float ratios and C that classify_A reconstructs
 RECONSTRUCT_REL_TOL = 1e-13
 DENOMINATOR_BOUND = 10**6
+# the most elements build_diagram lists, as the flows bound their steps
+MAX_K_ORDER = 10**6
 
 ROUND_SPHERE_BRANCH = "RoundSphereBranch"
 YPQ_BRANCH = "YpqBranch"
@@ -379,11 +383,13 @@ class GroupDiagram:
     simply_connected: bool
 
     def _phase_text(self) -> dict:
-        """str(Fraction(n, N)) for each distinct numerator n of K."""
+        """str(Fraction(n, N)) for each distinct numerator n of K: n/g
+        over N/g with g = gcd(n, N), and 0 alone (0 <= n < N)."""
         # the first phase of every element is 0 or 1/2, so there are far
         # fewer distinct numerators than pairs
         numerators = set(chain.from_iterable(self.k_generators + self.k_elements))
-        return {n: str(Fraction(n, self.N)) for n in numerators}
+        gcds = {n: gcd(n, self.N) for n in numerators}
+        return {n: f"{n // g}/{self.N // g}" if n else "0" for n, g in gcds.items()}
 
     def _summary(self) -> dict:
         """The JSON entries other than the elements and generators of K."""
@@ -424,14 +430,22 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
     """Construct and validate the canonical group diagram of a family.
 
     K is the subgroup of (Z/N)^2, N = lcm(2, sigma at each end), spanned
-    by (N/2, qN/sigma mod N) for each end; the pair (a, b) stands for the
-    phases (a/N, b/N).  It is listed in full, so the cost grows with |K|.
+    by (N/2, b) with b = qN/sigma mod N for each end; the pair (a, b)
+    stands for the phases (a/N, b/N).  Its words of even length have
+    a = 0 and span the second phases dZ/N, d = gcd(N, b1 + b for each
+    b); the odd ones have a = N/2 and form the coset r + dZ/N, r = b1
+    mod d.  So K is the two progressions (0, d i) and (N/2, r + d i),
+    0 <= i < N/d, listed in sorted order, and |K| = 2N/d.
+
     An element lies on the circle of slope (P, Q) = ((qm+sigma)/2, q)
-    when Q a - P b = 0 mod N, and on SU(2) x {1} when b = 0.
+    when Q a - P b = 0 mod N: a linear congruence in i, with gcd(P, N/d)
+    solutions at a = 0 and as many again at a = N/2 when d gcd(P, N/d)
+    divides Q N/2 - P r.  K meets SU(2) x {1} (b = 0, a = N/2) iff r = 0.
 
     Raises ``ValueError`` naming the failed condition when the integer
     data violates parity or coprimality, or when the computed stabilizer
-    intersection orders disagree with sigma.
+    intersection orders disagree with sigma; then ``OverflowError`` when
+    the data is valid but |K| exceeds ``MAX_K_ORDER``.
     """
     ends = [("plus", family.plus)]
     if family.branch == YPQ_BRANCH:
@@ -449,25 +463,18 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
         if end.q == 0:
             raise ValueError(f"{name} end: q must be nonzero")
 
-    # every generator (1/2, q/sigma mod 1) lies in (1/N)Z^2/Z^2, so K is
-    # the subgroup of (Z/N)^2 spanned by the pairs (N/2, qN/sigma mod N)
     N = lcm(2, *(end.sigma for _, end in ends))
     generators = [(N // 2, end.q * (N // end.sigma) % N) for _, end in ends]
-    elements = {(0, 0)}
-    for a, b in generators:
-        # adjoin g = (a, b) coset by coset: K + <g> is the union of the
-        # j g + K for 0 <= j < t, with t the first multiple of g in K
-        coset, x, y = [], a, b
-        while (x, y) not in elements:
-            coset.append((x, y))
-            x, y = (x + a) % N, (y + b) % N
-        elements |= {((u + x) % N, (v + y) % N) for u, v in elements for x, y in coset}
+    b1 = generators[0][1]
+    d = gcd(N, *(b1 + b for _, b in generators))
+    r = b1 % d
 
     orders = {}
     for name, end in ends:
         # (a, b)/N lies on the circle of slope (P, Q) iff Q a - P b = 0 mod N
         P, Q = end.p // 2, end.q
-        got = sum((Q * a - P * b) % N == 0 for a, b in elements)
+        g = gcd(P, N // d)
+        got = g + (g if (Q * (N // 2) - P * r) % (d * g) == 0 else 0)
         orders[name] = got
         if got != end.sigma:
             raise ValueError(
@@ -475,9 +482,9 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
             )
 
     if family.branch == ROUND_SPHERE_BRANCH:
-        # the three-dimensional end absorbs SU(2): K must miss it
-        # (every element has a = 0 or a = N/2)
-        if (N // 2, 0) in elements:
+        # the three-dimensional end absorbs SU(2): K must miss it, that
+        # is (N/2, 0) must not lie in K
+        if r == 0:
             raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
         h_minus = {"type": "su2_times_K"}
         pi1 = 1
@@ -493,6 +500,8 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
             "sigma": family.minus.sigma,
         }
 
+    if 2 * N // d > MAX_K_ORDER:
+        raise OverflowError(f"group K has {2 * N // d} elements, above the limit of {MAX_K_ORDER}")
     h_plus = {
         "type": "circle_times_K",
         "p": family.plus.p,
@@ -502,8 +511,8 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
     return GroupDiagram(
         N=N,
         k_generators=tuple(generators),
-        # pairs sharing the denominator N sort as their phases do
-        k_elements=tuple(sorted(elements)),
+        # already sorted, as the phases of pairs over one N sort
+        k_elements=tuple([(0, b) for b in range(0, N, d)] + [(N // 2, b) for b in range(r, N, d)]),
         h_plus=h_plus,
         h_minus=h_minus,
         intersection_orders=orders,

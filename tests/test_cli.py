@@ -395,6 +395,8 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         ["evolve", "--case", "general", "--input", "{eta}", "--step", "1e-9"],
         ["evolve", "--case", "ii", "--h0", "0", "--A", "0.3"],
         ["evolve", "--case", "ii", "--h0", "0.05", "--A=0.01", "--t1", "3", "--step", "0.7"],
+        # a valid two-root family whose group K has 1,000,818 elements
+        ["extend-check", "--A=-11905639707025/1610339369154876", "--C", "1", "--m", "0", "--arith", "rational"],
     ],
     ids=[
         "bound-1", "missing-config", "A-abc", "case-ii-in-disguise", "step-0", "k-nan", "h0-inf", "every-0",
@@ -403,6 +405,7 @@ def test_reruns_are_byte_identical(tmp_path, argv):
         "case-i-every-0", "case-ii-no-h0", "case-iii-no-a0", "zero-denominator", "h0-overflows",
         "case-i-too-many-samples", "case-i-span-overflows", "case-iii-u-zero", "case-ii-too-many-steps",
         "case-iii-too-many-steps", "general-too-many-steps", "case-ii-h0-zero", "case-ii-coarse-step",
+        "k-over-limit",
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -416,6 +419,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "flow.csv").exists()
     assert not list(tmp_path.glob("curvature.*"))
+    assert not (tmp_path / "diagram.json").exists() and not (tmp_path / "verdict.json").exists()
 
 
 def test_evolve_case_i_sample_bound(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from esasaki.moduli import (
     A_MIN,
     DENOMINATOR_BOUND,
+    MAX_K_ORDER,
     NO_COMPACT_EXTENSION,
     ROUND_SPHERE_BRANCH,
     YPQ_BRANCH,
@@ -308,6 +309,57 @@ def test_diagram_rejects_non_coprime_data():
     )
     with pytest.raises(ValueError, match="coprime"):
         build_diagram(fam)
+
+
+def _end(q, sigma_signed, m=0):
+    return EndData(delta=None, ratio=F(q, sigma_signed), q=q, sigma=abs(sigma_signed),
+                   sigma_signed=sigma_signed, p=q * m + sigma_signed)
+
+
+def _family(plus, minus=None, m=0):
+    """A family on the round branch (no minus end) or the two-root branch."""
+    return YpqFamily(
+        A=F(-1, 200), C=F(1), m=m, delta_minus=None, delta_plus=None, minus=minus, plus=plus,
+        quasi_regular=True, simply_connected=True,
+        branch=ROUND_SPHERE_BRANCH if minus is None else YPQ_BRANCH,
+    )
+
+
+def test_round_branch_diagram_meeting_su2_rejected():
+    # q = 2, sigma = 6: N = 6, K's second phases step by d = 2 from r = 0,
+    # so (1/2, 0) lies in K
+    with pytest.raises(ValueError, match=r"K meets SU\(2\) x \{1\}"):
+        build_diagram(_family(_end(2, 6)))
+
+
+def test_build_diagram_refuses_more_than_max_k_order_elements():
+    # q = 1, sigma = 2,000,002: N = sigma, d = 2 and |K| = N
+    over = _family(_end(1, 2 * MAX_K_ORDER + 2))
+    with pytest.raises(OverflowError, match=f"K has {2 * MAX_K_ORDER + 2} elements, above the limit of {MAX_K_ORDER}"):
+        build_diagram(over)
+    # the two-root family of extend-check whose K has 1,000,818 elements
+    family = classify_A(F(-11905639707025, 1610339369154876), F(1), 0).family
+    with pytest.raises(OverflowError, match="K has 1000818 elements"):
+        build_diagram(family)
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        # p = 2,000,001 is odd
+        (_family(_end(1, 2 * MAX_K_ORDER + 1)), "plus end: p = qm[+]sigma = 2000001 is odd"),
+        # m = 1: N = 4,000,002 and |K| = N, but the slope (1000001, 1) meets K once
+        (_family(_end(1, 2 * MAX_K_ORDER + 1, m=1), m=1),
+         "plus end: stabilizer intersection has order 1, expected 2000001"),
+        (_family(_end(1, 2 * MAX_K_ORDER + 1, m=1), _end(2, 4, m=1), m=1),
+         "plus end: stabilizer intersection has order 2, expected 2000001"),
+        # q = 2, sigma = 2,000,002: |K| = N, and K holds (1/2, 0)
+        (_family(_end(2, 2 * MAX_K_ORDER + 2)), "K meets SU"),
+    ],
+)
+def test_invalid_data_over_the_k_limit_keeps_its_own_error(family, message):
+    with pytest.raises(ValueError, match=message):
+        build_diagram(family)
 
 
 def _random_family(rng):

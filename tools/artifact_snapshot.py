@@ -29,8 +29,10 @@ ladder, A denominators 3e4 to 1.5e8, and the negative controls: an
 irrational-root A, -1/108, an A below it and an A > 0) as
 ``extend-check --arith rational`` commands, then a conformal flow
 whose coarse steps overshoot h = 0 (exit 2, its error naming the
-stage), and last the README's five-parameter flow at weight m = 0
-(an explicit ``--m 0``, where the command's default is m = 1).
+stage), the README's five-parameter flow at weight m = 0 (an
+explicit ``--m 0``, where the command's default is m = 1), and last a
+Y^{p,q} family whose group K has 1,000,818 elements, above the limit
+of 10^6 that ``build_diagram`` lists (exit 2, no artifact written).
 Commands are only ever appended, so the directories of an older
 snapshot keep their names.  Two snapshots compare with
 ``diff -r``; to compare a change against another checkout:
@@ -108,6 +110,9 @@ COARSE_STEP = "evolve --case ii --h0 0.05 --A=0.01 --t1 3 --step 0.7"
 # case iii defaults to m = 1; an explicit --m 0 must be kept
 WEIGHT_ZERO = "evolve --case iii --h0 0.4 --k 0.3 --c0 0.1 --a0 0.2 --m 0"
 
+# a valid two-root family whose K has 1,000,818 elements
+K_OVER_LIMIT = "extend-check --A=-11905639707025/1610339369154876 --C 1 --m 0 --arith rational"
+
 # {degenerate} holds a conformal coframe just above the lower turning
 # value of A = -0.9/108, where eta1 -> 0
 COFRAME_DEGENERATES = "evolve --case general --input {degenerate} --t1 3"
@@ -170,7 +175,7 @@ def main(argv=None) -> int:
     commands += [("curvature", c) for c in benchmark_jobs("curvature", tuple(f"verify{n}" for n in range(1, 6)))]
     commands += [("extension", c) for c in benchmark_jobs("extension", ("ypq", "ypq_small_delta", "round", "case_iii"))]
     commands += [("classify", c) for c in benchmark_jobs("classify", ("normal_form",)) + classify_commands()]
-    commands += [("coarse-step", COARSE_STEP), ("weight-zero", WEIGHT_ZERO)]
+    commands += [("coarse-step", COARSE_STEP), ("weight-zero", WEIGHT_ZERO), ("k-over-limit", K_OVER_LIMIT)]
     for n, (group, command) in enumerate(commands):
         workdir = out / f"{group}-{n:02d}"
         workdir.mkdir()
