@@ -145,6 +145,15 @@ def _default_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    # main's first pass, which picks up --config so its values become
+    # parser defaults; built once per process, like _default_parser
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", default=None)
+    return pre
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,10 +364,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # first pass: pick up --config so its values become parser defaults
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
+    known, _ = _config_parser().parse_known_args(argv)
     try:
         config = None
         if known.config:

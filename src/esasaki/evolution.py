@@ -895,6 +895,10 @@ def turning_points(A: float) -> list:
 
 
 TURNING_SERIES_ORDER = 12
+# C(2n, 2i), i = 0..n, n < TURNING_SERIES_ORDER / 2: the weights of an
+# even Cauchy product of series in rho^(2n) / (2n)!
+_EVEN_BINOMIALS = [[math.comb(2 * n, 2 * i) for i in range(n + 1)] for n in range(TURNING_SERIES_ORDER // 2)]
+_ZERO = Fraction(0)
 
 
 def turning_series(A, delta_star) -> tuple:
@@ -904,14 +908,52 @@ def turning_series(A, delta_star) -> tuple:
 
     With p = h^2 and s = a h the flow and the conserved A give
     2 p^2 p'' = p^2 - 8 p^3 - A, and at a turning point p(0) = Delta*,
-    p'(0) = 0.  Matching powers of r with Cauchy products fixes c_{n+2}
-    from c_0..c_{n+1}; the coefficients are exact Fractions when A and
-    Delta* are.  The equation is invariant under r -> -r, so the odd
-    coefficients vanish: each is 0 * Delta*, and the Cauchy products run
-    over the even coefficients alone, whose sums the vanishing terms
-    would leave unchanged.  At a root of the turning cubic
+    p'(0) = 0.  The equation is invariant under r -> -r, so the odd
+    coefficients vanish.  At a root of the turning cubic
     c_2 = (1 - 6 Delta*)/2.
+
+    When A and Delta* are rational (int or Fraction) the series is exact
+    and runs on integers.  Write Delta* = u/w and A = a/alpha in lowest
+    terms, s^2 = 2 u^3 alpha, p = Delta* P(rho) and r = s rho.  Then
+    P(0) = 1, P'(0) = 0 and
+
+        P^2 P'' = u^2 w alpha P^2 - 8 u^3 alpha P^3 - a w^3,
+
+    whose coefficients are integers.  Let P = sum Q_n rho^(2n) / (2n)!.
+    In that basis a product of two even series has the coefficients
+    sum_i C(2n, 2i) x_i y_(n-i), so with S_n and T_n those of P^2 and
+    P^3 the coefficient of rho^(2n) / (2n)! on each side gives
+
+        Q_(n+1) = u^2 w alpha S_n - 8 u^3 alpha T_n - [n = 0] a w^3
+                  - sum_(k<n) C(2n, 2k) S_(n-k) Q_(k+1),
+
+    because P^2 P'' contributes S_0 Q_(n+1) = Q_(n+1) to it.  Starting
+    from Q_0 = 1 every step adds and multiplies integers and divides by
+    nothing, so each Q_n is an integer; c_(2n) = u Q_n / (w (2n)! s^(2n))
+    is the only Fraction formed per coefficient.
+
+    Float (or mixed) input runs the Cauchy recursion on the coefficients
+    themselves, which fixes c_(n+2) from c_0..c_(n+1), over the even
+    coefficients alone: the vanishing odd ones would leave its sums
+    unchanged, and each odd coefficient is 0 * Delta*.
     """
+    if not (isinstance(A, (int, Fraction)) and isinstance(delta_star, (int, Fraction))):
+        return _float_turning_series(A, delta_star)
+    u, w = delta_star.as_integer_ratio()
+    a, alpha = A.as_integer_ratio()
+    s2 = 2 * u**3 * alpha
+    lin, cub = u * u * w * alpha, 4 * s2
+    Q, S = [1], []
+    for n, binom in enumerate(_EVEN_BINOMIALS):
+        S.append(sum(b * Q[i] * Q[n - i] for i, b in enumerate(binom)))
+        T = sum(b * S[i] * Q[n - i] for i, b in enumerate(binom))
+        lower = sum(binom[k] * S[n - k] * Q[k + 1] for k in range(n))
+        Q.append(lin * S[n] - cub * T - lower - (a * w**3 if n == 0 else 0))
+    c = [Fraction(u * q, w * math.factorial(2 * n) * s2**n) for n, q in enumerate(Q)]
+    return tuple(x for even in c for x in (even, _ZERO))[:-1]
+
+
+def _float_turning_series(A, delta_star) -> tuple:
     c = [delta_star]  # c_0, c_2, c_4, ...
     sq, dd = [], []  # the even coefficients of p^2 and of p''
     for n in range(TURNING_SERIES_ORDER // 2):

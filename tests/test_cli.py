@@ -771,6 +771,30 @@ def test_consecutive_runs_share_no_flags_or_defaults(tmp_path, capsys):
     assert "need --bound" in capsys.readouterr().err
 
 
+def test_consecutive_config_files_each_give_only_their_own_defaults(tmp_path, capsys):
+    # the --config pre-parser is built once per process too; two runs with
+    # different config files and one without see only their own defaults
+    assert cli._config_parser() is cli._config_parser()
+    configs = {
+        "first": {"out": str(tmp_path / "first"), "bound": 13, "seed": 5, "arith": "rational"},
+        "second": {"out": str(tmp_path / "second"), "seed": 9, "tol": 1e-3, "step": 4e-3},
+    }
+    for name, data in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    assert run(["--config", tmp_path / "first.json", "enumerate"]) == 0
+    assert run(["--config", tmp_path / "second.json", "enumerate", "--bound", "11"]) == 0
+    assert run(["enumerate", "--bound", "11", "--out", tmp_path / "none"]) == 0
+    expected = {"first": (5, 1e-4, 1e-3, "rational", 13), "second": (9, 1e-3, 4e-3, "float", 11),
+                "none": (0, 1e-4, 1e-3, "float", 11)}
+    for name, values in expected.items():
+        data = json.loads((tmp_path / name / "families.json").read_text())
+        meta = data["meta"]
+        assert (meta["seed"], meta["tol"], meta["step"], meta["arith"], meta["bound"]) == values, name
+    capsys.readouterr()
+    assert run(["enumerate", "--out", tmp_path / "no_bound"]) == 2  # no config file's bound is left
+    assert "need --bound" in capsys.readouterr().err
+
+
 def test_rational_string_inputs(tmp_path):
     # "p/q" strings parse exactly in either arithmetic mode
     code = run(["extend-check", "--A=-9/2197", "--C", "6", "--out", tmp_path])

@@ -261,15 +261,33 @@ def test_turning_series_matches_the_full_recursion_at_enumerated_ends():
         assert list(map(repr, floats)) == list(map(repr, full_turning_series(float(A), float(delta))))
 
 
+def _rationals(bound, max_denominator):
+    return st.one_of(st.integers(-3, 3), st.fractions(-bound, bound, max_denominator=max_denominator))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    A=st.fractions(Fraction(-1, 50), Fraction(1, 50), max_denominator=10**6),
-    delta=st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=10**4),
+    A=_rationals(Fraction(1, 50), 10**12),
+    delta=_rationals(Fraction(1, 2), 10**12).filter(bool),
+    as_float=st.sampled_from(("", "A", "delta")),
 )
-def test_fraction_turning_series_matches_the_full_recursion(A, delta):
+def test_fraction_turning_series_matches_the_full_recursion(A, delta, as_float):
+    # rational input (int or Fraction, either sign) takes the integer
+    # recursion: exact, all Fractions; the oracle divides ints as floats,
+    # so it is given the same values as Fractions
     series = turning_series(A, delta)
-    assert series == full_turning_series(A, delta)
-    assert all(isinstance(c, Fraction) for c in series)
+    assert series == full_turning_series(Fraction(A), Fraction(delta))
+    assert all(type(c) is Fraction for c in series)
+    if as_float:
+        # one input a float takes the float recursion: its even terms
+        # repr for repr; each odd term is 0 * Delta*, where the full
+        # recursion sums to a float 0.0 once A is a float
+        A, delta = (float(A), delta) if as_float == "A" else (A, float(delta))
+        reference = full_turning_series(A, delta)
+        assume(all(map(math.isfinite, reference)))
+        series = turning_series(A, delta)
+        assert list(map(repr, series[::2])) == list(map(repr, reference[::2]))
+        assert series[1::2] == reference[1::2] and {type(c) for c in series[1::2]} == {type(0 * delta)}
 
 
 @settings(max_examples=400, deadline=None)
@@ -285,7 +303,8 @@ def test_float_turning_series_matches_the_full_recursion(A, delta):
 
 
 def test_turning_series_at_zero_turning_value_raises_like_the_full_recursion():
-    for A, delta in ((Fraction(0), Fraction(0)), (0.0, 0.0)):
+    for A, delta in ((Fraction(0), Fraction(0)), (0, 0), (Fraction(-1, 7), 0), (3, Fraction(0)),
+                     (Fraction(1, 10**12), 0.0), (0.0, Fraction(0)), (0.0, 0.0)):
         with pytest.raises(ZeroDivisionError):
             full_turning_series(A, delta)
         with pytest.raises(ZeroDivisionError):
