@@ -39,8 +39,9 @@ for A in (F(0), F(-9, 2197), F(-1, 108), F(1, 10)):
 fam = families[1]  # the (1/13, 3/13) family
 diagram = build_diagram(fam)
 print(f"\ngroup diagram of the S = {fam.S} family:")
-# K is kept as integer numerators over N: (a, b) stands for the phases (a/N, b/N)
+# K is kept as integer numerators over N: (a, b) stands for the phases
+# (a/N, b/N), and K is (0, d i) and (N/2, r + d i), 0 <= i < N/d
 generators = tuple((F(a, diagram.N), F(b, diagram.N)) for a, b in diagram.k_generators)
-print(f"  K has order {len(diagram.k_elements)}, generated by {generators}")
+print(f"  K has order {diagram.k_order}, generated by {generators}")
 print(f"  stabilizer intersection orders: {diagram.intersection_orders}")
 print(f"  fundamental group order: {diagram.pi1_order}")

@@ -8,9 +8,8 @@ Exit codes: 0 success; 1 a verification/classification check failed
 (worst offender reported; for extend-check also a failing end report
 or a group diagram that cannot be built); 2 invalid input or an aborted
 constraint (non-finite numbers, non-solution initial data, domain
-errors, inputs too large to represent, a group diagram K of more than
-``moduli.MAX_K_ORDER`` elements), mapped from ValueError, OSError and
-OverflowError in one place, :func:`main`.
+errors, inputs too large to represent), mapped from ValueError, OSError
+and OverflowError in one place, :func:`main`.
 
 Rational values are accepted as "p/q" strings to avoid float parsing
 loss; every output embeds the run parameters (and seed), never a
@@ -304,7 +303,7 @@ def cmd_extend_check(args) -> int:
     diagram = None
     if verdict.family is not None:
         try:
-            diagram = moduli.build_diagram(verdict.family).to_json_text()
+            diagram = moduli.build_diagram(verdict.family).to_json_dict()
         except ValueError as exc:
             payload["diagram_error"] = str(exc)
             failures.append(f"diagram: {exc}")
@@ -323,7 +322,7 @@ def cmd_extend_check(args) -> int:
 
     out = _outdir(args)
     if diagram is not None:
-        (out / "diagram.json").write_text(diagram)
+        _write_json(out / "diagram.json", diagram)
     _write_json(out / "verdict.json", payload)
     print(f"{verdict.branch}: {verdict.reason}")
     if failures:

@@ -27,20 +27,17 @@ numerators over a common scale.
 Group diagrams run on integers: every generator (1/2, q/sigma mod 1) of
 K lies in (1/N)Z^2/Z^2 with N = lcm(2, sigma_-, sigma_+), so K is kept
 as integer numerators over N.  Every first phase is 0 or 1/2, so K is
-two arithmetic progressions of step d, listed in order; each stabilizer
-order counts the solutions of a linear congruence, and |K| = 2N/d,
-known before listing, is bounded by ``MAX_K_ORDER``.
+two arithmetic progressions of step d, kept as (N, d, r) rather than
+listed; each stabilizer order counts the solutions of a linear
+congruence, and |K| = 2N/d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional
-
-from esasaki.jsontext import object_json
 
 __all__ = [
     "cubic_roots",
@@ -65,8 +62,6 @@ A_MIN = Fraction(-1, 108)
 # the float ratios and C that classify_A reconstructs
 RECONSTRUCT_REL_TOL = 1e-13
 DENOMINATOR_BOUND = 10**6
-# the most elements build_diagram lists, as the flows bound their steps
-MAX_K_ORDER = 10**6
 
 ROUND_SPHERE_BRANCH = "RoundSphereBranch"
 YPQ_BRANCH = "YpqBranch"
@@ -370,60 +365,51 @@ def enumerate_rational_families(denominator_bound: int, m: int = 0) -> list:
 @dataclass(frozen=True)
 class GroupDiagram:
     """The data K in {H-, H+} in SU(2) x U(1).  Phases are integer
-    numerators over N: the pair (a, b) of ``k_generators`` and
-    ``k_elements``, 0 <= a, b < N, stands for the phases (a/N, b/N)."""
+    numerators over N: the pair (a, b), 0 <= a, b < N, stands for the
+    phases (a/N, b/N).  K is the two progressions (0, d i) and
+    (N/2, r + d i), 0 <= i < N/d, of step d = ``k_step`` and offset
+    r = ``k_offset`` < d, so |K| = 2N/d."""
 
     N: int
     k_generators: tuple
-    k_elements: tuple
+    k_step: int
+    k_offset: int
     h_plus: dict
     h_minus: dict
     intersection_orders: dict
     pi1_order: int
     simply_connected: bool
 
-    def _phase_text(self) -> dict:
-        """str(Fraction(n, N)) for each distinct numerator n of K: n/g
-        over N/g with g = gcd(n, N), and 0 alone (0 <= n < N)."""
-        # the first phase of every element is 0 or 1/2, so there are far
-        # fewer distinct numerators than pairs
-        numerators = set(chain.from_iterable(self.k_generators + self.k_elements))
-        gcds = {n: gcd(n, self.N) for n in numerators}
-        return {n: f"{n // g}/{self.N // g}" if n else "0" for n, g in gcds.items()}
+    @property
+    def k_order(self) -> int:
+        return 2 * self.N // self.k_step
 
-    def _summary(self) -> dict:
-        """The JSON entries other than the elements and generators of K."""
+    @property
+    def k_elements(self) -> tuple:
+        """The |K| pairs of K in sorted order, listed on each call."""
+        N, d = self.N, self.k_step
+        return tuple([(0, b) for b in range(0, N, d)] + [(N // 2, b) for b in range(self.k_offset, N, d)])
+
+    def _phase_text(self, n: int) -> str:
+        """str(Fraction(n, N)) for 0 <= n <= N: n/g over N/g with
+        g = gcd(n, N), or n/g alone when N/g = 1."""
+        g = gcd(n, self.N)
+        return f"{n // g}/{self.N // g}" if self.N != g else str(n // g)
+
+    def to_json_dict(self) -> dict:
+        text = self._phase_text
         return {
-            "K_order": len(self.k_elements),
+            "N": self.N,
+            "K_generators": [[text(a), text(b)] for a, b in self.k_generators],
+            "K_step": text(self.k_step),
+            "K_offset": text(self.k_offset),
+            "K_order": self.k_order,
             "H_plus": self.h_plus,
             "H_minus": self.h_minus,
             "intersection_orders": self.intersection_orders,
             "pi1_order": self.pi1_order,
             "simply_connected": self.simply_connected,
         }
-
-    def to_json_dict(self) -> dict:
-        text = self._phase_text()
-        enc = lambda pair: [text[pair[0]], text[pair[1]]]
-        return {
-            "K_generators": [enc(g) for g in self.k_generators],
-            "K_elements": [enc(g) for g in self.k_elements],
-            **self._summary(),
-        }
-
-    def to_json_text(self) -> str:
-        """The text of ``json.dumps(self.to_json_dict(), indent=1,
-        sort_keys=True)``.  The rows of K are joined from one JSON string
-        per distinct phase; only the other entries go through the
-        encoder."""
-        # the text of a fraction holds nothing that JSON escapes
-        text = {n: f'"{phase}"' for n, phase in self._phase_text().items()}
-
-        def rows(pairs) -> str:
-            return "[" + ",".join(f"\n [\n  {text[a]},\n  {text[b]}\n ]" for a, b in pairs) + "\n]"
-
-        k_rows = {"K_generators": rows(self.k_generators), "K_elements": rows(self.k_elements)}
-        return object_json(self._summary(), k_rows)
 
 
 def build_diagram(family: YpqFamily) -> GroupDiagram:
@@ -435,7 +421,7 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
     a = 0 and span the second phases dZ/N, d = gcd(N, b1 + b for each
     b); the odd ones have a = N/2 and form the coset r + dZ/N, r = b1
     mod d.  So K is the two progressions (0, d i) and (N/2, r + d i),
-    0 <= i < N/d, listed in sorted order, and |K| = 2N/d.
+    0 <= i < N/d, kept as (N, d, r) rather than listed, and |K| = 2N/d.
 
     An element lies on the circle of slope (P, Q) = ((qm+sigma)/2, q)
     when Q a - P b = 0 mod N: a linear congruence in i, with gcd(P, N/d)
@@ -444,8 +430,7 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
 
     Raises ``ValueError`` naming the failed condition when the integer
     data violates parity or coprimality, or when the computed stabilizer
-    intersection orders disagree with sigma; then ``OverflowError`` when
-    the data is valid but |K| exceeds ``MAX_K_ORDER``.
+    intersection orders disagree with sigma.
     """
     ends = [("plus", family.plus)]
     if family.branch == YPQ_BRANCH:
@@ -500,8 +485,6 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
             "sigma": family.minus.sigma,
         }
 
-    if 2 * N // d > MAX_K_ORDER:
-        raise OverflowError(f"group K has {2 * N // d} elements, above the limit of {MAX_K_ORDER}")
     h_plus = {
         "type": "circle_times_K",
         "p": family.plus.p,
@@ -511,8 +494,8 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
     return GroupDiagram(
         N=N,
         k_generators=tuple(generators),
-        # already sorted, as the phases of pairs over one N sort
-        k_elements=tuple([(0, b) for b in range(0, N, d)] + [(N // 2, b) for b in range(r, N, d)]),
+        k_step=d,
+        k_offset=r,
         h_plus=h_plus,
         h_minus=h_minus,
         intersection_orders=orders,

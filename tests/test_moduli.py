@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from esasaki.moduli import (
     A_MIN,
     DENOMINATOR_BOUND,
-    MAX_K_ORDER,
     NO_COMPACT_EXTENSION,
     ROUND_SPHERE_BRANCH,
     YPQ_BRANCH,
@@ -25,6 +24,7 @@ from esasaki.moduli import (
     rational_reconstruct,
 )
 from esasaki.moduli import _cubic_value
+from diagram_oracle import described_elements, fraction_diagram, lattice_order
 from exact_roots import fraction_cubic_roots
 
 
@@ -277,6 +277,9 @@ def test_sphere_branch_diagram():
     diag = build_diagram(fam)
     assert diag.h_minus == {"type": "su2_times_K"}
     assert diag.intersection_orders["plus"] == fam.plus.sigma
+    # N = 2 and d = N: K = {(0, 0), (1/2, 1/2)}, a step of the whole circle
+    data = diag.to_json_dict()
+    assert (data["N"], data["K_step"], data["K_offset"], data["K_order"]) == (2, "1", "1/2", 2)
     assert diag.simply_connected
 
 
@@ -332,29 +335,30 @@ def test_round_branch_diagram_meeting_su2_rejected():
         build_diagram(_family(_end(2, 6)))
 
 
-def test_build_diagram_refuses_more_than_max_k_order_elements():
-    # q = 1, sigma = 2,000,002: N = sigma, d = 2 and |K| = N
-    over = _family(_end(1, 2 * MAX_K_ORDER + 2))
-    with pytest.raises(OverflowError, match=f"K has {2 * MAX_K_ORDER + 2} elements, above the limit of {MAX_K_ORDER}"):
-        build_diagram(over)
+def test_build_diagram_describes_a_K_of_a_million_elements_and_more():
+    # q = 1, sigma = 2,000,002: N = sigma, d = 2, r = 1 and |K| = N
+    diag = build_diagram(_family(_end(1, 2_000_002)))
+    assert (diag.N, diag.k_step, diag.k_offset, diag.k_order) == (2_000_002, 2, 1, 2_000_002)
+    assert diag.k_order == lattice_order(diag.N, diag.k_generators)
     # the two-root family of extend-check whose K has 1,000,818 elements
     family = classify_A(F(-11905639707025, 1610339369154876), F(1), 0).family
-    with pytest.raises(OverflowError, match="K has 1000818 elements"):
-        build_diagram(family)
+    diag = build_diagram(family)
+    assert diag.k_order == lattice_order(diag.N, diag.k_generators) == 1_000_818
+    assert diag.intersection_orders == {"plus": family.plus.sigma, "minus": family.minus.sigma}
 
 
 @pytest.mark.parametrize(
     "family, message",
     [
         # p = 2,000,001 is odd
-        (_family(_end(1, 2 * MAX_K_ORDER + 1)), "plus end: p = qm[+]sigma = 2000001 is odd"),
+        (_family(_end(1, 2_000_001)), "plus end: p = qm[+]sigma = 2000001 is odd"),
         # m = 1: N = 4,000,002 and |K| = N, but the slope (1000001, 1) meets K once
-        (_family(_end(1, 2 * MAX_K_ORDER + 1, m=1), m=1),
+        (_family(_end(1, 2_000_001, m=1), m=1),
          "plus end: stabilizer intersection has order 1, expected 2000001"),
-        (_family(_end(1, 2 * MAX_K_ORDER + 1, m=1), _end(2, 4, m=1), m=1),
+        (_family(_end(1, 2_000_001, m=1), _end(2, 4, m=1), m=1),
          "plus end: stabilizer intersection has order 2, expected 2000001"),
         # q = 2, sigma = 2,000,002: |K| = N, and K holds (1/2, 0)
-        (_family(_end(2, 2 * MAX_K_ORDER + 2)), "K meets SU"),
+        (_family(_end(2, 2_000_002)), "K meets SU"),
     ],
 )
 def test_invalid_data_over_the_k_limit_keeps_its_own_error(family, message):
@@ -409,46 +413,6 @@ def test_pi1_order_two_example():
     assert not diag.simply_connected
 
 
-def _fraction_diagram(family):
-    """Reference for build_diagram: the closure of K over pairs of phases
-    in [0, 1) as Fractions, with the same checks in the same order.
-    Returns (generators, sorted elements, intersection orders)."""
-    mod1 = lambda x: x - (x.numerator // x.denominator)
-    ends = [("plus", family.plus)]
-    if family.branch == YPQ_BRANCH:
-        if family.minus is None:
-            raise ValueError("two-root family requires orbit data at both ends")
-        ends.append(("minus", family.minus))
-    for name, end in ends:
-        if end.p % 2 != 0:
-            raise ValueError(f"{name} end: p = qm+sigma = {end.p} is odd")
-        if gcd(abs(end.q), abs(end.p) // 2) != 1:
-            raise ValueError(f"{name} end: q = {end.q} and (qm+sigma)/2 = {end.p // 2} are not coprime")
-        if end.q == 0:
-            raise ValueError(f"{name} end: q must be nonzero")
-    generators = [(F(1, 2), mod1(F(end.q, end.sigma))) for _, end in ends]
-    elements = {(F(0), F(0))}
-    frontier = list(elements)
-    while frontier:
-        x, y = frontier.pop()
-        for gx, gy in generators:
-            new = (mod1(x + gx), mod1(y + gy))
-            if new not in elements:
-                elements.add(new)
-                frontier.append(new)
-    orders = {}
-    for name, end in ends:
-        P, Q = end.p // 2, end.q
-        orders[name] = sum((Q * x - P * y).denominator == 1 for x, y in elements)
-        if orders[name] != end.sigma:
-            raise ValueError(
-                f"{name} end: stabilizer intersection has order {orders[name]}, expected {end.sigma}"
-            )
-    if family.branch == ROUND_SPHERE_BRANCH and any(y == 0 and x != 0 for x, y in elements):
-        raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
-    return generators, sorted(elements), orders
-
-
 @st.composite
 def _diagram_data(draw):
     """Integer orbit data for one or two ends (None at the round end); an
@@ -486,7 +450,7 @@ def numerators_in_range(diagram) -> bool:
 @given(_diagram_data())
 def test_build_diagram_matches_the_fraction_closure(fam):
     try:
-        want = _fraction_diagram(fam)
+        want = fraction_diagram(fam)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             build_diagram(fam)
@@ -495,6 +459,9 @@ def test_build_diagram_matches_the_fraction_closure(fam):
     diag = build_diagram(fam)
     assert (phases(diag, diag.k_generators), phases(diag, diag.k_elements), diag.intersection_orders) == want
     assert numerators_in_range(diag)
+    data = diag.to_json_dict()
+    assert described_elements(F(data["K_step"]), F(data["K_offset"])) == want[1]
+    assert data["K_order"] == len(want[1])
 
 
 @pytest.mark.parametrize("A, C, order", [(F(-9, 2197), F(6), 70), (F(-47610000, 5168743489), F(6), 10366)])
@@ -502,12 +469,15 @@ def test_diagram_phases_and_their_text_match_the_fraction_closure(A, C, order):
     # the README family and the large-K family of extend-check
     family = classify_A(A, C, 0).family
     diag = build_diagram(family)
-    generators, elements, _ = _fraction_diagram(family)
+    generators, elements, _ = fraction_diagram(family)
     assert len(elements) == order
     assert (phases(diag, diag.k_generators), phases(diag, diag.k_elements)) == (generators, elements)
     assert numerators_in_range(diag)
     data = diag.to_json_dict()
-    assert data["K_elements"] == [[str(x), str(y)] for x, y in elements]
+    assert "K_elements" not in data
+    assert data["K_order"] == order and data["N"] == diag.N
+    assert described_elements(F(data["K_step"]), F(data["K_offset"])) == elements
+    assert (data["K_step"], data["K_offset"]) == (str(F(diag.k_step, diag.N)), str(F(diag.k_offset, diag.N)))
     assert data["K_generators"] == [[str(x), str(y)] for x, y in generators]
 
 

@@ -5,7 +5,9 @@
 Each command runs in-process through ``esasaki.cli.main`` with the
 package imported from SRC (default: ``src/`` of this checkout), in its
 own directory under DIR, next to a ``run.txt`` holding its argv, exit
-code, stdout and stderr.  The commands are the README examples (with an
+code, stdout and stderr, with DIR written as ``DIR`` and paths inside
+the repository relative to its root, so that two checkouts give the
+same files.  The commands are the README examples (with an
 ``eta.json`` holding a conformal-family coframe), a Y^{p,q} family whose
 group K has 10366 elements, a 500-point ``verify`` (eight batches of
 curvature stencils), a 5-point ``verify`` on the y-band of width
@@ -31,8 +33,9 @@ irrational-root A, -1/108, an A below it and an A > 0) as
 whose coarse steps overshoot h = 0 (exit 2, its error naming the
 stage), the README's five-parameter flow at weight m = 0 (an
 explicit ``--m 0``, where the command's default is m = 1), and last a
-Y^{p,q} family whose group K has 1,000,818 elements, above the limit
-of 10^6 that ``build_diagram`` lists (exit 2, no artifact written).
+Y^{p,q} family whose group K has 1,000,818 elements (``diagram.json``
+describes K by N, its step and its offset, so both diagram families
+exit 0 with small artifacts).
 Commands are only ever appended, so the directories of an older
 snapshot keep their names.  Two snapshots compare with
 ``diff -r``; to compare a change against another checkout:
@@ -67,7 +70,7 @@ README = [
     "normal-form --input {eta}",
 ]
 
-# S = 576/1729 at C = 6: diagram.json lists |K| = 10366 elements
+# S = 576/1729 at C = 6: |K| = 10366
 LARGE_K = "extend-check --A=-47610000/5168743489 --C 6 --m 0 --arith rational"
 
 MANY_POINTS = "verify --A=-9/2197 --C 6 --points 500"
@@ -182,9 +185,9 @@ def main(argv=None) -> int:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(shlex.split(command) + ["--out", str(workdir)])
-        # printed paths name the snapshot directory; keep them relative
+        # paths name the snapshot directory or the checkout; keep them relative
         text = f"{command}\nexit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
-        (workdir / "run.txt").write_text(text.replace(str(out), "DIR"))
+        (workdir / "run.txt").write_text(text.replace(str(out), "DIR").replace(f"{ROOT}/", ""))
     print(f"{len(commands)} commands -> {out}")
     return 0
 
