@@ -16,7 +16,7 @@ eta = IdStructure(
 )
 print("structure-equation residuals:", residual_hypo(eta))
 
-print("coframe determinant:", eta.det())
+print("coframe determinant:", np.linalg.det(eta.matrix))
 
 # with its rate from the flow equations, the data gives the structure
 # forms alpha = eta0, omega1 = eta23 + eta1 ^ dt, ... of the 5-manifold;

@@ -120,7 +120,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("normal-form", help="canonical parameters of a solution", parents=[common])
     p_norm.add_argument("--input", default=None, help="coframe JSON file")
-    p_norm.add_argument("--output", default=None)
 
     if config:
         parsers = [parser, *sub.choices.values()]
@@ -346,7 +345,7 @@ def cmd_normal_form(args) -> int:
         },
         "meta": _meta(args),
     }
-    target = Path(args.output) if args.output else _outdir(args) / "normal_form.json"
+    target = _outdir(args) / "normal_form.json"
     _write_json(target, payload)
     print(f"{tag.variant}: wrote {target}")
     return 0

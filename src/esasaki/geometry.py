@@ -49,10 +49,8 @@ __all__ = [
     "ChartDomainError",
     "metric_from_frame",
     "wq",
-    "ypq_chart_metric",
     "ypq_chart",
     "flat_torus_chart",
-    "ricci_fd",
     "ricci_fd_many",
     "case_ii_frame_metric_in_chart",
     "sample_interior_points",
@@ -92,18 +90,6 @@ def wq(A: float, y: float) -> float:
     if y == 1:
         raise ZeroDivisionError("wq has a pole at y = 1")
     return _profile(A, y)
-
-
-def ypq_chart_metric(A: float, point: Sequence[float]) -> np.ndarray:
-    """Chart metric at (theta, phi, y, beta, psi); errors outside the box.
-
-    A one-off evaluation through :func:`ypq_chart`, which solves the
-    turning cubic: loops should build the chart once and call its metric.
-    """
-    chart = ypq_chart(A)
-    if not chart.contains(point):
-        raise ChartDomainError(f"point {tuple(point)} outside the chart box {chart.box}")
-    return chart.metric(point)
 
 
 def _chart_components(A, theta, y, dtype=float) -> np.ndarray:
@@ -285,11 +271,6 @@ class CurvatureReport:
             "sectional_values": list(self.sectional_values),
             "fd_step": self.fd_step,
         }
-
-
-def ricci_fd(chart: CoordinateChart, point: Sequence[float], fd_step: float = 1e-3) -> CurvatureReport:
-    """:func:`ricci_fd_many` at one point."""
-    return ricci_fd_many(chart, [point], fd_step)[0]
 
 
 def ricci_fd_many(chart: CoordinateChart, points: Sequence, fd_step: float = 1e-3) -> list:

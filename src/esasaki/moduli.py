@@ -535,7 +535,6 @@ def classify_A(A, C, m: int) -> ClassificationVerdict:
     denominator bound.
     """
     exact = isinstance(A, (Fraction, int)) and isinstance(C, (Fraction, int))
-    w = (C + m) if exact else float(C) + m
     try:
         roots = tuple(cubic_roots(Fraction(A) if exact else float(A)))
     except ExactRootsUnavailable:
@@ -556,14 +555,17 @@ def classify_A(A, C, m: int) -> ClassificationVerdict:
         if len(circle_ends) != 2 or circle_ends[0] == circle_ends[1]:
             return reject("turning cubic lacks two distinct positive roots")
 
-    if w == 0:
+    # C + m, the ratios and the witnesses all take the one reconstructed C
+    c_frac = _as_fraction(C)
+    if c_frac is None:
+        return reject("no rational orbit ratio within the denominator bound")
+    if c_frac + m == 0:
         return reject("C + m = 0 degenerates the coframe")
     ends = []
-    c_frac = _as_fraction(C)
     for delta in circle_ends:
-        c_arg = float(C) if isinstance(delta, float) else Fraction(C)
+        c_arg = float(c_frac) if isinstance(delta, float) else c_frac
         ratio = rational_reconstruct(ratio_from_root(delta, c_arg, m), DENOMINATOR_BOUND)
-        if ratio is None or c_frac is None:
+        if ratio is None:
             return reject("no rational orbit ratio within the denominator bound")
         try:
             ends.append(integer_witness(ratio, c_frac, m, delta))

@@ -23,7 +23,6 @@ canonical families of the classification.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +40,7 @@ __all__ = [
     "residual_hypo",
     "residual_hypo_batch",
     "residual_es",
+    "gauge",
     "normal_form",
 ]
 
@@ -79,41 +79,10 @@ class IdStructure:
     def matrix(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.eta])
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
     def require_coframe(self, threshold: float = 1e-12) -> None:
-        if abs(self.det()) <= threshold:
-            raise DegenerateCoframeError(f"coframe determinant {self.det():.3e} below {threshold:.1e}")
-
-    # -- group actions on solutions -----------------------------------
-
-    def apply_so3(self, rot: np.ndarray) -> "IdStructure":
-        """Rotate the su(2) coefficient triples of every row by rot in SO(3)."""
-        rows = []
-        for row in self.eta:
-            xyz = rot @ np.array([float(c) for c in row[:3]])
-            rows.append((xyz[0], xyz[1], xyz[2], float(row[3])))
-        return IdStructure(tuple(rows), self.m)
-
-    def apply_u1(self, angle: float) -> "IdStructure":
-        """Rotate (eta2, eta3) by the residual phase action."""
-        c, s = math.cos(angle), math.sin(angle)
-        r0, r1, r2, r3 = (np.array([float(x) for x in row]) for row in self.eta)
-        new2 = c * r2 + s * r3
-        new3 = -s * r2 + c * r3
-        return IdStructure((tuple(r0), tuple(r1), tuple(new2), tuple(new3)), self.m)
-
-    def sign_change(self) -> "IdStructure":
-        """Orientation reversal (eta0, -eta1, -eta2, -eta3)."""
-        r0, r1, r2, r3 = self.eta
-        neg = lambda row: tuple(-c for c in row)
-        return IdStructure((r0, neg(r1), neg(r2), neg(r3)), self.m)
-
-    def flip_eta1(self) -> "IdStructure":
-        """Orientation reversal composed with the half-turn phase action."""
-        r0, r1, r2, r3 = self.eta
-        return IdStructure((r0, tuple(-c for c in r1), r2, r3), self.m)
+        det = float(np.linalg.det(self.matrix))
+        if abs(det) <= threshold:
+            raise DegenerateCoframeError(f"coframe determinant {det:.3e} below {threshold:.1e}")
 
     # -- serialization -------------------------------------------------
 
@@ -128,7 +97,7 @@ class IdStructure:
         def dec(c):
             if isinstance(c, str):
                 return Fraction(c)
-            if not isinstance(c, (int, float)) or not math.isfinite(c):
+            if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
                 raise ValueError(f"coefficient {c!r} is not a finite number")
             return c
         try:
@@ -139,13 +108,6 @@ class IdStructure:
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"coframe weight m must be an integer, got {m!r}")
         return cls(rows, m)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "IdStructure":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _hypo_terms(eta: np.ndarray, m: int) -> tuple:
@@ -239,8 +201,27 @@ class FamilyTag:
                 data[name] = value
         return data
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
+
+def gauge(etas, so3=None, u1_angle: float | None = None, eta1_sign: int = 1) -> np.ndarray:
+    """The gauge action on a float (..., 4, 4) stack of coframes, as a new
+    array: rotate the su(2) coefficient triples of every row by ``so3`` in
+    SO(3), rotate (eta2, eta3) by the phase ``u1_angle``, then negate eta1
+    when ``eta1_sign`` is -1.
+
+    A part left at its default is skipped: rotating by the angle 0 would
+    turn a -0.0 coefficient into +0.0.  The rotation is a batched
+    matrix-vector product, so each row gets the bits of ``so3 @ row``.
+    """
+    out = np.array(etas, dtype=float)
+    if so3 is not None:
+        out[..., :3] = (np.asarray(so3, dtype=float) @ out[..., :3, None])[..., 0]
+    if u1_angle is not None:
+        c, s = math.cos(u1_angle), math.sin(u1_angle)
+        r2, r3 = out[..., 2, :], out[..., 3, :]
+        out[..., 2, :], out[..., 3, :] = c * r2 + s * r3, -s * r2 + c * r3
+    if eta1_sign < 0:
+        out[..., 1, :] = -out[..., 1, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,11 +237,7 @@ class FrameTransform:
     eta1_sign: int = 1
 
     def apply(self, structure: IdStructure) -> IdStructure:
-        out = structure.apply_so3(np.array(self.so3))
-        out = out.apply_u1(self.u1_angle)
-        if self.eta1_sign < 0:
-            out = out.flip_eta1()
-        return out
+        return IdStructure(gauge(structure.matrix, self.so3, self.u1_angle, self.eta1_sign), structure.m)
 
 
 def _minimal_rotation_to_x(n: np.ndarray) -> np.ndarray:
@@ -294,24 +271,23 @@ def normal_form(structure: IdStructure, tol: float = 1e-9):
     (a > 0, or a4 h > 0).  The variant is decided by closedness of
     eta3 ^ eta1.
     """
-    res = residual_hypo(structure)
-    scale = max(1.0, float(np.abs(structure.matrix).max()))
+    mat = structure.matrix
+    res = tuple(residual_hypo_batch(mat[None], structure.m)[0].tolist())
+    scale = max(1.0, float(np.abs(mat).max()))
     if max(res) > tol * scale:
         raise NotASolutionError(f"structure-equation residuals {res} exceed tolerance {tol}")
 
-    mat = structure.matrix
     n = mat[0, :3]
     rho = float(np.linalg.norm(n))
     if rho <= tol * scale:
         raise NotASolutionError("degenerate: eta0 closed (no su(2) component)")
 
     rot0 = _minimal_rotation_to_x(n / rho)
-    work = structure.apply_so3(rot0)
 
     # (eta2, eta3) live in span(e2, e3) for any solution with eta0
     # aligned; canonicalize the residual two-sided rotation gauge by the
     # rotation-SVD of the 2x2 block.
-    w = work.matrix
+    w = gauge(mat, rot0)
     off = max(abs(w[2, 0]), abs(w[2, 3]), abs(w[3, 0]), abs(w[3, 3]))
     if off > 1e3 * tol * scale:
         raise NotASolutionError("eta2/eta3 are not supported on span(e2, e3)")
@@ -331,8 +307,7 @@ def normal_form(structure: IdStructure, tol: float = 1e-9):
     rot1 = np.array([[1.0, 0.0, 0.0], [0.0, cv, sv], [0.0, -sv, cv]])
     so3 = rot1 @ rot0
 
-    work = structure.apply_so3(so3).apply_u1(u1_angle)
-    w = work.matrix
+    w = gauge(mat, so3, u1_angle)
 
     eta31 = wedge_coefficients(w[3], w[1], WEDGE_1_1)
     closed = np.linalg.norm(eta31 @ D_2.T) <= 10 * tol * max(1.0, np.linalg.norm(eta31))
@@ -342,8 +317,7 @@ def normal_form(structure: IdStructure, tol: float = 1e-9):
         # a e1 row: enforce a > 0
         if w[1, 0] < 0:
             eta1_sign = -1
-            work = work.flip_eta1()
-            w = work.matrix
+            w[1] = -w[1]
         h, k = float(w[2, 1]), float(w[3, 2])
         if abs(w[0, 0] - 2 * h * k) > 1e3 * tol * max(1.0, scale**2) or abs(
             w[0, 3] + structure.m / 3.0
@@ -360,8 +334,7 @@ def normal_form(structure: IdStructure, tol: float = 1e-9):
     else:
         if w[1, 3] < 0:
             eta1_sign = -1
-            work = work.flip_eta1()
-            w = work.matrix
+            w[1] = -w[1]
         if abs(svals[0] - svals[1]) > 1e3 * tol * max(1.0, scale):
             raise NotASolutionError("eta2/eta3 block is not conformal in the non-closed family")
         h = float(0.5 * (w[2, 1] + w[3, 2]))

@@ -75,7 +75,7 @@ def test_evolve_case_iii_honours_an_explicit_weight_0(tmp_path, weight):
 def test_evolve_general_happy_path(tmp_path):
     eta = CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure()
     path = tmp_path / "eta.json"
-    path.write_text(eta.dumps())
+    path.write_text(json.dumps(eta.to_json_dict()))
     code = run(["evolve", "--case", "general", "--input", path, "--t1", "0.1",
                 "--step", "1e-3", "--out", tmp_path])
     assert code == 0
@@ -276,6 +276,15 @@ def test_extend_check_round_branch_with_unreconstructed_C_exits_1(tmp_path, caps
     assert verdict["branch"] == "NoCompactExtension"
 
 
+def test_extend_check_with_C_reconstructed_to_minus_m_exits_1(tmp_path, capsys):
+    # C = 1e-14 reconstructs to 0 = -m: the degenerate coframe is named,
+    # not an orbit witness built from one C and checked against another
+    assert run(["extend-check", "--A=-9/2197", "--C=1e-14", "--m", "0", "--out", tmp_path]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: C + m = 0 degenerates the coframe")
+    verdict = json.loads((tmp_path / "verdict.json").read_text())["verdict"]
+    assert verdict["branch"] == "NoCompactExtension" and verdict["family"] is None
+
+
 def test_extend_check_case_iii_always_rejects(tmp_path):
     code = run(["extend-check", "--case-iii", "--h0", "0.4", "--k0", "0.3", "--b0", "0",
                 "--c0", "0.1", "--a0", "0.2", "--step", "1e-3", "--out", tmp_path])
@@ -349,7 +358,7 @@ def test_conformal_extend_check_integrates_nothing(tmp_path, monkeypatch):
 )
 def test_reruns_are_byte_identical(tmp_path, argv):
     eta = tmp_path / "eta.json"
-    eta.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    eta.write_text(json.dumps(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().to_json_dict()))
     argv = [a.format(eta=eta) for a in argv]
     outs = [tmp_path / "a", tmp_path / "b"]
     codes = [run(argv + ["--out", out]) for out in outs]
@@ -412,7 +421,7 @@ def test_reruns_are_byte_identical(tmp_path, argv):
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     bad = {"eta": [[0.3333, 0, 0, 1], [0, 0, 0, 1], [0, 0.40824829, 0, 0], [0, 0, 0.40824829, 0]], "m": 0}
     (tmp_path / "bad.json").write_text(json.dumps(bad))
-    (tmp_path / "eta.json").write_text(CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure().dumps())
+    (tmp_path / "eta.json").write_text(json.dumps(CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure().to_json_dict()))
     argv = [a.format(missing=tmp_path / "missing.json", bad=tmp_path / "bad.json", eta=tmp_path / "eta.json")
             for a in argv]
     assert run(argv + ["--out", tmp_path]) == 2
@@ -482,6 +491,9 @@ _COFRAMES = {
     # solutions for m = 0 and m = 1 were m truncated to an integer
     "fractional-m": {**CaseIIState(0.38, 0.1, 6.0, 0).to_id_structure().to_json_dict(), "m": 0.5},
     "bool-m": {**CaseIIState(0.38, 0.1, 6.0, 1).to_id_structure().to_json_dict(), "m": True},
+    # a solution were false read as the coefficient 0.0 it stands in for
+    "bool-entry": {"eta": [[0.2888, False, 0.0, -0.2671999999999999], [0.1, 0.0, 0.0, 0.6000000000000001],
+                           [0.0, 0.38, 0.0, 0.0], [0.0, 0.0, 0.38, 0.0]], "m": 0},
     "nan-entry": {"eta": [[math.nan, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
     "zero-denominator": {"eta": [["1/0", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "m": 0},
 }
@@ -609,7 +621,10 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, 
 
 @pytest.mark.parametrize(
     "name",
-    ["short-row", "no-eta", "list", "null-entry", "bad-m", "fractional-m", "bool-m", "nan-entry", "zero-denominator"],
+    [
+        "short-row", "no-eta", "list", "null-entry", "bad-m", "fractional-m", "bool-m", "bool-entry", "nan-entry",
+        "zero-denominator",
+    ],
 )
 def test_malformed_coframe_files_exit_2(tmp_path, capsys, name):
     path = tmp_path / "eta.json"
@@ -647,7 +662,7 @@ def test_non_finite_float_flags_are_usage_errors(tmp_path, flag):
 def test_normal_form_subcommand(tmp_path):
     eta = CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure()
     path = tmp_path / "eta.json"
-    path.write_text(eta.dumps())
+    path.write_text(json.dumps(eta.to_json_dict()))
     code = run(["normal-form", "--input", path, "--out", tmp_path])
     assert code == 0
     data = json.loads((tmp_path / "normal_form.json").read_text())
@@ -679,12 +694,11 @@ def test_rejected_input_makes_no_out_directory(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_normal_form_output_file_makes_no_out_directory(tmp_path):
+def test_normal_form_rejects_a_boolean_coefficient(tmp_path, capsys):
     path = tmp_path / "eta.json"
-    path.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
-    target = tmp_path / "nf.json"
-    assert run(["normal-form", "--input", path, "--output", target, "--out", tmp_path / "out"]) == 0
-    assert json.loads(target.read_text())["tag"]["variant"] == "GoGivingYpq"
+    path.write_text(json.dumps(_COFRAMES["bool-entry"]))
+    assert run(["normal-form", "--input", path, "--out", tmp_path / "out"]) == 2
+    assert "coefficient False is not a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -730,7 +744,7 @@ def test_config_file_defaults(tmp_path):
 
 def test_config_file_supplies_required_flags(tmp_path, capsys):
     eta = tmp_path / "eta.json"
-    eta.write_text(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    eta.write_text(json.dumps(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().to_json_dict()))
     cases = [
         ("A", {"A": "0"}, ["verify", "--points", "1"], 0),
         ("case", {"case": "i", "t1": 0.1, "step": 0.05}, ["evolve"], 0),

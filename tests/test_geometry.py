@@ -14,12 +14,10 @@ from esasaki.geometry import (
     case_ii_frame_metric_in_chart,
     flat_torus_chart,
     metric_from_frame,
-    ricci_fd,
     ricci_fd_many,
     sample_interior_points,
     wq,
     ypq_chart,
-    ypq_chart_metric,
 )
 from esasaki.structures import IdStructure
 from nested_ricci_oracle import nested_ricci
@@ -55,7 +53,7 @@ def test_wq_pole():
 
 
 def test_chart_point_values():
-    g = ypq_chart_metric(0.0, (math.pi / 2, 0.0, 0.0, 0.0, 0.0))
+    g = ypq_chart(0.0).metric((math.pi / 2, 0.0, 0.0, 0.0, 0.0))
     assert np.diag(g) == pytest.approx([1 / 6, 1 / 6, 1 / 2, 1 / 18, 1 / 9])
     assert g[3, 4] == pytest.approx(0.0)  # beta-psi coupling vanishes at y = 0
 
@@ -64,7 +62,7 @@ def test_chart_metric_symmetric_positive_definite():
     rng = np.random.default_rng(1)
     chart = ypq_chart(A_EX)
     for p in sample_interior_points(chart, 10, seed=3):
-        g = ypq_chart_metric(A_EX, p)
+        g = chart.metric(p)
         assert np.allclose(g, g.T)
         assert np.linalg.eigvalsh(g).min() > 0
 
@@ -78,12 +76,12 @@ def test_chart_degenerates_at_y_endpoints():
         eigs = []
         for eps in (1e-2, 1e-3, 1e-4):
             y = y_end + eps if y_end < 0.5 else y_end - eps
-            g = ypq_chart_metric(A, (theta, 0.0, y, 0.0, 0.0))
+            g = ypq_chart(A).metric((theta, 0.0, y, 0.0, 0.0))
             eigs.append(np.linalg.eigvalsh(g).min())
         assert eigs[2] < eigs[0]
         assert eigs[2] < 1e-3
     dets = [
-        np.linalg.det(ypq_chart_metric(0.0, (theta, 0.0, 1.0 - eps, 0.0, 0.0)))
+        np.linalg.det(ypq_chart(0.0).metric((theta, 0.0, 1.0 - eps, 0.0, 0.0)))
         for eps in (1e-2, 1e-3, 1e-4)
     ]
     assert dets[2] < dets[1] < dets[0]
@@ -113,10 +111,11 @@ def test_ypq_metric_ignores_its_cyclic_coordinates(A, theta, u, angles, shifts):
 
 
 def test_chart_domain_errors():
-    with pytest.raises(ChartDomainError):
-        ypq_chart_metric(A_EX, (0.0, 0.0, 0.0, 0.0, 0.0))  # theta = 0
-    with pytest.raises(ChartDomainError):
-        ypq_chart_metric(A_EX, (1.0, 0.0, 0.9, 0.0, 0.0))  # y too large
+    chart = ypq_chart(A_EX)
+    for point in ((0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.9, 0.0, 0.0)):  # theta = 0, y too large
+        assert not chart.contains(point)
+        with pytest.raises(ChartDomainError):
+            ricci_fd_many(chart, [point], 1e-3)
     with pytest.raises(ChartDomainError):
         ypq_chart(-0.02)  # A below the admissible interval
 
@@ -160,13 +159,13 @@ def test_metric_from_frame_case_ii_block_expression():
 
 
 def test_flat_torus_ricci_vanishes():
-    rep = ricci_fd(flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4)), (0.1, 0.2, 0.3, 0.4, 0.5), 1e-3)
+    rep = ricci_fd_many(flat_torus_chart((1.0, 0.7, 1.3, 2.0, 0.4)), [(0.1, 0.2, 0.3, 0.4, 0.5)], 1e-3)[0]
     assert np.abs(rep.ricci).max() < 1e-8
 
 
 def test_sphere_chart_is_einstein_and_constant_curvature():
     chart = ypq_chart(0.0)
-    rep = ricci_fd(chart, (1.3, 0.7, 0.1, 0.4, 0.9), 1e-3)
+    rep = ricci_fd_many(chart, [(1.3, 0.7, 0.1, 0.4, 0.9)], 1e-3)[0]
     assert rep.einstein_residual < 1e-4
     assert rep.sectional_spread < 1e-3
     assert np.mean(rep.sectional_values) == pytest.approx(1.0, abs=1e-6)
@@ -175,13 +174,13 @@ def test_sphere_chart_is_einstein_and_constant_curvature():
 def test_ypq_chart_is_einstein_at_random_points():
     chart = ypq_chart(A_EX)
     for p in sample_interior_points(chart, 10, seed=7):
-        rep = ricci_fd(chart, p, 1e-3)
+        rep = ricci_fd_many(chart, [p], 1e-3)[0]
         assert rep.einstein_residual < 1e-4
 
 
 def test_ricci_symmetry_within_tolerance():
     chart = ypq_chart(A_EX)
-    rep = ricci_fd(chart, (1.2, 0.5, 0.05, 0.3, 0.8), 1e-3)
+    rep = ricci_fd_many(chart, [(1.2, 0.5, 0.05, 0.3, 0.8)], 1e-3)[0]
     asym = np.abs(rep.ricci - rep.ricci.T).max()
     assert asym <= 10 * max(rep.einstein_residual, 1e-12)
 
@@ -189,8 +188,8 @@ def test_ricci_symmetry_within_tolerance():
 def test_convergence_order_on_halving():
     chart = ypq_chart(A_EX)
     point = (1.2, 0.5, 0.05, 0.3, 0.8)
-    res_coarse = ricci_fd(chart, point, 2e-3).einstein_residual
-    res_fine = ricci_fd(chart, point, 1e-3).einstein_residual
+    res_coarse = ricci_fd_many(chart, [point], 2e-3)[0].einstein_residual
+    res_fine = ricci_fd_many(chart, [point], 1e-3)[0].einstein_residual
     assert res_coarse / res_fine > 8.0
 
 
@@ -199,7 +198,7 @@ def test_skipping_cyclic_stencils_matches_the_full_stencil(A):
     chart = ypq_chart(A)
     full = dataclasses.replace(chart, cyclic=())
     for p in sample_interior_points(chart, 5, seed=13):
-        skipped, stenciled = ricci_fd(chart, p), ricci_fd(full, p)
+        skipped, stenciled = ricci_fd_many(chart, [p])[0], ricci_fd_many(full, [p])[0]
         assert np.abs(skipped.ricci - stenciled.ricci).max() < 1e-10
         assert abs(skipped.einstein_residual - stenciled.einstein_residual) < 1e-10
 
@@ -282,7 +281,7 @@ def test_ricci_fd_many_equals_ricci_fd_bit_for_bit(A, cyclic, seed, count, repea
     many = ricci_fd_many(chart, points, fd_step)
     assert len(many) == len(points)
     for point, rep in zip(points, many):
-        one = ricci_fd(chart, point, fd_step)
+        one = ricci_fd_many(chart, [point], fd_step)[0]
         assert rep.point == one.point
         assert rep.ricci.tobytes() == one.ricci.tobytes()
         assert repr(rep.einstein_residual) == repr(one.einstein_residual)
@@ -381,7 +380,6 @@ def test_ricci_fd_many_rejects_a_point_of_the_wrong_length(point):
     calls = (
         lambda: ricci_fd_many(ypq_chart(0.0), [(1.3, 0.7, 0.1, 0.4, 0.9), point], 1e-3),
         lambda: ypq_chart(A_EX).contains(point),
-        lambda: ypq_chart_metric(A_EX, point),
     )
     for call in calls:
         with pytest.raises(ValueError, match=rf"point \({point[0]},.* has {len(point)} coordinates; the chart has 5"):
@@ -391,7 +389,7 @@ def test_ricci_fd_many_rejects_a_point_of_the_wrong_length(point):
 def test_ricci_fd_near_boundary_error():
     chart = ypq_chart(0.0)
     with pytest.raises(ChartDomainError):
-        ricci_fd(chart, (1e-4, 0.5, 0.1, 0.3, 0.8), 1e-3)
+        ricci_fd_many(chart, [(1e-4, 0.5, 0.1, 0.3, 0.8)], 1e-3)
 
 
 def test_singular_metric_at_stencil_point_errors():
@@ -406,7 +404,7 @@ def test_singular_metric_at_stencil_point_errors():
 
     chart = CoordinateChart("degenerate", ("x",) * 5, metric, (None,) * 5)
     with pytest.raises(SingularMetricError):
-        ricci_fd(chart, (1e-3, 0.0, 0.0, 0.0, 0.0), 1e-3)  # stencil reaches x <= 0
+        ricci_fd_many(chart, [(1e-3, 0.0, 0.0, 0.0, 0.0)], 1e-3)  # stencil reaches x <= 0
 
 
 def test_symbolic_curvature_oracle_single_point():
@@ -457,7 +455,7 @@ def test_symbolic_curvature_oracle_single_point():
     assert np.abs(ric_sym - EINSTEIN_CONSTANT * g_num).max() < 1e-9
 
     chart = ypq_chart(float(A))
-    ric_fd_point = ricci_fd(chart, (1.1, 0.0, 0.05, 0.0, 0.0), 1e-3).ricci
+    ric_fd_point = ricci_fd_many(chart, [(1.1, 0.0, 0.05, 0.0, 0.0)], 1e-3)[0].ricci
     assert np.abs(ric_fd_point - ric_sym).max() < 1e-6
 
 
@@ -470,7 +468,7 @@ def test_frame_metric_matches_chart_metric():
     chart = ypq_chart(A_EX)
     for p in sample_interior_points(chart, 10, seed=11):
         push = case_ii_frame_metric_in_chart(A_EX, 6.0, p)
-        direct = ypq_chart_metric(A_EX, p)
+        direct = chart.metric(p)
         assert np.abs(push - direct).max() < 1e-9
 
 

@@ -533,6 +533,19 @@ def test_classify_float_inputs_reconstruct():
     assert verdict.family.plus.ratio == F(-3, 5)
 
 
+def test_classify_takes_one_reconstructed_C():
+    # 1e-14 reconstructs to C = 0, so C + m = 0: no witness is built from
+    # the reconstruction while the ratio and C + m take the raw float
+    verdict = classify_A(F(-9, 2197), 1e-14, 0)
+    assert verdict.branch == NO_COMPACT_EXTENSION and verdict.family is None
+    assert verdict.reason == "C + m = 0 degenerates the coframe"
+    # a float a few ulps off 6 gives the witnesses of the exact C = 6
+    exact = classify_A(F(-9, 2197), F(6), 0).family
+    noisy = classify_A(F(-9, 2197), 6.0 + 4 * math.ulp(6.0), 0).family
+    for got, want in ((noisy.minus, exact.minus), (noisy.plus, exact.plus)):
+        assert (got.ratio, got.q, got.sigma_signed, got.p) == (want.ratio, want.q, want.sigma_signed, want.p)
+
+
 def test_classify_irrational_C_is_irregular():
     verdict = classify_A(F(-9, 2197), math.sqrt(2) * 3, 0)
     # ratios are irrational: no integer witnesses within the bound

@@ -11,6 +11,7 @@ from esasaki.structures import (
     FamilyTag,
     IdStructure,
     NotASolutionError,
+    gauge,
     normal_form,
     residual_es,
     residual_hypo,
@@ -19,6 +20,7 @@ from esasaki.structures import (
 from esasaki.evolution import CaseIIState, closed_form_case_i
 
 import exact_forms
+import gauge_oracle
 
 S6 = 1.0 / math.sqrt(6.0)
 
@@ -99,13 +101,15 @@ def test_u1_action_invariance_of_residuals():
     base = residual_hypo(st)
     for _ in range(5):
         angle = float(rng.uniform(0, 2 * math.pi))
-        rotated = st.apply_u1(angle)
+        rotated = IdStructure(gauge(st.matrix, u1_angle=angle), st.m)
         assert residual_hypo(rotated) == pytest.approx(base, abs=1e-12)
 
 
 def test_sign_change_invariance_of_residuals():
     st = homogeneous_structure()
-    assert residual_hypo(st.sign_change()) == pytest.approx(residual_hypo(st), abs=1e-15)
+    r0, r1, r2, r3 = st.eta
+    reversed_ = IdStructure((r0, tuple(-c for c in r1), tuple(-c for c in r2), tuple(-c for c in r3)), st.m)
+    assert residual_hypo(reversed_) == pytest.approx(residual_hypo(st), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,55 @@ def random_so3(rng):
     return q
 
 
+# coefficients of the stacks below: floats, signed zeros and fractions,
+# the last as rows of an IdStructure that converts them to float
+_COEFFICIENT = st.one_of(
+    st.floats(-4, 4),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+)
+_SO3 = st.one_of(
+    st.sampled_from([np.eye(3), np.diag([-1.0, 1.0, -1.0])]),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_so3(np.random.default_rng(seed))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_COEFFICIENT, min_size=16, max_size=16), min_size=1, max_size=5),
+    _SO3,
+    st.one_of(st.just(0.0), st.floats(-7, 7)),
+)
+def test_gauge_on_stacks_matches_the_per_row_oracle_bit_for_bit(rows, so3, angle):
+    # gauge acts on the float coframes, so the oracle does too: negated,
+    # a zero Fraction stays unsigned where the float 0.0 becomes -0.0
+    frames = [IdStructure(IdStructure([r[4 * i:4 * i + 4] for i in range(4)], 1).matrix, 1) for r in rows]
+    stack = np.stack([frame.matrix for frame in frames])
+    parts = {
+        "none": ({}, lambda s: s),
+        "so3": ({"so3": so3}, lambda s: gauge_oracle.apply_so3(s, so3)),
+        "u1": ({"u1_angle": angle}, lambda s: gauge_oracle.apply_u1(s, angle)),
+        "flip": ({"eta1_sign": -1}, gauge_oracle.flip_eta1),
+        "all": (
+            {"so3": so3, "u1_angle": angle, "eta1_sign": -1},
+            lambda s: gauge_oracle.flip_eta1(gauge_oracle.apply_u1(gauge_oracle.apply_so3(s, so3), angle)),
+        ),
+    }
+    for name, (kwargs, oracle) in parts.items():
+        out = gauge(stack, **kwargs)
+        assert out.shape == stack.shape and not np.shares_memory(out, stack)
+        for i, frame in enumerate(frames):
+            assert out[i].tobytes() == oracle(frame).matrix.tobytes(), name
+            assert out[i].tobytes() == gauge(stack[i], **kwargs).tobytes(), name
+
+    # the orientation reversal commutes with the action, up to the sign of a zero
+    def reverse(etas):
+        return np.stack([gauge_oracle.sign_change(IdStructure(eta)).matrix for eta in etas])
+
+    kwargs = parts["all"][0]
+    assert np.array_equal(gauge(reverse(stack), **kwargs), reverse(gauge(stack, **kwargs)))
+
+
 def test_normal_form_canonical_input_is_fixed():
     h, a1, a4, m = 0.4, 0.3, 0.7, 1
     mu = (6 * h * h * a4 - a4 - a1 * m) / (3 * a1)
@@ -224,9 +277,10 @@ def test_normal_form_recovers_parameters_after_conjugation():
     mu = (6 * h * h * a4 - a4 - a1 * m) / (3 * a1)
     st = IdStructure(((2 * h * h, 0, 0, mu), (a1, 0, 0, a4), (0, h, 0, 0), (0, 0, h, 0)), m)
     for _ in range(10):
-        g = st.apply_so3(random_so3(rng)).apply_u1(float(rng.uniform(0, 2 * math.pi)))
+        w = gauge(st.matrix, random_so3(rng), float(rng.uniform(0, 2 * math.pi)))
         if rng.random() < 0.5:
-            g = g.sign_change()
+            w[1:] = -w[1:]  # orientation reversal (eta0, -eta1, -eta2, -eta3)
+        g = IdStructure(w, m)
         tag, transform = normal_form(g)
         assert tag.variant == "GoGivingYpq"
         assert tag.h == pytest.approx(h, abs=1e-9)
@@ -246,9 +300,8 @@ def test_normal_form_equivalence_invariance_closed_variant():
     assert tag0.h > 0 and tag0.k > 0 and tag0.a > 0
     assert tag0.h * tag0.k == pytest.approx(h * k, abs=1e-12)
     for _ in range(10):
-        g = st.apply_so3(random_so3(rng)).apply_u1(float(rng.uniform(0, 2 * math.pi)))
-        if rng.random() < 0.5:
-            g = g.flip_eta1()
+        so3, angle = random_so3(rng), float(rng.uniform(0, 2 * math.pi))
+        g = IdStructure(gauge(st.matrix, so3, angle, -1 if rng.random() < 0.5 else 1), m)
         tag1, _ = normal_form(g)
         assert tag1.variant == "GoGivingNothing"
         for name in ("h", "k", "a", "c"):
@@ -302,7 +355,7 @@ def test_normal_form_degenerate_eta0():
 
 def test_id_structure_json_roundtrip():
     st = CaseIIState(0.35, 0.22, 6.0, 2).to_id_structure()
-    back = IdStructure.loads(st.dumps())
+    back = IdStructure.from_json_dict(json.loads(json.dumps(st.to_json_dict())))
     assert back.m == 2
     assert np.allclose(back.matrix, st.matrix)
 
@@ -311,7 +364,7 @@ def test_id_structure_json_preserves_exact_coefficients():
     from fractions import Fraction as F
 
     st = IdStructure(((F(2, 9), 0, 0, F(-1, 3)), (F(1, 2), 0, 0, 0), (0, F(1, 3), 0, 0), (0, 0, F(1, 3), 0)), 1)
-    back = IdStructure.loads(st.dumps())
+    back = IdStructure.from_json_dict(json.loads(json.dumps(st.to_json_dict())))
     assert back.eta[0][0] == F(2, 9)
     assert isinstance(back.eta[0][0], F)
     assert back.eta == st.eta
@@ -319,8 +372,8 @@ def test_id_structure_json_preserves_exact_coefficients():
 
 def test_family_tag_json_fields():
     tag = FamilyTag(variant="GoGivingYpq", m=1, h=0.4, a1=0.3, a4=0.7, mu=-0.2)
-    data = json.loads(tag.dumps())
+    data = json.loads(json.dumps(tag.to_json_dict()))
     assert data["variant"] == "GoGivingYpq"
     assert set(data) == {"variant", "h", "m", "a1", "a4", "mu"}
     tag2 = FamilyTag(variant="GoGivingNothing", m=0, h=1.0, k=0.5, a=0.1, c=0.0)
-    assert set(json.loads(tag2.dumps())) == {"variant", "h", "m", "k", "a", "c"}
+    assert set(json.loads(json.dumps(tag2.to_json_dict()))) == {"variant", "h", "m", "k", "a", "c"}

@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import math
 import shlex
 import subprocess
@@ -159,13 +160,13 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True)
     eta = out / "eta.json"
-    eta.write_text(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().dumps())
+    eta.write_text(json.dumps(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().to_json_dict()))
     A = -0.9 / 108
     h0 = math.sqrt(float(evolution.turning_points(A)[0] ** 2)) + 1e-3
     degenerate = out / "degenerate.json"
-    degenerate.write_text(evolution.CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure().dumps())
+    degenerate.write_text(json.dumps(evolution.CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure().to_json_dict()))
     weighted = out / "weighted.json"
-    weighted.write_text(evolution.CaseIIState(0.25, 0.4, 1.0, 2).to_id_structure().dumps())
+    weighted.write_text(json.dumps(evolution.CaseIIState(0.25, 0.4, 1.0, 2).to_id_structure().to_json_dict()))
 
     commands = [("readme", c.format(eta=eta)) for c in README]
     commands += [("large-k", LARGE_K), ("many-points", MANY_POINTS), ("narrow-band", NARROW_BAND),
