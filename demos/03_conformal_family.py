@@ -6,12 +6,13 @@
 
 import math
 
-from esasaki.evolution import CaseIIState, evolve_case_ii, turning_points
+from esasaki.evolution import CaseIIState, evolve_case_ii
 from esasaki.moduli import cubic_roots
 
 A = -9 / 2197
-print("turning heights for A = -9/2197:", turning_points(A))
-print("  (exact squares 1/13 and 3/13:", [float(r) for r, _ in cubic_roots(A)], ")")
+roots = [float(r) for r, _ in cubic_roots(A)]
+print("turning heights for A = -9/2197:", [math.sqrt(r) for r in roots])
+print("  (exact squares 1/13 and 3/13:", roots, ")")
 
 h0 = 0.3
 a0 = math.sqrt(A + h0**4 - 4 * h0**6) / h0

@@ -8,7 +8,6 @@ import numpy as np
 
 from esasaki.geometry import (
     case_ii_frame_metric_in_chart,
-    flat_torus_chart,
     ricci_fd_many,
     sample_interior_points,
     wq,
@@ -36,10 +35,6 @@ point = (1.2, 0.5, 0.05, 0.3, 0.8)
 coarse = ricci_fd_many(chart, [point], fd_step=2e-3)[0].einstein_residual
 fine = ricci_fd_many(chart, [point], fd_step=1e-3)[0].einstein_residual
 print(f"\nresidual at step 2e-3: {coarse:.3e}; at 1e-3: {fine:.3e} (ratio {coarse/fine:.1f})")
-
-# diagnostic: a flat metric has vanishing Ricci
-flat = ricci_fd_many(flat_torus_chart(), [(0.1, 0.2, 0.3, 0.4, 0.5)], fd_step=1e-3)[0]
-print(f"flat diagnostic |Ric| = {np.abs(flat.ricci).max():.2e}")
 
 # frame/chart consistency at one matched point
 push = case_ii_frame_metric_in_chart(A, 6.0, point)

@@ -11,11 +11,10 @@ Subpackages by concern:
 - ``moduli``     cubic-root arithmetic, rational family enumeration,
                  compactness classification, group diagrams
 - ``boundary``   smooth-extension tests over special orbits
-- ``jsontext``   the artifacts' indented JSON text, joined from parts
 - ``cli``        command-line front end
 """
 
-from esasaki import boundary, evolution, exterior, geometry, jsontext, moduli, structures
+from esasaki import boundary, evolution, exterior, geometry, moduli, structures
 
-__all__ = ["exterior", "structures", "evolution", "geometry", "moduli", "boundary", "jsontext"]
+__all__ = ["exterior", "structures", "evolution", "geometry", "moduli", "boundary"]
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ import numpy as np
 from esasaki.evolution import CASE_I_MAX_SAMPLES, CaseIIIState, case_iii_exit, case_iii_rhs, rk4_path, rk4_step
 
 __all__ = [
-    "TaylorData",
     "kw_extends",
     "richardson_limit",
     "parity_fit",
@@ -76,41 +75,27 @@ ROUND_TOL_RATIO = 0.5
 # the equivariant extension criterion
 
 
-@dataclass(frozen=True)
-class TaylorData:
-    """One-sided Taylor coefficients c0..cN at the origin, with the
-    stabilizer order sigma and the target weight n."""
-
-    coeffs: tuple
-    sigma: int
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def kw_extends(data: TaylorData):
+def kw_extends(coeffs: Sequence, sigma: int, n: int):
     """Smooth equivariant extendability of a radial profile.
 
+    ``coeffs`` = c_0..c_N are its one-sided Taylor coefficients at the
+    origin, ``sigma`` the stabilizer order, ``n`` the target weight.
     True exactly when sigma divides n and every coefficient c_k vanishes
     for k in {0, ..., |n/sigma|-1} and for k > |n/sigma| with k - |n/sigma|
     odd.  Returns (verdict, failing_index); the index is None when the
     verdict is True or when divisibility itself fails.
     """
-    if data.sigma <= 0:
+    if sigma <= 0:
         raise ValueError("sigma must be a positive integer")
-    if data.n % data.sigma != 0:
+    if n % sigma != 0:
         return False, None
-    weight = abs(data.n // data.sigma)
-    if data.order < weight + 2:
+    weight = abs(n // sigma)
+    order = len(coeffs) - 1
+    if order < weight + 2:
         raise ValueError(f"need Taylor order >= |n/sigma| + 2 = {weight + 2}")
-    must_vanish = list(range(weight)) + list(range(weight + 1, data.order + 1, 2))
+    must_vanish = list(range(weight)) + list(range(weight + 1, order + 1, 2))
     for k in sorted(must_vanish):
-        if abs(data.coeffs[k]) > KW_TOL:
+        if abs(coeffs[k]) > KW_TOL:
             return False, k
     return True, None
 
@@ -314,7 +299,7 @@ def check_round_series(series: Sequence) -> ExtensionReport:
     Delta/r^2 and hb + ck vanishes identically.
     """
     conditions = [_cond("delta_vanishes_at_origin", series[0], 0.0, SERIES_TOL_LIMIT)]
-    even, _ = kw_extends(TaylorData(series, 1, 2))
+    even, _ = kw_extends(series, 1, 2)
     # the odd part of Delta/r^2 relative to its limit, r^-1 included
     odd = max(abs(c) for c in series[1::2]) / max(abs(series[2]), 1e-12)
     for name in ("delta_over_r2", "h2c2_over_r2", "k2b2_over_r2"):
@@ -350,7 +335,7 @@ def check_circle_branch(
     if pqc <= 0:
         raise ValueError(f"sign normalization violated: p + qC = {pqc} <= 0")
     delta0 = series[0]
-    even, _ = kw_extends(TaylorData(series, abs(sigma), 0))
+    even, _ = kw_extends(series, abs(sigma), 0)
     odd = max(abs(c) for c in series[1::2]) / max(abs(delta0), 1e-12)
 
     conditions = [

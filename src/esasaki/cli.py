@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from esasaki import boundary, evolution, geometry, jsontext, moduli, structures
+from esasaki import boundary, evolution, geometry, moduli, structures
 
 __all__ = ["main", "build_parser"]
 
@@ -122,17 +122,24 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_norm.add_argument("--input", default=None, help="coframe JSON file")
 
     if config:
-        parsers = [parser, *sub.choices.values()]
-        defaults = {k.replace("-", "_"): v for k, v in config.items()}
-        for key, value in defaults.items():
-            switch = any(isinstance(p.get_default(key), bool) for p in parsers)
+        # the parsers whose flags take each key; the subparsers' copies of the
+        # global flags stay suppressed, else they overwrite the main parser's value
+        takers = {}
+        for p in [parser, *sub.choices.values()]:
+            for action in p._actions:
+                if action.option_strings and action.default is not argparse.SUPPRESS:
+                    takers.setdefault(action.dest, []).append(p)
+        for name, value in config.items():
+            key = name.replace("-", "_")
+            if key not in takers:
+                raise ValueError(f"--config: unknown key {name!r}")
+            switch = any(isinstance(p.get_default(key), bool) for p in takers[key])
             if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise ValueError(f"--config: {key} takes {'true or false' if switch else 'a string or a number'}")
             # argparse applies a flag's type to string defaults only: a
             # number goes in as its text, as on the command line
-            defaults[key] = value if isinstance(value, (str, bool)) else str(value)
-        for p in parsers:
-            p.set_defaults(**defaults)
+            for p in takers[key]:
+                p.set_defaults(**{key: value if isinstance(value, (str, bool)) else str(value)})
     return parser
 
 
@@ -163,13 +170,19 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=1, sort_keys=True))
 
 
+def _nested_json(obj, depth: int) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True) nested ``depth`` levels
+    deep; encoded JSON holds no raw newline inside a string."""
+    return json.dumps(obj, indent=1, sort_keys=True).replace("\n", "\n" + " " * depth)
+
+
 def _write_reports_json(path: Path, meta: dict, reports: list) -> None:
     """The bytes of :func:`_write_json` on {"meta": meta, "reports": [...]},
     with one report's JSON dict in memory at a time."""
     with open(path, "w") as fh:
-        fh.write('{\n "meta": ' + jsontext.indented_json(meta, 1, sort_keys=True) + ',\n "reports": [')
+        fh.write('{\n "meta": ' + _nested_json(meta, 1) + ',\n "reports": [')
         for k, rep in enumerate(reports):
-            fh.write(("," if k else "") + "\n  " + jsontext.indented_json(rep.to_json_dict(), 2, sort_keys=True))
+            fh.write(("," if k else "") + "\n  " + _nested_json(rep.to_json_dict(), 2))
         fh.write("\n ]\n}")
 
 

@@ -44,8 +44,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from esasaki import exterior, moduli
-from esasaki.jsontext import indented_json
+from esasaki import exterior
 from esasaki.structures import IdStructure, residual_hypo, residual_hypo_batch
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "evolve_general",
     "evolve_case_ii",
     "evolve_case_iii",
-    "turning_points",
     "turning_series",
     "round_series",
     "rk4_path",
@@ -383,9 +381,9 @@ class FlowResult:
                     fh.write(("," if k else "") + f"\n  {json.dumps(name)}: ")
                     array(("drift", name))
                 fh.write("\n }" if self.drift else "}")
-                fh.write(f',\n "boundary_time": {indented_json(self.boundary_time, 1)}')
-                fh.write(f',\n "stopped_reason": {indented_json(self.stopped_reason, 1)}')
-                fh.write(f',\n "meta": {indented_json(self.meta, 1)}')
+                # the object's text without "{" and "\n}": its entries sit at this depth
+                scalars = dict(boundary_time=self.boundary_time, stopped_reason=self.stopped_reason, meta=self.meta)
+                fh.write("," + json.dumps(scalars, indent=1)[1:-2])
                 if self.consistency is not None:
                     fh.write(',\n "consistency": ')
                     array("consistency")
@@ -879,19 +877,6 @@ def evolve_case_ii(
         drift={"A": np.abs(A - A0) / drift_scale},
         meta={"step": step, "family": "case_ii", "C": state0.C, "m": state0.m, "A": A0},
     )
-
-
-def turning_points(A: float) -> list:
-    """Positive h with A + h^4 - 4 h^6 = 0, i.e. sqrt of the positive
-    roots of the turning cubic; the root 0 is excluded as degenerate.
-
-    At the branch minimum A = -1/108 the single (double) value 1/sqrt(6)
-    is returned; below it there are none and a ValueError is raised.
-    """
-    heights = [math.sqrt(float(root)) for root, _ in moduli.cubic_roots(A) if root > 0]
-    if not heights:
-        raise ValueError("no turning points: A must be at least -1/108")
-    return heights
 
 
 TURNING_SERIES_ORDER = 12

@@ -50,7 +50,6 @@ __all__ = [
     "metric_from_frame",
     "wq",
     "ypq_chart",
-    "flat_torus_chart",
     "ricci_fd_many",
     "case_ii_frame_metric_in_chart",
     "sample_interior_points",
@@ -167,22 +166,6 @@ def ypq_chart(A: float) -> CoordinateChart:
         metric=metric,
         box=((0.0, math.pi), None, (1.0 - 6.0 * hi_delta, 1.0 - 6.0 * lo_delta), None, None),
         cyclic=(1, 3, 4),
-    )
-
-
-def flat_torus_chart(radii: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0)) -> CoordinateChart:
-    """Diagnostic flat metric (constant diagonal); Ricci must vanish."""
-    diag = [float(r) ** 2 for r in radii]
-
-    def metric(points, dtype=float):
-        shape = np.shape(points)[:-1]
-        return np.broadcast_to(np.diag(np.array(diag, dtype=dtype)), shape + (5, 5)).copy()
-
-    return CoordinateChart(
-        name="flat_torus",
-        coords=("x1", "x2", "x3", "x4", "x5"),
-        metric=metric,
-        box=(None, None, None, None, None),
     )
 
 

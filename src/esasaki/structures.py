@@ -228,16 +228,13 @@ def gauge(etas, so3=None, u1_angle: float | None = None, eta1_sign: int = 1) -> 
 class FrameTransform:
     """The group element reducing a solution to normal form.
 
-    Applied as: rotate the su(2) basis by ``so3``, rotate (eta2, eta3) by
-    ``u1_angle``, then flip eta1 when ``eta1_sign`` is -1.
+    :func:`gauge` applies it: rotate the su(2) basis by ``so3``, rotate
+    (eta2, eta3) by ``u1_angle``, then flip eta1 when ``eta1_sign`` is -1.
     """
 
     so3: tuple
     u1_angle: float
     eta1_sign: int = 1
-
-    def apply(self, structure: IdStructure) -> IdStructure:
-        return IdStructure(gauge(structure.matrix, self.so3, self.u1_angle, self.eta1_sign), structure.m)
 
 
 def _minimal_rotation_to_x(n: np.ndarray) -> np.ndarray:
@@ -263,8 +260,9 @@ def _minimal_rotation_to_x(n: np.ndarray) -> np.ndarray:
 def normal_form(structure: IdStructure, tol: float = 1e-9):
     """Reduce a solution of the structure equations to canonical form.
 
-    Returns ``(tag, transform)`` where ``transform.apply(structure)``
-    reproduces the canonical representative.  The reduction applies one
+    Returns ``(tag, transform)`` where ``gauge(structure.matrix,
+    transform.so3, transform.u1_angle, transform.eta1_sign)`` is the
+    coframe of the canonical representative.  The reduction applies one
     adjoint rotation taking eta0 into span(e1, e4) and aligning the
     (eta2, eta3) block, one phase rotation making eta2 a positive
     multiple of e2, and an orientation flip fixing the sign conventions

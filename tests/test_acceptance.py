@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from esasaki.boundary import (
-    TaylorData,
     check_round_branch,
     kw_extends,
     reject_case_iii,
@@ -181,16 +180,16 @@ def test_criterion_7_kazdan_warner_suite():
         coeffs[j] = 1.0
         return coeffs
 
-    assert kw_extends(TaylorData(monomial(2), sigma=1, n=2)) == (True, None)
-    assert kw_extends(TaylorData(monomial(0), sigma=1, n=2)) == (False, 0)
-    assert kw_extends(TaylorData(monomial(3), sigma=2, n=2)) == (True, None)
+    assert kw_extends(monomial(2), sigma=1, n=2) == (True, None)
+    assert kw_extends(monomial(0), sigma=1, n=2) == (False, 0)
+    assert kw_extends(monomial(3), sigma=2, n=2) == (True, None)
 
     rng = np.random.default_rng(77)
     for _ in range(20):
         sigma = int(rng.integers(1, 5))
         n = int(rng.integers(0, 10))
         j = int(rng.integers(0, 10))
-        got, _ = kw_extends(TaylorData(monomial(j, order=14), sigma=sigma, n=n))
+        got, _ = kw_extends(monomial(j, order=14), sigma=sigma, n=n)
         if n % sigma != 0:
             expected = False
         else:

@@ -10,7 +10,6 @@ from esasaki.boundary import (
     FIT_NODES,
     ConditionCheck,
     ExtensionReport,
-    TaylorData,
     check_circle_branch,
     check_round_branch,
     check_round_series,
@@ -75,14 +74,14 @@ def monomial_taylor(j, order=10):
 
 
 def test_kw_examples():
-    assert kw_extends(TaylorData(monomial_taylor(2), sigma=1, n=2)) == (True, None)
-    assert kw_extends(TaylorData(monomial_taylor(0), sigma=1, n=2)) == (False, 0)
+    assert kw_extends(monomial_taylor(2), sigma=1, n=2) == (True, None)
+    assert kw_extends(monomial_taylor(0), sigma=1, n=2) == (False, 0)
     # r^3 with sigma = 2, n = 2: weight 1, k = 3 has k - 1 even, so it extends
-    assert kw_extends(TaylorData(monomial_taylor(3), sigma=2, n=2)) == (True, None)
+    assert kw_extends(monomial_taylor(3), sigma=2, n=2) == (True, None)
 
 
 def test_kw_divisibility():
-    assert kw_extends(TaylorData(monomial_taylor(2), sigma=3, n=2)) == (False, None)
+    assert kw_extends(monomial_taylor(2), sigma=3, n=2) == (False, None)
 
 
 def test_kw_randomized_monomials_match_closed_form_rule():
@@ -91,8 +90,7 @@ def test_kw_randomized_monomials_match_closed_form_rule():
         sigma = int(rng.integers(1, 4))
         n = int(rng.integers(0, 9))
         j = int(rng.integers(0, 9))
-        data = TaylorData(monomial_taylor(j, order=12), sigma=sigma, n=n)
-        got, _ = kw_extends(data)
+        got, _ = kw_extends(monomial_taylor(j, order=12), sigma=sigma, n=n)
         if n % sigma != 0:
             expected = False
         else:
@@ -112,16 +110,16 @@ def test_kw_monotone_under_even_radial_powers():
         for j in range(order + 1):
             if j >= w and (j - w) % 2 == 0:
                 coeffs[j] = float(rng.normal())
-        assert kw_extends(TaylorData(coeffs, sigma, n))[0]
+        assert kw_extends(coeffs, sigma, n)[0]
         shifted = [0.0, 0.0] + coeffs[:-2]
-        assert kw_extends(TaylorData(shifted, sigma, n))[0]
+        assert kw_extends(shifted, sigma, n)[0]
 
 
 def test_kw_errors():
     with pytest.raises(ValueError):
-        kw_extends(TaylorData(monomial_taylor(2), sigma=0, n=2))
+        kw_extends(monomial_taylor(2), sigma=0, n=2)
     with pytest.raises(ValueError):
-        kw_extends(TaylorData((0.0, 0.0, 1.0), sigma=1, n=4))  # order too low
+        kw_extends((0.0, 0.0, 1.0), sigma=1, n=4)  # order too low
 
 
 # ---------------------------------------------------------------------------

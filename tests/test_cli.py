@@ -150,6 +150,15 @@ def test_verify_step_scales_with_a_narrow_band(tmp_path):
     assert json.loads((tmp_path / "curvature.json").read_text())["meta"]["fd_step"] == 2e-3
 
 
+@pytest.mark.parametrize("points", [3, 40])
+def test_curvature_json_holds_json_dump_bytes(tmp_path, points):
+    # the reports stream to the file one at a time; 40 points span two
+    # batches of stencils
+    assert 3 < geometry._BLOCK < 40
+    assert run(["verify", "--A=-9/2197", "--C", "6", "--points", points, "--out", tmp_path]) == 0
+    assert len(json_dump_content(tmp_path / "curvature.json")["reports"]) == points
+
+
 def test_verify_deterministic(tmp_path):
     for i, argv in enumerate([
         ["--A", "0", "--points", "2", "--seed", "3"],
@@ -593,17 +602,26 @@ _CONFIGS = {
     "config-list": [1, 2],
     "config-string": "enumerate",
 }
+# drawn config files: keys the flags take, a misspelling and the removed
+# normal-form --output, with values of every JSON type
+_CONFIG_KEYS = ("seed", "seeed", "output", "tol", "step", "arith", "bound", "points", "m", "case-iii", "record_every",
+                "C")
+_DRAWN_CONFIGS = st.dictionaries(st.sampled_from(_CONFIG_KEYS),
+                                 st.sampled_from([0, 1, 2, 0.5, "4e-3", "1/2", "x", True, None]), max_size=3)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     argv=st.one_of(_evolve_argv(), _NORMAL_FORM_ARGV, _verify_argv(), _extend_check_argv(), _enumerate_argv()),
-    config=st.one_of(st.none(), st.sampled_from(sorted(_CONFIGS))),
+    config=st.one_of(st.none(), st.sampled_from(sorted(_CONFIGS)), _DRAWN_CONFIGS),
 )
 def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, capsys, argv, config):
     tmp = tmp_path_factory.mktemp("fuzz")
-    paths = {name: tmp / f"{name}.json" for name in (*_COFRAMES, *_CONFIGS)}
-    for name, data in (*_COFRAMES.items(), *_CONFIGS.items()):
+    files = {**_COFRAMES, **_CONFIGS}
+    if isinstance(config, dict):
+        files["drawn"], config = config, "drawn"
+    paths = {name: tmp / f"{name}.json" for name in files}
+    for name, data in files.items():
         paths[name].write_text(json.dumps(data))
     if config is not None:
         argv = ["--config", f"{{{config}}}"] + argv
@@ -808,6 +826,53 @@ def test_consecutive_config_files_each_give_only_their_own_defaults(tmp_path, ca
     capsys.readouterr()
     assert run(["enumerate", "--out", tmp_path / "no_bound"]) == 2  # no config file's bound is left
     assert "need --bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_global_flags_beat_the_config_file_in_either_position(tmp_path, before):
+    def argv(config, command, flags):
+        return ["--config", config, *flags, *command] if before else ["--config", config, *command, *flags]
+
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": 5, "bound": 13}))
+    assert run(argv(config, ["enumerate"], ["--seed", "7", "--out", tmp_path / "enumerate"])) == 0
+    assert json.loads((tmp_path / "enumerate" / "families.json").read_text())["meta"]["seed"] == 7
+    # a residual near 1e-7 passes at the file's tol and fails at the flag's
+    config = tmp_path / "tol.json"
+    config.write_text(json.dumps({"tol": 0.5}))
+    verify = ["verify", "--A=-9/2197", "--C", "6", "--points", "1"]
+    assert run(["--config", config, *verify, "--out", tmp_path / "loose"]) == 0
+    assert run(argv(config, verify, ["--tol", "1e-9", "--out", tmp_path / "tight"])) == 1
+    assert json.loads((tmp_path / "tight" / "curvature.json").read_text())["meta"]["tol"] == 1e-9
+
+
+@pytest.mark.parametrize(
+    "data, argv, key",
+    [
+        ({"seeed": 5, "bound": 13}, ["enumerate"], "seeed"),
+        ({"output": "normal_form.json"}, ["normal-form", "--input", "{eta}"], "output"),
+    ],
+    ids=["misspelt", "removed-output"],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, data, argv, key):
+    eta = tmp_path / "eta.json"
+    eta.write_text(json.dumps(CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().to_json_dict()))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(data))
+    argv = [a.format(eta=eta) for a in argv]
+    assert run(["--config", config, *argv, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --config: unknown key '{key}'"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_config_file_serves_several_commands(tmp_path):
+    # each command takes the keys of its own flags and leaves the others
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_CONFIGS["config-ok"]))
+    assert run(["--config", config, "enumerate", "--out", tmp_path / "enumerate"]) == 0
+    assert json.loads((tmp_path / "enumerate" / "families.json").read_text())["meta"]["bound"] == 13
+    assert run(["--config", config, "verify", "--A", "0", "--out", tmp_path / "verify"]) == 0
+    assert len(json.loads((tmp_path / "verify" / "curvature.json").read_text())["reports"]) == 1
 
 
 def test_rational_string_inputs(tmp_path):

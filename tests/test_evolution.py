@@ -17,12 +17,11 @@ from esasaki.evolution import (
     general_rhs,
     rk4_path,
     round_series,
-    turning_points,
     turning_series,
 )
 from esasaki import evolution
 from esasaki.evolution import _case_ii_rhs
-from esasaki.moduli import enumerate_rational_families
+from esasaki.moduli import cubic_roots, enumerate_rational_families
 from esasaki.structures import IdStructure, residual_es, residual_hypo, residual_hypo_batch
 
 from exact_forms import rate_defect
@@ -158,15 +157,6 @@ def test_case_ii_residuals_along_flow():
 
 # ---------------------------------------------------------------------------
 # turning points
-
-
-def test_turning_points_examples():
-    assert turning_points(0.0) == [0.5]
-    pts = turning_points(-9 / 2197)
-    assert pts == pytest.approx([math.sqrt(1 / 13), math.sqrt(3 / 13)], abs=1e-12)
-    assert turning_points(float(-1 / 108)) == pytest.approx([6 ** -0.5], abs=1e-12)
-    with pytest.raises(ValueError):
-        turning_points(-0.02)
 
 
 def test_turning_series_exact_at_every_enumerated_end():
@@ -337,7 +327,7 @@ def test_five_dimensional_equations_hold_along_the_general_flow(start):
 def test_general_flow_stops_at_coframe_degeneration(monkeypatch):
     # ride the conformal flow into its turning point, where eta1 -> 0
     A = -0.9 / 108
-    h0 = math.sqrt(float(turning_points(A)[0] ** 2)) + 1e-3
+    h0 = math.sqrt(cubic_roots(A)[0][0]) + 1e-3
     a0 = math.sqrt(A + h0**4 - 4 * h0**6) / h0
     st0 = CaseIIState(h0, a0, 6.0, 0)
     monkeypatch.setattr(evolution, "GENERAL_DET_THRESHOLD", 1e-5)

@@ -30,8 +30,8 @@ from esasaki.evolution import (
     evolve_case_ii,
     evolve_case_iii,
     evolve_general,
-    turning_points,
 )
+from esasaki.moduli import cubic_roots
 from esasaki.structures import IdStructure, residual_hypo_batch
 
 from exact_forms import rate_defect
@@ -139,7 +139,7 @@ def test_write_matches_csv_writer_and_json_dump(flow, block_rows, spool_chars):
 def _degenerating_coframe():
     # the start of test_general_flow_stops_at_coframe_degeneration
     A = -0.9 / 108
-    h0 = math.sqrt(float(turning_points(A)[0] ** 2)) + 1e-3
+    h0 = math.sqrt(cubic_roots(A)[0][0]) + 1e-3
     a0 = math.sqrt(A + h0**4 - 4 * h0**6) / h0
     return CaseIIState(h0, a0, 6.0, 0).to_id_structure()
 

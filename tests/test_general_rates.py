@@ -23,6 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from esasaki import evolution
 from esasaki.cli import main
+from esasaki.moduli import cubic_roots
 from esasaki.structures import IdStructure
 from esasaki.evolution import (
     CaseIIIState,
@@ -36,7 +37,6 @@ from esasaki.evolution import (
     general_rhs,
     rk4_path,
     rk4_step,
-    turning_points,
 )
 
 from exact_forms import add, one_form, rate_defect, wedge
@@ -354,7 +354,7 @@ def test_coarse_steps_into_the_degenerate_coframe_stop_the_flow(monkeypatch):
     # the conformal flow just above the lower turning value of
     # A = -0.9/108 degenerates near t = 1.2; steps of 0.3 overshoot it
     A = -0.9 / 108
-    h0 = math.sqrt(float(turning_points(A)[0] ** 2)) + 1e-3
+    h0 = math.sqrt(cubic_roots(A)[0][0]) + 1e-3
     structure = CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure()
     monkeypatch.setattr(evolution, "GENERAL_ABORT_TOL", math.inf)
     with np.errstate(all="ignore"):

@@ -34,6 +34,7 @@ from exact_roots import fraction_cubic_roots
 
 def test_double_root_at_minimum_exact():
     assert cubic_roots(F(-1, 108)) == [(F(1, 6), 2)]
+    assert cubic_roots(-1 / 108) == [(1 / 6, 2)]
 
 
 def test_roots_at_zero():

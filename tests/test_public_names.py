@@ -38,13 +38,6 @@ def test_tracer_extra_names_resolve():
 PACKAGE = Path(esasaki.__file__).resolve().parent
 
 
-def test_jsontext_names_are_called_by_the_artifact_writers():
-    # jsontext holds only the text helpers another module of the package joins artifacts with
-    others = "".join(path.read_text() for path in PACKAGE.glob("*.py") if path.name != "jsontext.py")
-    jsontext = importlib.import_module("esasaki.jsontext")
-    assert jsontext.__all__ and all(f"{name}(" in others for name in jsontext.__all__)
-
-
 def test_the_package_never_lists_the_group_K():
     # K is described by (N, d, r); GroupDiagram.k_elements lists it for callers outside the package
     assert not [path.name for path in PACKAGE.glob("*.py") if ".k_elements" in path.read_text()]

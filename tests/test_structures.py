@@ -287,7 +287,7 @@ def test_normal_form_recovers_parameters_after_conjugation():
         assert tag.a1 == pytest.approx(a1, abs=1e-9)
         assert tag.a4 == pytest.approx(a4, abs=1e-9)
         assert tag.mu == pytest.approx(mu, abs=1e-9)
-        canon = transform.apply(g)
+        canon = IdStructure(gauge(g.matrix, transform.so3, transform.u1_angle, transform.eta1_sign), m)
         assert max(residual_hypo(canon)) < 1e-9
 
 

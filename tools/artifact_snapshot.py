@@ -155,14 +155,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from esasaki import cli, evolution
+    from esasaki import cli, evolution, moduli
 
     out = Path(args.out)
     out.mkdir(parents=True)
     eta = out / "eta.json"
     eta.write_text(json.dumps(evolution.CaseIIState(0.35, 0.22, 6.0, 0).to_id_structure().to_json_dict()))
     A = -0.9 / 108
-    h0 = math.sqrt(float(evolution.turning_points(A)[0] ** 2)) + 1e-3
+    h0 = math.sqrt(float(moduli.cubic_roots(A)[0][0])) + 1e-3
     degenerate = out / "degenerate.json"
     degenerate.write_text(json.dumps(evolution.CaseIIState.from_A(h0, A, 6.0, 0).to_id_structure().to_json_dict()))
     weighted = out / "weighted.json"
