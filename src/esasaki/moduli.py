@@ -34,7 +34,7 @@ congruence, and |K| = 2N/d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional
@@ -163,8 +163,7 @@ def ratio_from_root(delta, C, m: int):
     w = C + m
     if w == 0:
         raise ValueError("C + m must be nonzero")
-    one = Fraction(1) if isinstance(delta, Fraction) else 1.0
-    denom = one - 6 * delta
+    denom = 1 - 6 * delta
     if denom == 0:
         raise ValueError("delta = 1/6 gives no circle orbit data")
     return (6 * delta / denom) / w
@@ -172,7 +171,8 @@ def ratio_from_root(delta, C, m: int):
 
 def rational_reconstruct(x: float, max_den: int) -> Optional[Fraction]:
     """Best continued-fraction approximation with bounded denominator,
-    or None when nothing within tolerance exists.
+    or None when nothing within tolerance exists.  A ``Fraction`` is
+    already exact and is returned as it is, whatever its denominator.
 
     The tolerance is tight by design: a genuinely rational value carries
     only rounding error (~1e-16 relative), while convergents of an
@@ -183,7 +183,7 @@ def rational_reconstruct(x: float, max_den: int) -> Optional[Fraction]:
     ulp of x, only the float nearest a fraction reconstructs.
     """
     if isinstance(x, Fraction):
-        return x if x.denominator <= max_den else None
+        return x
     frac = Fraction(x).limit_denominator(max_den)
     if abs(float(frac) - x) <= min(RECONSTRUCT_REL_TOL * max(1.0, abs(x)), 0.25 / max_den**2):
         return frac
@@ -307,53 +307,32 @@ class YpqFamily:
 def enumerate_rational_families(denominator_bound: int, m: int = 0) -> list:
     """All quasi-regular families with root-sum denominator within bound.
 
-    Scans rational S = delta_plus + delta_minus in (1/4, 1/3) in lowest
-    terms; S qualifies exactly when S(1 - 3S) is a rational square, and
-    then delta_pm = (S +- sqrt(S - 3 S^2))/2, the third root is 1/4 - S,
-    and A = 4 delta_plus delta_minus (1/4 - S) < 0.  The conventional
-    constant C = 6 - m makes every ratio rational.  Results are sorted
-    by S, so smaller bounds give prefixes of larger ones after a merge.
+    Scans S = delta_plus + delta_minus = num/den in (1/4, 1/3) in lowest
+    terms.  S qualifies exactly when S - 3 S^2 = num (den - 3 num)/den^2
+    is a rational square, that is when num (den - 3 num) is an integer
+    square root_num^2; then delta_pm = (S +- root)/2 with root =
+    root_num/den, the third root is 1/4 - S, and A = 4 delta_plus
+    delta_minus (1/4 - S) = (S^2 - root^2)(1/4 - S).  Each such level
+    goes to :func:`classify_A` with the conventional constant C = 6 - m,
+    which makes every ratio rational; it checks the range of A and each
+    exact root, and the family it returns is recorded with its S.
+    Results are sorted by S, so smaller bounds give prefixes of larger
+    ones after a merge.
     """
     if denominator_bound < 2:
         raise ValueError("denominator bound must be at least 2")
     C = Fraction(6 - m)
     families = []
     for den in range(2, denominator_bound + 1):
-        n_lo = den // 4 + 1
-        n_hi = (den - 1) // 3
-        for num in range(n_lo, n_hi + 1):
-            if gcd(num, den) != 1:
-                continue
-            S = Fraction(num, den)
+        for num in range(den // 4 + 1, (den - 1) // 3 + 1):
             square = num * (den - 3 * num)
             root_num = isqrt(square)
-            if root_num * root_num != square:
+            if root_num * root_num != square or gcd(num, den) != 1:
                 continue
-            root = Fraction(root_num, den)
-            d_plus = (S + root) / 2
-            d_minus = (S - root) / 2
-            if d_minus <= 0 or d_minus >= Fraction(1, 6) or d_plus <= Fraction(1, 6):
-                continue
-            d_third = Fraction(1, 4) - S
-            A = 4 * d_plus * d_minus * d_third
-            assert A_MIN < A < 0
-            assert _cubic_value(A, d_plus) == 0 and _cubic_value(A, d_minus) == 0
-            end_minus = integer_witness(ratio_from_root(d_minus, C, m), C, m, d_minus)
-            end_plus = integer_witness(ratio_from_root(d_plus, C, m), C, m, d_plus)
-            families.append(
-                YpqFamily(
-                    A=A,
-                    C=C,
-                    m=m,
-                    delta_minus=d_minus,
-                    delta_plus=d_plus,
-                    minus=end_minus,
-                    plus=end_plus,
-                    quasi_regular=True,
-                    simply_connected=gcd(abs(end_plus.q), abs(end_minus.q)) == 1,
-                    S=S,
-                )
-            )
+            S, root = Fraction(num, den), Fraction(root_num, den)
+            family = classify_A((S * S - root * root) * (Fraction(1, 4) - S), C, m).family
+            if family is not None:
+                families.append(replace(family, S=S))
     families.sort(key=lambda fam: fam.S)
     return families
 
@@ -466,41 +445,25 @@ def build_diagram(family: YpqFamily) -> GroupDiagram:
                 f"{name} end: stabilizer intersection has order {got}, expected {end.sigma}"
             )
 
-    if family.branch == ROUND_SPHERE_BRANCH:
-        # the three-dimensional end absorbs SU(2): K must miss it, that
-        # is (N/2, 0) must not lie in K
-        if r == 0:
-            raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
-        h_minus = {"type": "su2_times_K"}
-        pi1 = 1
-        simply = True
-    else:
-        q_plus, q_minus = family.plus.q, family.minus.q
-        pi1 = gcd(abs(q_plus), abs(q_minus))
-        simply = pi1 == 1
-        h_minus = {
-            "type": "circle_times_K",
-            "p": family.minus.p,
-            "q": family.minus.q,
-            "sigma": family.minus.sigma,
-        }
+    def circle(end: EndData) -> dict:
+        return {"type": "circle_times_K", "p": end.p, "q": end.q, "sigma": end.sigma}
 
-    h_plus = {
-        "type": "circle_times_K",
-        "p": family.plus.p,
-        "q": family.plus.q,
-        "sigma": family.plus.sigma,
-    }
+    round_branch = family.branch == ROUND_SPHERE_BRANCH
+    # the three-dimensional end absorbs SU(2): K must miss it, that is
+    # (N/2, 0) must not lie in K
+    if round_branch and r == 0:
+        raise ValueError("K meets SU(2) x {1} nontrivially on the round branch")
+    pi1 = 1 if round_branch else gcd(family.plus.q, family.minus.q)
     return GroupDiagram(
         N=N,
         k_generators=tuple(generators),
         k_step=d,
         k_offset=r,
-        h_plus=h_plus,
-        h_minus=h_minus,
+        h_plus=circle(family.plus),
+        h_minus={"type": "su2_times_K"} if round_branch else circle(family.minus),
         intersection_orders=orders,
         pi1_order=pi1,
-        simply_connected=simply,
+        simply_connected=pi1 == 1,
     )
 
 
@@ -531,8 +494,11 @@ def classify_A(A, C, m: int) -> ClassificationVerdict:
     -1/108 < A < 0, otherwise no compact extension) together with the
     witness data.  Both compact branches take integer orbit data at each
     circle end the same way: the root 1/4 of A = 0, or both positive
-    roots, must give a ratio and a C that are rational within the
-    denominator bound.
+    roots, must give a rational ratio and C.  Exact input gives exact
+    ratios, whatever their denominators; float input must reconstruct
+    them and C within ``DENOMINATOR_BOUND``.  Exact roots are checked by
+    substitution in :func:`cubic_roots`, and an A whose roots are
+    irrational classifies on float roots.
     """
     exact = isinstance(A, (Fraction, int)) and isinstance(C, (Fraction, int))
     try:

@@ -285,6 +285,21 @@ def test_extend_check_round_branch_with_unreconstructed_C_exits_1(tmp_path, caps
     assert verdict["branch"] == "NoCompactExtension"
 
 
+def test_extend_check_takes_exact_ratios_beyond_the_float_bound(tmp_path, capsys):
+    # at C = 999983 both ratios have denominators above 10^6; rational
+    # input keeps them, float input must reconstruct them and cannot
+    argv = ["extend-check", "--A=-9/2197", "--C", "999983", "--m", "0"]
+    assert run([*argv, "--arith", "rational", "--out", tmp_path / "exact"]) == 0
+    payload = json.loads((tmp_path / "exact" / "verdict.json").read_text())
+    assert payload["verdict"]["branch"] == "YpqBranch"
+    assert all(report["pass"] for report in payload["end_reports"].values())
+    diagram = json.loads((tmp_path / "exact" / "diagram.json").read_text())
+    assert (diagram["N"], diagram["pi1_order"]) == (69998810, 12)
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "float"]) == 1
+    assert capsys.readouterr().err == "FAIL: no rational orbit ratio within the denominator bound\n"
+
+
 def test_extend_check_with_C_reconstructed_to_minus_m_exits_1(tmp_path, capsys):
     # C = 1e-14 reconstructs to 0 = -m: the degenerate coframe is named,
     # not an orbit witness built from one C and checked against another

@@ -195,24 +195,39 @@ def test_integer_witness_normalization():
 
 
 def test_enumerate_examples_and_invariants():
-    fams = enumerate_rational_families(13)
-    assert len(fams) == 1
-    fam = fams[0]
-    assert (fam.delta_minus, fam.delta_plus, fam.A) == (F(1, 13), F(3, 13), F(-9, 2197))
-    assert fam.S == F(4, 13)
-    assert fam.quasi_regular
-    for f in enumerate_rational_families(40):
-        assert A_MIN < f.A < 0
-        assert isinstance(f.delta_plus - f.delta_minus, F)
-        # Vieta: the three roots sum to 1/4 with vanishing pairwise sum
-        third = F(1, 4) - f.S
-        assert f.delta_plus + f.delta_minus + third == F(1, 4)
-        pairwise = (
-            f.delta_plus * f.delta_minus + third * (f.delta_plus + f.delta_minus)
-        )
-        assert pairwise == 0
-        assert f.A + f.delta_plus**2 - 4 * f.delta_plus**3 == 0
-        assert f.A + f.delta_minus**2 - 4 * f.delta_minus**3 == 0
+    for m in (0, 1, 2, -1):
+        fams = enumerate_rational_families(13, m)
+        assert len(fams) == 1
+        fam = fams[0]
+        assert (fam.delta_minus, fam.delta_plus, fam.A) == (F(1, 13), F(3, 13), F(-9, 2197))
+        assert fam.S == F(4, 13)
+        assert fam.quasi_regular
+        for f in enumerate_rational_families(40, m):
+            assert (f.m, f.C) == (m, 6 - m)
+            assert A_MIN < f.A < 0
+            assert isinstance(f.delta_plus - f.delta_minus, F)
+            # Vieta: the three roots sum to 1/4 with vanishing pairwise sum
+            third = F(1, 4) - f.S
+            assert f.delta_plus + f.delta_minus + third == F(1, 4)
+            pairwise = (
+                f.delta_plus * f.delta_minus + third * (f.delta_plus + f.delta_minus)
+            )
+            assert pairwise == 0
+            assert f.A + f.delta_plus**2 - 4 * f.delta_plus**3 == 0
+            assert f.A + f.delta_minus**2 - 4 * f.delta_minus**3 == 0
+            for end, delta in ((f.minus, f.delta_minus), (f.plus, f.delta_plus)):
+                assert end.delta == delta and end.ratio == ratio_from_root(delta, f.C, m)
+                assert end.p == end.q * m + end.sigma_signed and end.p + end.q * f.C > 0
+                assert end.p % 2 == 0 and gcd(end.q, end.p // 2) == 1
+
+
+def test_enumerate_finds_the_S_of_an_independent_scan():
+    # lowest-terms n/d in (1/4, 1/3) with n (d - 3n) a perfect square
+    want = sorted(
+        F(n, d) for d in range(2, 301) for n in range(1, d)
+        if d < 4 * n and 3 * n < d and gcd(n, d) == 1 and math.isqrt(n * (d - 3 * n)) ** 2 == n * (d - 3 * n)
+    )
+    assert [f.S for f in enumerate_rational_families(300)] == want
 
 
 def test_enumerate_monotone_completeness():
@@ -228,15 +243,15 @@ def test_enumerate_small_bound_empty():
 
 def test_enumerate_agrees_with_classifier():
     # loop closure: every emitted family classifies back to the same
-    # integer orbit data, in exact and in float arithmetic
+    # integer orbit data in float arithmetic (the enumeration itself
+    # classifies each level exactly)
     for fam in enumerate_rational_families(31):
-        for A, C in ((fam.A, fam.C), (float(fam.A), float(fam.C))):
-            verdict = classify_A(A, C, fam.m)
-            assert verdict.branch == YPQ_BRANCH
-            got = verdict.family
-            assert (got.minus.q, got.minus.sigma, got.minus.p) == (fam.minus.q, fam.minus.sigma, fam.minus.p)
-            assert (got.plus.q, got.plus.sigma, got.plus.p) == (fam.plus.q, fam.plus.sigma, fam.plus.p)
-            assert got.simply_connected == fam.simply_connected
+        verdict = classify_A(float(fam.A), float(fam.C), fam.m)
+        assert verdict.branch == YPQ_BRANCH
+        got = verdict.family
+        assert (got.minus.q, got.minus.sigma, got.minus.p) == (fam.minus.q, fam.minus.sigma, fam.minus.p)
+        assert (got.plus.q, got.plus.sigma, got.plus.p) == (fam.plus.q, fam.plus.sigma, fam.plus.p)
+        assert got.simply_connected == fam.simply_connected
 
 
 def _orbit_data(verdict):
@@ -547,6 +562,21 @@ def test_classify_takes_one_reconstructed_C():
         assert (got.ratio, got.q, got.sigma_signed, got.p) == (want.ratio, want.q, want.sigma_signed, want.p)
 
 
+def test_classify_exact_input_is_not_bounded_by_the_reconstruction():
+    # the ratios 6/6999881 and -18/4999915 have denominators above the
+    # float reconstruction bound; exact input keeps them as they are
+    verdict = classify_A(F(-9, 2197), F(999983), 0)
+    assert verdict.branch == YPQ_BRANCH
+    minus, plus = verdict.family.minus, verdict.family.plus
+    assert (minus.ratio, plus.ratio) == (F(6, 6999881), F(-18, 4999915))
+    assert min(minus.ratio.denominator, plus.ratio.denominator) > DENOMINATOR_BOUND
+    assert (minus.q, minus.sigma, plus.q, plus.sigma) == (12, 13999762, 36, 9999830)
+    # the same level and C in floats must reconstruct the ratios, and cannot
+    verdict = classify_A(-9 / 2197, 999983.0, 0)
+    assert verdict.branch == NO_COMPACT_EXTENSION
+    assert verdict.reason == "no rational orbit ratio within the denominator bound"
+
+
 def test_classify_irrational_C_is_irregular():
     verdict = classify_A(F(-9, 2197), math.sqrt(2) * 3, 0)
     # ratios are irrational: no integer witnesses within the bound
@@ -565,6 +595,8 @@ def test_classify_round_branch_with_irrational_looking_C():
 def test_rational_reconstruct():
     assert rational_reconstruct(1 / 7, 100) == F(1, 7)
     assert rational_reconstruct(math.sqrt(2), 50) is None
+    # a Fraction is exact already: the bound is for floats
+    assert rational_reconstruct(F(1, 10**7 + 1), 100) == F(1, 10**7 + 1)
 
 
 @pytest.mark.parametrize("x", [100 * math.sqrt(2), 1000 * math.pi, 50 * math.e, 10 * math.sqrt(3), 30 * math.sqrt(5)])

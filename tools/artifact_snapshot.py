@@ -1,6 +1,6 @@
 """Run the README commands and the benchmark's CLI jobs; keep every artifact.
 
-    python3 tools/artifact_snapshot.py --out DIR [--src SRC]
+    python3 tools/artifact_snapshot.py --out DIR [--src SRC] [--manifest FILE | --check FILE]
 
 Each command runs in-process through ``esasaki.cli.main`` with the
 package imported from SRC (default: ``src/`` of this checkout), in its
@@ -43,19 +43,32 @@ snapshot keep their names.  Two snapshots compare with
     python3 tools/artifact_snapshot.py --src ../base/src --out /tmp/a
     python3 tools/artifact_snapshot.py --out /tmp/b
     diff -r /tmp/a /tmp/b
+
+``--manifest FILE`` writes the SHA-256 digest of every file of the
+snapshot, keyed by its path relative to DIR, with the Python and numpy
+versions that made them.  ``--check FILE`` compares a fresh snapshot with
+such a manifest and exits 1 listing each path that changed, is missing
+or is new; when the Python or numpy version differs from the manifest's
+it names the mismatch and compares no digest.  The checked-in manifest
+is ``tools/artifact_manifest.json``; a change that alters artifacts on
+purpose writes it again with ``--manifest``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
+import platform
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -148,10 +161,42 @@ def classify_commands() -> list:
     return [f"extend-check --A={A} --C {C} --m {m} --arith rational" for A, C, m in calls]
 
 
+def toolchain() -> dict:
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def digests(out: Path) -> dict:
+    """SHA-256 of every file under ``out``, keyed by its relative path."""
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def check(manifest_file: str, out: Path) -> int:
+    manifest = json.loads(Path(manifest_file).read_text())
+    recorded = manifest["toolchain"]
+    mismatch = [f"{name} {recorded.get(name)} in the manifest, {version} here"
+                for name, version in toolchain().items() if recorded.get(name) != version]
+    if mismatch:
+        print(f"toolchain mismatch: {'; '.join(mismatch)}; no digest compared")
+        return 1
+    want, got = manifest["files"], digests(out)
+    differ = [("changed", sorted(p for p in want.keys() & got.keys() if want[p] != got[p])),
+              ("missing", sorted(want.keys() - got.keys())), ("new", sorted(got.keys() - want.keys()))]
+    for label, paths in differ:
+        for path in paths:
+            print(f"{label}: {path}")
+    count = sum(len(paths) for _, paths in differ)
+    print(f"{count} of {len(want.keys() | got.keys())} paths differ from {manifest_file}")
+    return 1 if count else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="snapshot directory (created)")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the esasaki package")
+    gate = parser.add_mutually_exclusive_group()
+    gate.add_argument("--manifest", help="write the digest manifest of the snapshot to this file")
+    gate.add_argument("--check", help="compare the snapshot with this digest manifest")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
@@ -190,6 +235,11 @@ def main(argv=None) -> int:
         text = f"{command}\nexit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
         (workdir / "run.txt").write_text(text.replace(str(out), "DIR").replace(f"{ROOT}/", ""))
     print(f"{len(commands)} commands -> {out}")
+    if args.check:
+        return check(args.check, out)
+    if args.manifest:
+        manifest = {"toolchain": toolchain(), "files": digests(out)}
+        Path(args.manifest).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return 0
 
 
